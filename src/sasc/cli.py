@@ -35,6 +35,7 @@ from .model import (
     Topology,
     build_drift_matrix,
     require_stable,
+    with_coupling_phase,
 )
 from .numerics import NonConvergenceError, SingularMatrixError
 from .oracle import IntegrationQualityError, OracleComparisonError, OracleConfig
@@ -115,6 +116,11 @@ def build_system(block: dict) -> SystemModel:
     modes = []
     for i, entry in enumerate(block["modes"]):
         high = i % 2 == 0
+        if not high and entry.get("detuning", 1.0) != 1.0:
+            raise ConfigError(
+                f"modes.{i}.detuning: a low mode's detuning is its frequency, which"
+                f" is 1 in low-mode units (got {entry['detuning']})"
+            )
         default_freq = _DEFAULT_HIGH_FREQUENCY if high else _DEFAULT_LOW_FREQUENCY
         modes.append(
             ModeParams(
@@ -151,21 +157,35 @@ def _metadata(config: dict, extra: dict | None = None) -> dict:
     return meta
 
 
-def _write_csv(path: Path, metadata: dict, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for key, value in metadata.items():
-            fh.write(f"# {key}: {value}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    log.info("wrote %s", path)
-
-
 def _write_json(path: Path, metadata: dict, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"metadata": metadata, **payload}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     log.info("wrote %s", path)
+
+
+def _write_table(outdir: Path, base: str, fmt: str, metadata: dict, columns: dict) -> None:
+    """Equal-length named columns as CSV rows, or as the "data" object of a JSON file."""
+    if fmt == "json":
+        data = {name: [float(v) for v in values] for name, values in columns.items()}
+        _write_json(outdir / f"{base}.json", metadata, {"data": data})
+        return
+    path = outdir / f"{base}.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for key, value in metadata.items():
+            fh.write(f"# {key}: {value}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    log.info("wrote %s", path)
+
+
+def _index(block: dict, key: str, count: int, default: int | None = None) -> int | None:
+    """block[key] (or default), which must index one of `count` ports or couplings."""
+    value = block.get(key, default)
+    if value is not None and not 0 <= value < count:
+        raise ConfigError(f"{key} {value} is out of range: the system has {count}")
+    return value
 
 
 def _grid(config: dict, default=(-3.0, 3.0, 1201)) -> np.ndarray:
@@ -184,57 +204,30 @@ def _basename(config: dict, fallback: str) -> str:
 
 def run_spectrum(config: dict, outdir: Path, fmt: str) -> None:
     model = build_system(config["system"])
+    task = config.get("task", {})
+    port = _index(task, "include_output_port", model.n_modes)
     require_stable(build_drift_matrix(model))
     omegas = _grid(config)
-    task = config.get("task", {})
     psi = task.get("psi", 0.0)
-    header: list[str] = ["omega"]
-    rows = []
-    if model.topology is Topology.DU:
-        header += ["T_a", "T_b", "T_a_plus", "T_a_minus", "T_b_plus", "T_b_minus", "R_ab"]
-        for w in omegas:
-            tr = spectra.transfer_matrix(model, w, psi=psi, check=False)
-            t = spectra.transmission_du(tr)
-            rows.append([
-                w, t.t_a, t.t_b, t.b_to_a_plus, t.b_to_a_minus,
-                t.a_to_b_plus, t.a_to_b_minus,
-                spectra.asymmetry(t.b_to_a_plus, t.a_to_b_minus),
-            ])
-    else:
-        header += [
-            "T_m_plus", "T_m_minus", "T_to_b_plus", "T_to_b_minus",
-            "T_b_plus", "T_b_minus", "T_to_c_plus", "T_to_c_minus", "R_mb", "R_bc",
-        ]
-        for w in omegas:
-            tr = spectra.transfer_matrix(model, w, psi=psi, check=False)
-            t = spectra.transmission_three(tr)
-            r_mb, r_bc = spectra.asymmetries_three(tr)
-            rows.append([
-                w, t.b_to_m_plus, t.b_to_m_minus, t.m_to_b_plus, t.m_to_b_minus,
-                t.c_to_b_plus, t.c_to_b_minus, t.b_to_c_plus, t.b_to_c_minus,
-                r_mb, r_bc,
-            ])
-    port = task.get("include_output_port")
+    transmissions, asymmetries = spectra.port_columns(model)
+    columns: dict = {"omega": omegas}
+    columns.update((name, []) for name in (*transmissions, *asymmetries))
+    for w in omegas:
+        gamma = spectra.transfer_matrix(model, w, psi=psi, check=False).gamma
+        for name, leg in transmissions.items():
+            columns[name].append(spectra.transmission(gamma, *leg))
+        for name, pair in asymmetries.items():
+            columns[name].append(spectra.pair_asymmetry(gamma, pair))
     if port is not None:
-        table = spectra.output_spectrum(model, omegas, port)
-        name = next(iter(table.columns))
-        header.append(name)
-        col = table.columns[name]
-        for row, value in zip(rows, col):
-            row.append(value)
-    meta = _metadata(config)
-    base = _basename(config, "spectrum")
-    if fmt == "csv":
-        _write_csv(outdir / f"{base}.csv", meta, header, rows)
-    else:
-        payload = {name: [row[i] for row in rows] for i, name in enumerate(header)}
-        _write_json(outdir / f"{base}.json", meta, {"data": payload})
+        columns.update(spectra.output_spectrum(model, omegas, port).columns)
+    _write_table(outdir, _basename(config, "spectrum"), fmt, _metadata(config), columns)
 
 
 def run_asymmetry(config: dict, outdir: Path, fmt: str) -> None:
     model = build_system(config["system"])
-    require_stable(build_drift_matrix(model))
     task = config.get("task", {})
+    coupling_index = _index(task, "coupling_index", len(model.couplings), 0)
+    require_stable(build_drift_matrix(model))
     omega = task.get("omega", spectra.resonance_probe_frequency())
     grid_block = config.get("grid", {})
     thetas = np.linspace(
@@ -242,52 +235,27 @@ def run_asymmetry(config: dict, outdir: Path, fmt: str) -> None:
         grid_block.get("max", 2.0 * np.pi),
         grid_block.get("points", 721),
     )
-    coupling_index = task.get("coupling_index", 0)
-    rows = []
-    if model.topology is Topology.DU:
-        header = ["theta", "R_ab"]
-        for theta in thetas:
-            probe = metrics._replace_phase(model, coupling_index, theta)
-            tr = spectra.transfer_matrix(probe, omega, check=False)
-            rows.append([theta, spectra.asymmetry_du(tr)])
-    else:
-        header = ["theta", "R_mb", "R_bc"]
-        for theta in thetas:
-            probe = metrics._replace_phase(model, coupling_index, theta)
-            tr = spectra.transfer_matrix(probe, omega, check=False)
-            r_mb, r_bc = spectra.asymmetries_three(tr)
-            rows.append([theta, r_mb, r_bc])
+    asymmetries = spectra.port_columns(model)[1]
+    columns: dict = {"theta": thetas}
+    columns.update((name, []) for name in asymmetries)
+    for theta in thetas:
+        probe = with_coupling_phase(model, coupling_index, theta)
+        gamma = spectra.transfer_matrix(probe, omega, check=False).gamma
+        for name, pair in asymmetries.items():
+            columns[name].append(spectra.pair_asymmetry(gamma, pair))
     meta = _metadata(config, {"omega": omega})
-    base = _basename(config, "asymmetry")
-    if fmt == "csv":
-        _write_csv(outdir / f"{base}.csv", meta, header, rows)
-    else:
-        payload = {name: [row[i] for row in rows] for i, name in enumerate(header)}
-        _write_json(outdir / f"{base}.json", meta, {"data": payload})
+    _write_table(outdir, _basename(config, "asymmetry"), fmt, meta, columns)
 
 
 def run_snr(config: dict, outdir: Path, fmt: str) -> None:
     model = build_system(config["system"])
     task = config.get("task", {})
+    signal_port = _index(task, "signal_port", model.n_modes, 0)
+    readout_port = _index(task, "readout_port", model.n_modes)
     omegas = _grid(config)
-    signal_port = task.get("signal_port", 0)
-    readout_port = task.get("readout_port")
-    psi = task.get("psi", 0.0)
-    amp = spectra.amplification_spectrum(model, omegas, signal_port, readout_port, psi)
-    snr = spectra.snr_spectrum(model, omegas, signal_port, readout_port, psi)
-    meta = _metadata(config)
-    base = _basename(config, "snr")
-    rows = list(zip(omegas, amp.columns["S_AP"], snr.columns["S_SNR"]))
-    if fmt == "csv":
-        _write_csv(outdir / f"{base}.csv", meta, ["omega", "S_AP", "S_SNR"], rows)
-    else:
-        _write_json(outdir / f"{base}.json", meta, {
-            "data": {
-                "omega": list(map(float, omegas)),
-                "S_AP": amp.columns["S_AP"].tolist(),
-                "S_SNR": snr.columns["S_SNR"].tolist(),
-            }
-        })
+    table = spectra.snr_spectrum(model, omegas, signal_port, readout_port, task.get("psi", 0.0))
+    columns = {"omega": omegas, **table.columns}
+    _write_table(outdir, _basename(config, "snr"), fmt, _metadata(config), columns)
 
 
 def _comparison_config(config: dict) -> metrics.ComparisonConfig:
@@ -297,12 +265,13 @@ def _comparison_config(config: dict) -> metrics.ComparisonConfig:
     cs_model = build_system(config["system"])
     ics_model = build_system(task["ics"])
     omega_range = tuple(task.get("omega_range", (-3.0, 3.0)))
+    n_modes = min(cs_model.n_modes, ics_model.n_modes)
     return metrics.ComparisonConfig(
         cs_model=cs_model,
         ics_model=ics_model,
         omega_range=omega_range,
-        signal_port=task.get("signal_port", 0),
-        readout_port=task.get("readout_port"),
+        signal_port=_index(task, "signal_port", n_modes, 0),
+        readout_port=_index(task, "readout_port", n_modes),
         psi=task.get("psi", 0.0),
     )
 
@@ -315,20 +284,19 @@ def run_fmap(config: dict, outdir: Path, fmt: str) -> None:
     points = task.get("delta_points", 41)
     deltas = np.linspace(lo, hi, points)
     result = metrics.f_map(cfg, deltas, deltas)
-    # Unstable cells carry f = 0; lg f is undefined there and written as null/nan.
+    # Every cell, unstable ones included (listed under unstable_cells), holds
+    # the algebraic ratio f; lg f is undefined where f <= 0 and written as null/nan.
     with np.errstate(divide="ignore"):
         lg = np.where(result.values > 0.0, np.log10(np.maximum(result.values, 1e-300)), np.nan)
     meta = _metadata(config, result.metadata)
     base = _basename(config, "fmap")
     if fmt == "csv":
-        with open(outdir / f"{base}.csv", "w", newline="", encoding="utf-8") as fh:
-            for key, value in meta.items():
-                fh.write(f"# {key}: {value}\n")
-            fh.write("delta_c,delta_m,lg_f\n")
-            for i, dm in enumerate(result.delta_m):
-                for j, dc in enumerate(result.delta_c):
-                    fh.write(f"{float(dc)!r},{float(dm)!r},{float(lg[i, j])!r}\n")
-        log.info("wrote %s", outdir / f"{base}.csv")
+        n_m, n_c = lg.shape
+        _write_table(outdir, base, fmt, meta, {
+            "delta_c": np.tile(result.delta_c, n_m),
+            "delta_m": np.repeat(result.delta_m, n_c),
+            "lg_f": lg.ravel(),
+        })
     else:
         payload = {
             "delta_c": result.delta_c.tolist(),
@@ -365,8 +333,7 @@ def run_chain(config: dict, outdir: Path, fmt: str) -> None:
     meta = _metadata(config, {"omega": omega})
     base = _basename(config, "chain")
     if fmt == "csv":
-        rows = list(zip(report.n_values, report.gains))
-        _write_csv(outdir / f"{base}.csv", meta, ["n_modes", "gain"], rows)
+        _write_table(outdir, base, fmt, meta, {"n_modes": report.n_values, "gain": report.gains})
         _write_json(outdir / f"{base}_fit.json", meta, {"fit": report.to_json_dict()})
     else:
         _write_json(outdir / f"{base}.json", meta, {"fit": report.to_json_dict()})
@@ -376,6 +343,7 @@ def run_oracle(config: dict, outdir: Path, fmt: str) -> None:
     model = build_system(config["system"])
     task = config.get("task", {})
     block = task.get("oracle", {})
+    port = _index(block, "port", model.n_modes, 0)
     seed = config.get("seed")
     if seed is None:
         raise ConfigError("oracle task requires a top-level seed")
@@ -385,7 +353,7 @@ def run_oracle(config: dict, outdir: Path, fmt: str) -> None:
         n_steps=block.get("n_steps", 131072),
         ensemble=block.get("ensemble", 64),
         seed=seed,
-        port=block.get("port", 0),
+        port=port,
         segment_length=block.get("segment_length", 4096),
         overlap=block.get("overlap", 0.5),
         burn_in=block.get("burn_in"),
@@ -412,6 +380,10 @@ def run_optimize(config: dict, outdir: Path, fmt: str) -> None:
     model = build_system(config["system"])
     task = config.get("task", {})
     which = task.get("which", "mb")
+    try:
+        spectra.asymmetry_pair(model, which)
+    except ValueError as exc:
+        raise ConfigError(f"which: {exc}") from exc
     target = task.get("target", -1.0)
     omega = task.get("omega", spectra.resonance_probe_frequency())
     result = metrics.find_phase_for_target_R(model, target, which, omega)
@@ -477,20 +449,19 @@ def run_figures(which: str, outdir: Path, fmt: str) -> None:
         model = build_system(asset["system"])
         require_stable(build_drift_matrix(model))
         thetas = np.linspace(0.0, 2.0 * np.pi, asset.get("theta_points", 49))
+        asymmetries = spectra.port_columns(model)[1]
         for tag, omega in (("low", 0.0), ("resonance", spectra.resonance_probe_frequency())):
-            rows = []
-            for tm in thetas:
-                for tc in thetas:
-                    probe = metrics._replace_phase(
-                        metrics._replace_phase(model, 0, tm), 1, tc
-                    )
-                    tr = spectra.transfer_matrix(probe, omega, check=False)
-                    r_mb, r_bc = spectra.asymmetries_three(tr)
-                    rows.append([tm, tc, r_mb, r_bc])
-            meta = _metadata(asset, {"omega": omega})
-            name = f"fig3_{tag}.csv"
-            _write_csv(outdir / name, meta, ["theta_m", "theta_c", "R_mb", "R_bc"], rows)
-            written.append(name)
+            columns: dict = {"theta_m": np.repeat(thetas, len(thetas)),
+                             "theta_c": np.tile(thetas, len(thetas))}
+            columns.update((name, []) for name in asymmetries)
+            for tm, tc in zip(columns["theta_m"], columns["theta_c"]):
+                probe = with_coupling_phase(with_coupling_phase(model, 0, tm), 1, tc)
+                gamma = spectra.transfer_matrix(probe, omega, check=False).gamma
+                for name, pair in asymmetries.items():
+                    columns[name].append(spectra.pair_asymmetry(gamma, pair))
+            # Always CSV: the gnuplot stub names these files.
+            _write_table(outdir, f"fig3_{tag}", "csv", _metadata(asset, {"omega": omega}), columns)
+            written.append(f"fig3_{tag}.csv")
     elif which == "fig4":
         config = {
             "system": asset["system"],
@@ -528,8 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dotted-path config override")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; evaluation is deterministic either way")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     p = sub.add_parser("figures", help="regenerate built-in figure data")
     p.add_argument("which", choices=("fig2", "fig3", "fig4"))

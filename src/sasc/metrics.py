@@ -14,24 +14,19 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from . import numerics
 from .model import (
-    CouplingParams,
     InstabilityError,
     SystemModel,
-    Topology,
     build_drift_matrix,
-    input_coupling_matrix,
     require_stable,
+    with_coupling_phase,
 )
 from .spectra import (
+    SnrSolver,
     UndefinedAsymmetryError,
-    asymmetries_three,
-    asymmetry,
-    asymmetry_du,
-    occupations,
+    asymmetry_pair,
+    pair_asymmetry,
     transfer_matrix,
-    transmission_three,
 )
 
 __all__ = [
@@ -70,66 +65,6 @@ def golden_section_max(fun, lo: float, hi: float, rel_tol: float = 1e-6) -> tupl
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-class _SnrEvaluator:
-    """
-    Fast per-frequency SNR evaluator.
-
-    Precomputes the drift matrix, input couplings, and stability verdict
-    once, then obtains only the two readout-port rows of the transfer matrix
-    per frequency (two transposed solves instead of a full inversion).
-    """
-
-    def __init__(
-        self,
-        model: SystemModel,
-        signal_port: int = 0,
-        readout_port: int | None = None,
-        psi: float = 0.0,
-        check: bool = True,
-    ):
-        self.model = model
-        self.signal_port = signal_port
-        self.readout_port = model.n_modes - 1 if readout_port is None else readout_port
-        self.psi = psi
-        self.drift = build_drift_matrix(model)
-        if check:
-            require_stable(self.drift)
-        self.lam = np.tile([-1.0, 1.0], model.n_modes)
-        self.sqrt_kappa = np.diag(input_coupling_matrix(model))
-        self.weights = occupations(model) + 0.5
-        n2 = 2 * model.n_modes
-        self.rhs = np.zeros((n2, 2), dtype=complex)
-        self.rhs[2 * self.readout_port, 0] = 1.0
-        self.rhs[2 * self.readout_port + 1, 1] = 1.0
-
-    def scan(self, omegas) -> NDArray[np.float64]:
-        """SNR at every frequency of a grid, via one batched solve."""
-        omegas = np.asarray(omegas, dtype=float)
-        n2 = self.drift.shape[0]
-        a = np.broadcast_to(-self.drift, (len(omegas), n2, n2)).copy()
-        diag = np.arange(n2)
-        a[:, diag, diag] += 1j * omegas[:, None] * self.lam
-        # Rows r of A^{-1} are columns of A^{-T} applied to unit vectors.
-        inv_rows = numerics.solve_batch(np.swapaxes(a, 1, 2), self.rhs[None].repeat(len(omegas), 0))
-        inv_rows = np.swapaxes(inv_rows, 1, 2)
-        r = self.readout_port
-        gamma_rows = self.sqrt_kappa[None, 2 * r : 2 * r + 2, None] * inv_rows * self.sqrt_kappa
-        gamma_rows[:, 0, 2 * r] -= 1.0
-        gamma_rows[:, 1, 2 * r + 1] -= 1.0
-        c = (
-            gamma_rows[:, 0, :] * np.exp(-1j * self.psi)
-            + gamma_rows[:, 1, :] * np.exp(1j * self.psi)
-        ) / np.sqrt(2.0)
-        s = self.signal_port
-        s_ap = np.abs(c[:, 2 * s] + c[:, 2 * s + 1]) ** 2
-        mags = np.abs(c) ** 2
-        noise = np.sum((mags[:, 0::2] + mags[:, 1::2]) * self.weights, axis=1)
-        return np.where(noise > 0.0, s_ap / np.where(noise > 0.0, noise, 1.0), 0.0)
-
-    def __call__(self, omega: float) -> float:
-        return float(self.scan(np.array([omega]))[0])
-
-
 #: Default half-width of the excluded bands around the low-mode resonances
 #: (ten low-mode linewidths for the reference kappa_b = 1e-4). Exactly at
 #: omega = +/- omega_b the two low-mode quadrature responses cancel and the
@@ -159,16 +94,18 @@ def max_snr_over_omega(
     """
     if n_scan < 401:
         raise ValueError("n_scan must be at least 401")
-    evaluate = _SnrEvaluator(model, signal_port, readout_port, psi, check=check)
+    solver = SnrSolver(model, signal_port, readout_port, psi)
+    if check:
+        require_stable(solver.drift)
     width = float(exclude_resonance_width)
 
     def masked(omega: float) -> float:
         if min(abs(omega - 1.0), abs(omega + 1.0)) < width:
             return 0.0
-        return evaluate(omega)
+        return float(solver.solve(np.array([omega]))[1][0])
 
     grid = np.linspace(omega_range[0], omega_range[1], n_scan)
-    values = evaluate.scan(grid)
+    values = solver.solve(grid)[1]
     excluded = np.minimum(np.abs(grid - 1.0), np.abs(grid + 1.0)) < width
     values[excluded] = 0.0
     best = int(np.argmax(values))
@@ -254,29 +191,6 @@ class MapResult:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("map contains non-finite values")
 
-    def to_csv(self, stream, metadata: dict | None = None) -> None:
-        """Long-format CSV: delta_c, delta_m, value."""
-        own = isinstance(stream, (str, bytes))
-        fh = open(stream, "w", newline="", encoding="utf-8") if own else stream
-        try:
-            for key, value in {**self.metadata, **(metadata or {})}.items():
-                fh.write(f"# {key}: {value}\n")
-            fh.write("delta_c,delta_m,value\n")
-            for i, dm in enumerate(self.delta_m):
-                for j, dc in enumerate(self.delta_c):
-                    fh.write(f"{float(dc)!r},{float(dm)!r},{float(self.values[i, j])!r}\n")
-        finally:
-            if own:
-                fh.close()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta_c": self.delta_c.tolist(),
-            "delta_m": self.delta_m.tolist(),
-            "values": self.values.tolist(),
-            "metadata": self.metadata,
-        }
-
 
 def f_map(cfg: ComparisonConfig, delta_c_grid, delta_m_grid) -> MapResult:
     """
@@ -328,21 +242,6 @@ class PhaseSearchResult:
         return abs(abs(self.target) - 1.0) < 1e-12 and self.residual < 1e-3
 
 
-_ASYMMETRY_SELECTORS = {
-    "ab": (0, lambda tr: asymmetry_du(tr)),
-    "mb": (0, lambda tr: asymmetries_three(tr)[0]),
-    "bc": (1, lambda tr: asymmetries_three(tr)[1]),
-}
-
-
-def _replace_phase(model: SystemModel, coupling_index: int, theta: float) -> SystemModel:
-    couplings = list(model.couplings)
-    couplings[coupling_index] = CouplingParams(
-        magnitude=couplings[coupling_index].magnitude, phase=theta
-    )
-    return dataclasses.replace(model, couplings=tuple(couplings))
-
-
 def find_phase_for_target_R(
     model: SystemModel,
     target: float,
@@ -358,15 +257,15 @@ def find_phase_for_target_R(
     """
     if not -1.0 <= target <= 1.0:
         raise ValueError("target asymmetry must lie in [-1, 1]")
-    if which not in _ASYMMETRY_SELECTORS:
-        raise ValueError(f"unknown asymmetry selector {which!r}")
-    coupling_index, extract = _ASYMMETRY_SELECTORS[which]
+    pair = asymmetry_pair(model, which)
     require_stable(build_drift_matrix(model))
 
+    def extract(theta: float) -> float:
+        probe = with_coupling_phase(model, pair[2], theta)
+        return pair_asymmetry(transfer_matrix(probe, omega, check=False).gamma, pair)
+
     def objective(theta: float) -> float:
-        probe = _replace_phase(model, coupling_index, theta)
-        tr = transfer_matrix(probe, omega, check=False)
-        return -abs(extract(tr) - target)
+        return -abs(extract(theta) - target)
 
     thetas = np.linspace(0.0, 2.0 * np.pi, n_grid)
     scores = np.array([objective(t) for t in thetas])
@@ -376,8 +275,7 @@ def find_phase_for_target_R(
     theta_star, neg_res = golden_section_max(objective, lo, hi, rel_tol=1e-9)
     if scores[best] > neg_res:
         theta_star, neg_res = float(thetas[best]), float(scores[best])
-    probe = _replace_phase(model, coupling_index, theta_star)
-    achieved = extract(transfer_matrix(probe, omega, check=False))
+    achieved = extract(theta_star)
     return PhaseSearchResult(
         theta=float(theta_star), achieved=float(achieved),
         residual=float(-neg_res), target=float(target),
@@ -402,8 +300,7 @@ def independence_check(
     for R_bc. An asymmetry that is 0/0 everywhere is reported as undefined
     rather than as zero variation.
     """
-    if model.topology is not Topology.THREE_MODE:
-        raise ValueError("independence_check requires a ThreeMode model")
+    mb, bc = asymmetry_pair(model, "mb"), asymmetry_pair(model, "bc")
     require_stable(build_drift_matrix(model))
     theta_m_grid = np.asarray(theta_m_grid, dtype=float)
     theta_c_grid = np.asarray(theta_c_grid, dtype=float)
@@ -411,17 +308,13 @@ def independence_check(
     r_bc = np.full_like(r_mb, np.nan)
     for i, tm in enumerate(theta_m_grid):
         for j, tc in enumerate(theta_c_grid):
-            probe = _replace_phase(_replace_phase(model, 0, tm), 1, tc)
-            tr = transfer_matrix(probe, omega, check=False)
-            t = transmission_three(tr)
-            try:
-                r_mb[i, j] = asymmetry(t.b_to_m_plus, t.m_to_b_plus)
-            except UndefinedAsymmetryError:
-                pass
-            try:
-                r_bc[i, j] = asymmetry(t.c_to_b_plus, t.b_to_c_plus)
-            except UndefinedAsymmetryError:
-                pass
+            probe = with_coupling_phase(with_coupling_phase(model, mb[2], tm), bc[2], tc)
+            gamma = transfer_matrix(probe, omega, check=False).gamma
+            for values, pair in ((r_mb, mb), (r_bc, bc)):
+                try:
+                    values[i, j] = pair_asymmetry(gamma, pair)
+                except UndefinedAsymmetryError:
+                    pass
 
     def cross_variation(values: NDArray[np.float64], axis: int) -> tuple[float | None, bool]:
         if np.all(np.isnan(values)):

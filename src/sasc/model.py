@@ -12,6 +12,7 @@ the three-mode system, and (high, low, high, ...) for longer chains.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
@@ -32,9 +33,7 @@ __all__ = [
     "InstabilityError",
     "conjugation_permutation",
     "build_drift_matrix",
-    "build_drift_matrix_du",
-    "build_drift_matrix_three",
-    "build_drift_matrix_chain",
+    "with_coupling_phase",
     "input_coupling_matrix",
     "solve_steady_state",
     "check_stability",
@@ -134,6 +133,8 @@ class SystemModel:
             )
         if self.topology is Topology.CHAIN and n < 2:
             raise ValueError("chain topology requires at least 2 modes")
+        if len({mode.label for mode in self.modes}) != n:
+            raise ValueError("mode labels must be unique: they name the output columns")
         if len(self.couplings) != n - 1:
             raise ValueError(
                 f"expected {n - 1} couplings for {n} modes, got {len(self.couplings)}"
@@ -201,25 +202,11 @@ def build_drift_matrix(model: SystemModel) -> NDArray[np.complex128]:
     return m
 
 
-def build_drift_matrix_du(model: SystemModel) -> NDArray[np.complex128]:
-    """4x4 drift matrix of a single two-mode unit, basis (a, a^dag, b, b^dag)."""
-    if model.topology is not Topology.DU:
-        raise ValueError("build_drift_matrix_du requires DU topology")
-    return build_drift_matrix(model)
-
-
-def build_drift_matrix_three(model: SystemModel) -> NDArray[np.complex128]:
-    """6x6 drift matrix of the three-mode system, basis (m, m^dag, b, b^dag, c, c^dag)."""
-    if model.topology is not Topology.THREE_MODE:
-        raise ValueError("build_drift_matrix_three requires ThreeMode topology")
-    return build_drift_matrix(model)
-
-
-def build_drift_matrix_chain(model: SystemModel) -> NDArray[np.complex128]:
-    """2Nx2N block-tridiagonal drift matrix of an alternating high/low chain."""
-    if model.topology is not Topology.CHAIN:
-        raise ValueError("build_drift_matrix_chain requires Chain topology")
-    return build_drift_matrix(model)
+def with_coupling_phase(model: SystemModel, index: int, theta: float) -> SystemModel:
+    """The model with the phase of coupling `index` replaced by theta."""
+    couplings = list(model.couplings)
+    couplings[index] = CouplingParams(magnitude=couplings[index].magnitude, phase=theta)
+    return dataclasses.replace(model, couplings=tuple(couplings))
 
 
 def input_coupling_matrix(model: SystemModel) -> NDArray[np.float64]:

@@ -87,19 +87,6 @@ class OracleRun:
     n_segments: int
     config: OracleConfig = field(repr=False)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "omega": self.omega.tolist(),
-            "psd": self.psd.tolist(),
-            "stderr": self.stderr.tolist(),
-            "n_segments": self.n_segments,
-            "dt": self.config.dt,
-            "n_steps": self.config.n_steps,
-            "ensemble": self.config.ensemble,
-            "seed": self.config.seed,
-            "port": self.config.port,
-        }
-
 
 def _member_noise(
     rng: np.random.Generator, n_steps: int, amplitudes: NDArray[np.float64]

@@ -1,7 +1,7 @@
 """
-Frequency-domain physics: transfer matrices, transmission and asymmetry
-coefficients, thermal occupations, output spectra, homodyne quadrature
-coefficients, amplification/SNR spectra, and susceptibilities.
+Frequency-domain physics: transfer matrices, port-pair transmission and
+asymmetry coefficients, thermal occupations, output spectra, homodyne
+quadrature coefficients, and amplification/SNR spectra.
 
 Two resolvents appear here. Interference coefficients (transmissions,
 asymmetries, quadrature coefficients) use the doubled-basis transfer
@@ -13,9 +13,6 @@ the same Langevin system produces.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -26,9 +23,7 @@ from scipy import constants
 from . import numerics
 from .model import (
     SystemModel,
-    Topology,
     build_drift_matrix,
-    conjugation_permutation,
     input_coupling_matrix,
     require_stable,
 )
@@ -38,23 +33,21 @@ __all__ = [
     "resonance_probe_frequency",
     "UndefinedAsymmetryError",
     "TransferResult",
-    "DuTransmission",
-    "ThreeModeTransmission",
     "SpectrumTable",
+    "ASYMMETRY_PAIRS",
     "transfer_matrix",
     "causal_transfer_matrix",
-    "transmission_du",
-    "transmission_three",
+    "transmission",
     "asymmetry",
-    "asymmetry_du",
-    "asymmetries_three",
+    "pair_asymmetry",
+    "port_columns",
+    "asymmetry_pair",
     "thermal_occupation",
     "occupations",
     "quadrature_coefficients",
     "output_spectrum",
-    "amplification_spectrum",
+    "SnrSolver",
     "snr_spectrum",
-    "susceptibility",
 ]
 
 #: Offset used when probing "at the low-mode resonance". Exactly on
@@ -84,32 +77,6 @@ class TransferResult:
     psi: float = 0.0
 
 
-@dataclass(frozen=True)
-class DuTransmission:
-    """Two-mode transmission coefficients (quadrature row-pair sums)."""
-
-    t_a: float
-    t_b: float
-    b_to_a_plus: float
-    b_to_a_minus: float
-    a_to_b_plus: float
-    a_to_b_minus: float
-
-
-@dataclass(frozen=True)
-class ThreeModeTransmission:
-    """Three-mode transmission coefficients between the b port and its neighbors."""
-
-    b_to_m_plus: float
-    b_to_m_minus: float
-    m_to_b_plus: float
-    m_to_b_minus: float
-    c_to_b_plus: float
-    c_to_b_minus: float
-    b_to_c_plus: float
-    b_to_c_minus: float
-
-
 @dataclass
 class SpectrumTable:
     """A frequency grid with named per-frequency scalar columns."""
@@ -128,28 +95,6 @@ class SpectrumTable:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"column {name!r} contains non-finite values")
             self.columns[name] = arr
-
-    def to_csv(self, stream, metadata: dict | None = None) -> None:
-        """Write as CSV with '#'-prefixed metadata header lines."""
-        own = isinstance(stream, (str, bytes))
-        fh = open(stream, "w", newline="", encoding="utf-8") if own else stream
-        try:
-            for key, value in (metadata or {}).items():
-                fh.write(f"# {key}: {value}\n")
-            writer = csv.writer(fh)
-            names = list(self.columns)
-            writer.writerow(["omega", *names])
-            for i, w in enumerate(self.omega):
-                writer.writerow([repr(float(w)), *(repr(float(self.columns[n][i])) for n in names)])
-        finally:
-            if own:
-                fh.close()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "omega": self.omega.tolist(),
-            "columns": {k: v.tolist() for k, v in self.columns.items()},
-        }
 
 
 def _channel_signature(n_modes: int) -> NDArray[np.float64]:
@@ -190,41 +135,17 @@ def causal_transfer_matrix(
     return ell @ numerics.lu_solve(a, ell) - np.eye(n2)
 
 
-def _pair_sum_sq(gamma: NDArray[np.complex128], row_pair: int, col: int) -> float:
-    """|Gamma[2r, c] + Gamma[2r+1, c]|^2 for 0-based mode index r and channel c."""
-    return float(np.abs(gamma[2 * row_pair, col] + gamma[2 * row_pair + 1, col]) ** 2)
+#: A transmission leg (src, dst, sideband): a unit input on the `sideband`
+#: channel of port src ("+" annihilation, "-" creation), read at port dst.
+Leg = tuple[int, int, str]
+
+_SIDEBAND_OFFSET = {"+": 0, "-": 1}
 
 
-def transmission_du(tr: TransferResult) -> DuTransmission:
-    """Self and intermode transmission coefficients of a two-mode unit."""
-    g = tr.gamma
-    if g.shape != (4, 4):
-        raise ValueError("transmission_du requires a 4x4 transfer matrix")
-    return DuTransmission(
-        t_a=_pair_sum_sq(g, 0, 0),
-        t_b=_pair_sum_sq(g, 1, 2),
-        b_to_a_plus=_pair_sum_sq(g, 0, 2),
-        b_to_a_minus=_pair_sum_sq(g, 0, 3),
-        a_to_b_plus=_pair_sum_sq(g, 1, 0),
-        a_to_b_minus=_pair_sum_sq(g, 1, 1),
-    )
-
-
-def transmission_three(tr: TransferResult) -> ThreeModeTransmission:
-    """Transmission coefficients of the three-mode system (m, b, c ports)."""
-    g = tr.gamma
-    if g.shape != (6, 6):
-        raise ValueError("transmission_three requires a 6x6 transfer matrix")
-    return ThreeModeTransmission(
-        b_to_m_plus=_pair_sum_sq(g, 0, 2),
-        b_to_m_minus=_pair_sum_sq(g, 0, 3),
-        m_to_b_plus=_pair_sum_sq(g, 1, 0),
-        m_to_b_minus=_pair_sum_sq(g, 1, 1),
-        c_to_b_plus=_pair_sum_sq(g, 1, 4),
-        c_to_b_minus=_pair_sum_sq(g, 1, 5),
-        b_to_c_plus=_pair_sum_sq(g, 2, 2),
-        b_to_c_minus=_pair_sum_sq(g, 2, 3),
-    )
+def transmission(gamma: NDArray[np.complex128], src: int, dst: int, sideband: str = "+") -> float:
+    """|Gamma[2 dst, c] + Gamma[2 dst + 1, c]|^2 with c the sideband channel of port src."""
+    col = 2 * src + _SIDEBAND_OFFSET[sideband]
+    return float(np.abs(gamma[2 * dst, col] + gamma[2 * dst + 1, col]) ** 2)
 
 
 def asymmetry(t_forward: float, t_backward: float) -> float:
@@ -236,18 +157,68 @@ def asymmetry(t_forward: float, t_backward: float) -> float:
     return (t_forward - t_backward) / (t_forward + t_backward)
 
 
-def asymmetry_du(tr: TransferResult) -> float:
-    """R_ab of a two-mode unit: forward b->a against backward a->b."""
-    t = transmission_du(tr)
-    return asymmetry(t.b_to_a_plus, t.a_to_b_minus)
+#: Named asymmetries R = A(T(forward), T(backward)) of the two- and
+#: three-mode systems, and the index of the coupling whose phase tunes R.
+ASYMMETRY_PAIRS: dict[str, tuple[Leg, Leg, int]] = {
+    "ab": ((1, 0, "+"), (0, 1, "-"), 0),
+    "mb": ((1, 0, "+"), (0, 1, "+"), 0),
+    "bc": ((2, 1, "+"), (1, 2, "+"), 1),
+}
+
+#: Spectrum columns of the two- and three-mode systems, by topology name:
+#: the transmission columns and the named asymmetries that follow them.
+_NAMED_COLUMNS: dict[str, tuple[dict[str, Leg], tuple[str, ...]]] = {
+    "du": ({
+        "T_a": (0, 0, "+"), "T_b": (1, 1, "+"),
+        "T_a_plus": (1, 0, "+"), "T_a_minus": (1, 0, "-"),
+        "T_b_plus": (0, 1, "+"), "T_b_minus": (0, 1, "-"),
+    }, ("ab",)),
+    "three": ({
+        "T_m_plus": (1, 0, "+"), "T_m_minus": (1, 0, "-"),
+        "T_to_b_plus": (0, 1, "+"), "T_to_b_minus": (0, 1, "-"),
+        "T_b_plus": (2, 1, "+"), "T_b_minus": (2, 1, "-"),
+        "T_to_c_plus": (1, 2, "+"), "T_to_c_minus": (1, 2, "-"),
+    }, ("mb", "bc")),
+}
 
 
-def asymmetries_three(tr: TransferResult) -> tuple[float, float]:
-    """(R_mb, R_bc) of the three-mode system."""
-    t = transmission_three(tr)
-    r_mb = asymmetry(t.b_to_m_plus, t.m_to_b_plus)
-    r_bc = asymmetry(t.c_to_b_plus, t.b_to_c_plus)
-    return r_mb, r_bc
+def pair_asymmetry(gamma: NDArray[np.complex128], pair: tuple[Leg, Leg, int]) -> float:
+    """Asymmetry A(T(forward), T(backward)) of one entry of a pair table."""
+    forward, backward, _ = pair
+    return asymmetry(transmission(gamma, *forward), transmission(gamma, *backward))
+
+
+def port_columns(model: SystemModel) -> tuple[dict[str, Leg], dict[str, tuple[Leg, Leg, int]]]:
+    """
+    The model's spectrum columns: transmissions by leg, then asymmetries by
+    pair. Two- and three-mode systems use their named tables; a chain gets,
+    for each coupling between modes labelled x and y, T_{y}_to_{x},
+    T_{x}_to_{y} and R_{x}{y} = A(T_{y}_to_{x}, T_{x}_to_{y}), all "+".
+    """
+    named = _NAMED_COLUMNS.get(model.topology.value)
+    if named is not None:
+        transmissions, pairs = named
+        return dict(transmissions), {f"R_{k}": ASYMMETRY_PAIRS[k] for k in pairs}
+    transmissions: dict[str, Leg] = {}
+    asymmetries: dict[str, tuple[Leg, Leg, int]] = {}
+    labels = [mode.label for mode in model.modes]
+    for i, (x, y) in enumerate(zip(labels, labels[1:])):
+        forward, backward = (i + 1, i, "+"), (i, i + 1, "+")
+        transmissions[f"T_{y}_to_{x}"] = forward
+        transmissions[f"T_{x}_to_{y}"] = backward
+        asymmetries[f"R_{x}{y}"] = (forward, backward, i)
+    return transmissions, asymmetries
+
+
+def asymmetry_pair(model: SystemModel, which: str) -> tuple[Leg, Leg, int]:
+    """The pair behind the model's R_{which} column; ValueError if it has none."""
+    pairs = port_columns(model)[1]
+    if f"R_{which}" not in pairs:
+        raise ValueError(
+            f"asymmetry {which!r} is not defined for this {model.topology.value} system"
+            f" (available: {', '.join(name[2:] for name in pairs)})"
+        )
+    return pairs[f"R_{which}"]
 
 
 def thermal_occupation(absolute_frequency: float, temperature: float) -> float:
@@ -315,38 +286,64 @@ def output_spectrum(
     return SpectrumTable(omega=omegas, columns={f"S_out_{label}": values})
 
 
-def _signal_and_noise(
-    model: SystemModel, omega: float, signal_port: int, readout_port: int, psi: float
-) -> tuple[float, float]:
-    """(S_AP, homodyne noise power) at one frequency."""
-    tr = transfer_matrix(model, omega, psi=psi, check=False)
-    c = quadrature_coefficients(tr, readout_port)
-    s_ap = float(np.abs(c[2 * signal_port] + c[2 * signal_port + 1]) ** 2)
-    weights = occupations(model) + 0.5
-    mags = np.abs(c) ** 2
-    noise = float(np.sum((mags[0::2] + mags[1::2]) * weights))
-    return s_ap, noise
-
-
-def amplification_spectrum(
-    model: SystemModel,
-    omegas,
-    signal_port: int = 0,
-    readout_port: int | None = None,
-    psi: float = 0.0,
-) -> SpectrumTable:
+class SnrSolver:
     """
-    Quadrature amplification spectrum S_AP(w) = |C_s(w) + C_s*(w)|^2 of a unit
-    Hermitian signal entering at signal_port and read out at readout_port.
+    S_AP and SNR of one model over frequency grids.
+
+    Builds the drift matrix, input couplings and occupations once, then
+    obtains only the two readout-port rows of the transfer matrix per
+    frequency (one batched transposed solve per grid instead of a full
+    inversion per frequency). S_AP = |C_s + C_s*|^2 is the quadrature
+    amplification of a unit Hermitian signal entering at signal_port; the
+    SNR divides it by the thermally weighted homodyne noise
+    sum_j (|C_{j,+}|^2 + |C_{j,-}|^2)(n_j + 1/2).
     """
-    omegas = np.asarray(omegas, dtype=float)
-    require_stable(build_drift_matrix(model))
-    if readout_port is None:
-        readout_port = model.n_modes - 1
-    values = np.empty_like(omegas)
-    for i, w in enumerate(omegas):
-        values[i], _ = _signal_and_noise(model, w, signal_port, readout_port, psi)
-    return SpectrumTable(omega=omegas, columns={"S_AP": values})
+
+    def __init__(
+        self,
+        model: SystemModel,
+        signal_port: int = 0,
+        readout_port: int | None = None,
+        psi: float = 0.0,
+    ):
+        self.readout_port = model.n_modes - 1 if readout_port is None else readout_port
+        for port in (signal_port, self.readout_port):
+            if not 0 <= port < model.n_modes:
+                raise ValueError(f"port {port} out of range")
+        self.signal_port = signal_port
+        self.psi = psi
+        self.drift = build_drift_matrix(model)
+        self.lam = _channel_signature(model.n_modes)
+        self.sqrt_kappa = np.diag(input_coupling_matrix(model))
+        self.weights = occupations(model) + 0.5
+        n2 = 2 * model.n_modes
+        self.rhs = np.zeros((n2, 2), dtype=complex)
+        self.rhs[2 * self.readout_port, 0] = 1.0
+        self.rhs[2 * self.readout_port + 1, 1] = 1.0
+
+    def solve(self, omegas) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """(S_AP, SNR) at every frequency of a grid, via one batched solve."""
+        omegas = np.asarray(omegas, dtype=float)
+        n2 = self.drift.shape[0]
+        a = np.broadcast_to(-self.drift, (len(omegas), n2, n2)).copy()
+        diag = np.arange(n2)
+        a[:, diag, diag] += 1j * omegas[:, None] * self.lam
+        # Rows r of A^{-1} are columns of A^{-T} applied to unit vectors.
+        inv_rows = numerics.solve_batch(np.swapaxes(a, 1, 2), self.rhs[None].repeat(len(omegas), 0))
+        inv_rows = np.swapaxes(inv_rows, 1, 2)
+        r = self.readout_port
+        gamma_rows = self.sqrt_kappa[None, 2 * r : 2 * r + 2, None] * inv_rows * self.sqrt_kappa
+        gamma_rows[:, 0, 2 * r] -= 1.0
+        gamma_rows[:, 1, 2 * r + 1] -= 1.0
+        c = (
+            gamma_rows[:, 0, :] * np.exp(-1j * self.psi)
+            + gamma_rows[:, 1, :] * np.exp(1j * self.psi)
+        ) / np.sqrt(2.0)
+        s = self.signal_port
+        s_ap = np.abs(c[:, 2 * s] + c[:, 2 * s + 1]) ** 2
+        mags = np.abs(c) ** 2
+        noise = np.sum((mags[:, 0::2] + mags[:, 1::2]) * self.weights, axis=1)
+        return s_ap, np.where(noise > 0.0, s_ap / np.where(noise > 0.0, noise, 1.0), 0.0)
 
 
 def snr_spectrum(
@@ -356,23 +353,8 @@ def snr_spectrum(
     readout_port: int | None = None,
     psi: float = 0.0,
 ) -> SpectrumTable:
-    """
-    Signal-to-noise spectrum: S_AP over the thermally weighted homodyne noise
-    sum_j (|C_{j,+}|^2 + |C_{j,-}|^2)(n_j + 1/2).
-    """
-    omegas = np.asarray(omegas, dtype=float)
-    require_stable(build_drift_matrix(model))
-    if readout_port is None:
-        readout_port = model.n_modes - 1
-    values = np.empty_like(omegas)
-    for i, w in enumerate(omegas):
-        s_ap, noise = _signal_and_noise(model, w, signal_port, readout_port, psi)
-        values[i] = s_ap / noise if noise > 0.0 else 0.0
-    return SpectrumTable(omega=omegas, columns={"S_SNR": values})
-
-
-def susceptibility(detuning: float, kappa: float, omega: float) -> complex:
-    """Mode susceptibility chi(w) = 1 / (i (Delta - w) + kappa / 2)."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    return 1.0 / (1j * (detuning - omega) + kappa / 2.0)
+    """Amplification S_AP and signal-to-noise S_SNR spectra of a stable model."""
+    solver = SnrSolver(model, signal_port, readout_port, psi)
+    require_stable(solver.drift)
+    s_ap, snr = solver.solve(omegas)
+    return SpectrumTable(omega=omegas, columns={"S_AP": s_ap, "S_SNR": snr})

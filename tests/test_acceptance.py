@@ -83,16 +83,11 @@ def test_criterion_1_symmetry_suite(capsys):
                 worst,
                 float(np.max(np.abs(p @ np.conj(gamma) @ p - gamma))) / scale,
             )
-            if model.n_modes == 2:
-                t = spectra.transmission_du(tr)
-                pairs = [(t.b_to_a_plus, t.b_to_a_minus),
-                         (t.a_to_b_plus, t.a_to_b_minus)]
-            else:
-                t = spectra.transmission_three(tr)
-                pairs = [(t.b_to_m_plus, t.b_to_m_minus),
-                         (t.m_to_b_plus, t.m_to_b_minus),
-                         (t.c_to_b_plus, t.c_to_b_minus),
-                         (t.b_to_c_plus, t.b_to_c_minus)]
+            legs = ([(1, 0), (0, 1)] if model.n_modes == 2
+                    else [(1, 0), (0, 1), (2, 1), (1, 2)])
+            pairs = [(spectra.transmission(gamma, src, dst, "+"),
+                      spectra.transmission(gamma, src, dst, "-"))
+                     for src, dst in legs]
             for plus, minus in pairs:
                 worst = max(worst, abs(plus - minus) / max(plus, minus, 1.0))
             c = spectra.quadrature_coefficients(tr, output_port=model.n_modes - 1)
@@ -116,8 +111,8 @@ def test_criterion_2_linewidth_regimes(capsys):
         best = 0.0
         model = make_du(kappa_a=kappa_a)
         for omega in grid:
-            tr = spectra.transfer_matrix(model, omega, check=False)
-            best = max(best, abs(spectra.asymmetry_du(tr)))
+            gamma = spectra.transfer_matrix(model, omega, check=False).gamma
+            best = max(best, abs(spectra.pair_asymmetry(gamma, spectra.ASYMMETRY_PAIRS["ab"])))
         return best
 
     narrow = max_asymmetry(1e-2)
@@ -125,8 +120,9 @@ def test_criterion_2_linewidth_regimes(capsys):
     probe = spectra.resonance_probe_frequency()
     thetas = np.linspace(0.0, 2.0 * np.pi, 721)
     values = [
-        spectra.asymmetry_du(
-            spectra.transfer_matrix(make_du(phase=theta), probe, check=False)
+        spectra.pair_asymmetry(
+            spectra.transfer_matrix(make_du(phase=theta), probe, check=False).gamma,
+            spectra.ASYMMETRY_PAIRS["ab"],
         )
         for theta in thetas
     ]

@@ -22,6 +22,17 @@ def du_system(kappa_a=1.0, delta_a=0.0, magnitude=0.1, phase=0.0):
     }
 
 
+def chain_system(n_modes=5):
+    modes = [
+        {"label": f"h{i // 2}", "kappa": 0.5, "detuning": -0.8 if i % 4 == 0 else 1.2}
+        if i % 2 == 0 else {"label": f"l{i // 2}", "kappa": 0.4, "detuning": 1.0}
+        for i in range(n_modes)
+    ]
+    couplings = [{"magnitude": 0.05, "phase": 0.3 * i} for i in range(n_modes - 1)]
+    return {"topology": "chain", "modes": modes, "couplings": couplings,
+            "temperature": 0.01}
+
+
 def write_config(path, config):
     path.write_text(json.dumps(config), encoding="utf-8")
     return str(path)
@@ -52,6 +63,29 @@ class TestConfigValidation:
 
     def test_task_kind_must_match_subcommand(self, tmp_path):
         config = {"system": du_system(), "task": {"kind": "snr"}}
+        assert run_cli(tmp_path, "spectrum", config) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, task", [
+        ("spectrum", {"include_output_port": 5}),
+        ("snr", {"readout_port": 7}),
+        ("snr", {"signal_port": 7}),
+        ("asymmetry", {"coupling_index": 3}),
+        ("oracle", {"oracle": {"port": 2, "n_steps": 8192, "ensemble": 4,
+                               "segment_length": 1024}}),
+        ("optimize", {"which": "mb", "target": -1.0}),
+    ], ids=["include_output_port", "readout_port", "signal_port",
+            "coupling_index", "oracle.port", "which"])
+    def test_task_indices_must_exist_in_the_system(self, tmp_path, caplog, command, task):
+        config = {"system": du_system(), "task": {"kind": command, **task},
+                  "grid": {"min": -1.0, "max": 1.0, "points": 5}, "seed": 1}
+        assert run_cli(tmp_path, command, config) == cli.EXIT_CONFIG
+        assert "config error" in caplog.text
+
+    def test_low_mode_detuning_is_fixed_at_one(self, tmp_path):
+        system = du_system()
+        system["modes"][1]["detuning"] = 1.3
+        config = {"system": system, "task": {"kind": "spectrum"},
+                  "grid": {"min": -1.0, "max": 1.0, "points": 5}}
         assert run_cli(tmp_path, "spectrum", config) == cli.EXIT_CONFIG
 
     def test_config_hash_is_canonical(self):
@@ -143,6 +177,30 @@ class TestOtherTasks:
         fit = json.loads((tmp_path / "chain_fit.json").read_text())["fit"]
         assert fit["n_values"] == [2, 3, 4]
         assert fit["r_squared"] > 0.9
+
+    @pytest.mark.parametrize("command, grid", [
+        ("spectrum", {"min": -2.0, "max": 2.0, "points": 41}),
+        ("asymmetry", {"min": 0.0, "max": 6.283, "points": 25}),
+    ])
+    def test_chain_port_pair_columns(self, tmp_path, command, grid):
+        config = {"system": chain_system(5), "task": {"kind": command}, "grid": grid}
+        assert run_cli(tmp_path, command, config) == cli.EXIT_OK
+        lines = [l for l in (tmp_path / f"{command}.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        header = lines[0].split(",")
+        labels = ["h0", "l0", "h1", "l1", "h2"]
+        pairs = list(zip(labels, labels[1:]))
+        r_names = [f"R_{x}{y}" for x, y in pairs]
+        if command == "spectrum":
+            t_names = [name for x, y in pairs for name in (f"T_{y}_to_{x}", f"T_{x}_to_{y}")]
+            assert header == ["omega", *t_names, *r_names]
+        else:
+            assert header == ["theta", *r_names]
+        data = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
+        assert data.shape == (grid["points"], len(header))
+        columns = dict(zip(header, data.T))
+        for name in r_names:
+            assert np.all(np.abs(columns[name]) <= 1.0)
 
     def test_optimize_task(self, tmp_path):
         system = {

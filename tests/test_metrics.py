@@ -1,13 +1,11 @@
 """Figures of merit: SNR maximization, scheme comparison, phase searches."""
 
-import io
-
 import numpy as np
 import pytest
 
 from conftest import make_comparison_pair, make_du, make_three
 from sasc.model import InstabilityError
-from sasc import metrics
+from sasc import metrics, spectra
 
 
 def dense_grid_max_snr(model, omega_range=(-3.0, 3.0), n=100_001):
@@ -17,7 +15,7 @@ def dense_grid_max_snr(model, omega_range=(-3.0, 3.0), n=100_001):
         metrics.RESONANCE_EXCLUSION_WIDTH
     )
     grid = grid[keep]
-    values = metrics._SnrEvaluator(model).scan(grid)
+    values = spectra.snr_spectrum(model, grid).columns["S_SNR"]
     best = int(np.argmax(values))
     return float(grid[best]), float(values[best])
 
@@ -44,7 +42,7 @@ class TestMaxSnr:
     def test_refinement_improves_on_coarse_scan(self):
         cs, _ = make_comparison_pair()
         grid = np.linspace(-3.0, 3.0, 401)
-        coarse = float(np.max(metrics._SnrEvaluator(cs).scan(grid)))
+        coarse = float(np.max(spectra.snr_spectrum(cs, grid).columns["S_SNR"]))
         _, s = metrics.max_snr_over_omega(cs)
         assert s >= coarse
 
@@ -103,16 +101,6 @@ class TestMapResult:
         with pytest.raises(ValueError):
             metrics.MapResult(delta_c=[0.0, 1.0], delta_m=[0.0, 1.0],
                               values=np.array([[1.0, np.nan], [1.0, 1.0]]))
-
-    def test_long_format_csv(self):
-        result = metrics.MapResult(delta_c=[0.0, 1.0], delta_m=[0.0],
-                                   values=np.array([[1.5, 2.5]]))
-        buffer = io.StringIO()
-        result.to_csv(buffer)
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "delta_c,delta_m,value"
-        assert lines[1] == "0.0,0.0,1.5"
-        assert lines[2] == "1.0,0.0,2.5"
 
 
 class TestFMap:

@@ -76,6 +76,13 @@ class TestDriftMatrix:
             SystemModel(topology=Topology.THREE_MODE, modes=modes,
                         couplings=(CouplingParams(0.1, 0.0),), temperature=0.0)
 
+    def test_mode_labels_must_be_unique(self):
+        modes = (ModeParams("a", OMEGA_HIGH, 1.0, 0.0),
+                 ModeParams("a", OMEGA_LOW, 1e-4, 1.0))
+        with pytest.raises(ValueError):
+            SystemModel(topology=Topology.DU, modes=modes,
+                        couplings=(CouplingParams(0.1, 0.0),), temperature=0.0)
+
     def test_mode_parameter_validation(self):
         with pytest.raises(ValueError):
             ModeParams("a", OMEGA_HIGH, -1.0, 0.0)

@@ -1,13 +1,18 @@
 """Transfer matrices, transmission coefficients, asymmetry, spectra."""
 
-import io
-
 import numpy as np
 import pytest
 
 from conftest import OMEGA_HIGH, OMEGA_LOW, make_du, make_three
-from sasc.model import InstabilityError, conjugation_permutation
-from sasc import spectra
+from sasc.model import CouplingParams, InstabilityError, conjugation_permutation
+from sasc import chain, spectra
+
+
+def chain_model(n_modes):
+    return chain.build_chain_model(chain.ChainSpec(
+        n_modes=n_modes, coupling=CouplingParams(0.05, 0.0), detuning=-0.8,
+        detuning_alt=1.2, kappa_high=0.5, kappa_low=0.4,
+    ))
 
 
 class TestTransferMatrix:
@@ -36,27 +41,41 @@ class TestTransferMatrix:
         spectra.transfer_matrix(model, 0.0, check=False)  # explicit opt-out
 
 
+class TestBosonicIdentity:
+    """Gamma J Gamma^dag = J, J = diag(1, -1, ...): outputs keep the input commutators."""
+
+    @pytest.mark.parametrize("model", [
+        make_du(), make_three(phase_m=0.4, phase_c=1.9),
+        chain_model(4), chain_model(7), chain_model(12),
+    ], ids=["du", "three", "chain4", "chain7", "chain12"])
+    @pytest.mark.parametrize("omega", [-2.0, -0.3, 0.0, 0.6, 1.0 - 1e-6, 2.5])
+    def test_gamma_preserves_commutators(self, model, omega):
+        gamma = spectra.transfer_matrix(model, omega).gamma
+        j = np.diag(np.tile([1.0, -1.0], model.n_modes))
+        residual = float(np.max(np.abs(gamma @ j @ gamma.conj().T - j)))
+        assert residual / max(1.0, float(np.max(np.abs(gamma))) ** 2) <= 1e-12
+
+
 class TestTransmission:
     def test_sideband_pair_members_are_equal(self):
         model = make_du(phase=1.1)
         for omega in (-1.5, 0.2, 0.97):
-            t = spectra.transmission_du(spectra.transfer_matrix(model, omega))
-            assert t.b_to_a_plus == pytest.approx(t.b_to_a_minus, rel=1e-10)
-            assert t.a_to_b_plus == pytest.approx(t.a_to_b_minus, rel=1e-10)
+            gamma = spectra.transfer_matrix(model, omega).gamma
+            for src, dst in ((1, 0), (0, 1)):
+                assert spectra.transmission(gamma, src, dst, "+") == pytest.approx(
+                    spectra.transmission(gamma, src, dst, "-"), rel=1e-10)
 
     def test_three_mode_pair_members_are_equal(self):
         model = make_three(phase_m=0.4, phase_c=1.9)
-        tr = spectra.transfer_matrix(model, 0.6)
-        t = spectra.transmission_three(tr)
-        assert t.b_to_m_plus == pytest.approx(t.b_to_m_minus, rel=1e-10)
-        assert t.m_to_b_plus == pytest.approx(t.m_to_b_minus, rel=1e-10)
-        assert t.c_to_b_plus == pytest.approx(t.c_to_b_minus, rel=1e-10)
-        assert t.b_to_c_plus == pytest.approx(t.b_to_c_minus, rel=1e-10)
+        gamma = spectra.transfer_matrix(model, 0.6).gamma
+        for src, dst in ((1, 0), (0, 1), (2, 1), (1, 2)):
+            assert spectra.transmission(gamma, src, dst, "+") == pytest.approx(
+                spectra.transmission(gamma, src, dst, "-"), rel=1e-10)
 
     def test_transmissions_are_nonnegative(self):
-        tr = spectra.transfer_matrix(make_du(), 0.5)
-        t = spectra.transmission_du(tr)
-        assert min(t.t_a, t.t_b, t.b_to_a_plus, t.a_to_b_minus) >= 0.0
+        gamma = spectra.transfer_matrix(make_du(), 0.5).gamma
+        legs = ((0, 0, "+"), (1, 1, "+"), (1, 0, "+"), (0, 1, "-"))
+        assert min(spectra.transmission(gamma, *leg) for leg in legs) >= 0.0
 
 
 class TestAsymmetry:
@@ -78,8 +97,8 @@ class TestAsymmetry:
         omega = spectra.resonance_probe_frequency()
         values = []
         for theta in np.linspace(0.0, 2.0 * np.pi, 721):
-            tr = spectra.transfer_matrix(make_du(phase=theta), omega, check=False)
-            values.append(spectra.asymmetry_du(tr))
+            gamma = spectra.transfer_matrix(make_du(phase=theta), omega, check=False).gamma
+            values.append(spectra.pair_asymmetry(gamma, spectra.ASYMMETRY_PAIRS["ab"]))
         assert min(values) < -0.9
         assert max(values) > 0.9
 
@@ -136,11 +155,10 @@ class TestSnrSpectra:
         model = make_three(kappa_c=0.1, magnitude_m=0.2,
                            phase_m=np.pi / 3, phase_c=2 * np.pi / 3)
         omegas = np.linspace(0.5, 2.0, 31)
-        amp = spectra.amplification_spectrum(model, omegas)
-        snr = spectra.snr_spectrum(model, omegas)
-        assert np.all(amp.columns["S_AP"] >= 0.0)
-        assert np.all(snr.columns["S_SNR"] >= 0.0)
-        assert np.max(snr.columns["S_SNR"]) > 1.0
+        table = spectra.snr_spectrum(model, omegas)
+        assert np.all(table.columns["S_AP"] >= 0.0)
+        assert np.all(table.columns["S_SNR"] >= 0.0)
+        assert np.max(table.columns["S_SNR"]) > 1.0
 
     def test_homodyne_angle_changes_the_spectrum(self):
         model = make_three(kappa_c=0.1, magnitude_m=0.2, phase_m=np.pi / 3)
@@ -162,24 +180,3 @@ class TestSpectrumTable:
         with pytest.raises(ValueError):
             spectra.SpectrumTable(omega=np.array([0.0, 1.0]),
                                   columns={"x": np.array([1.0, np.inf])})
-
-    def test_csv_round_trip_values(self):
-        table = spectra.SpectrumTable(
-            omega=np.array([0.0, 0.5, 1.0]),
-            columns={"value": np.array([1.25, -0.5, 3.0])},
-        )
-        buffer = io.StringIO()
-        table.to_csv(buffer, metadata={"note": "test"})
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "# note: test"
-        assert lines[1] == "omega,value"
-        parsed = [tuple(map(float, line.split(","))) for line in lines[2:]]
-        assert parsed == [(0.0, 1.25), (0.5, -0.5), (1.0, 3.0)]
-
-
-class TestSusceptibility:
-    def test_closed_form(self):
-        chi = spectra.susceptibility(0.4, 0.6, 0.1)
-        assert chi == pytest.approx(1.0 / (1j * 0.3 + 0.3))
-        with pytest.raises(ValueError):
-            spectra.susceptibility(0.0, 0.0, 0.0)
