@@ -202,6 +202,17 @@ def _basename(config: dict, fallback: str) -> str:
     return config.get("output", {}).get("basename", fallback)
 
 
+def _port_pair_columns(gammas, transmissions: dict, asymmetries: dict) -> dict:
+    """Transmission then asymmetry columns (see spectra.port_columns), one row per Gamma."""
+    columns: dict = {name: [] for name in (*transmissions, *asymmetries)}
+    for gamma in gammas:
+        for name, leg in transmissions.items():
+            columns[name].append(spectra.transmission(gamma, *leg))
+        for name, pair in asymmetries.items():
+            columns[name].append(spectra.pair_asymmetry(gamma, pair))
+    return columns
+
+
 def run_spectrum(config: dict, outdir: Path, fmt: str) -> None:
     model = build_system(config["system"])
     task = config.get("task", {})
@@ -209,15 +220,8 @@ def run_spectrum(config: dict, outdir: Path, fmt: str) -> None:
     require_stable(build_drift_matrix(model))
     omegas = _grid(config)
     psi = task.get("psi", 0.0)
-    transmissions, asymmetries = spectra.port_columns(model)
-    columns: dict = {"omega": omegas}
-    columns.update((name, []) for name in (*transmissions, *asymmetries))
-    for w in omegas:
-        gamma = spectra.transfer_matrix(model, w, psi=psi, check=False).gamma
-        for name, leg in transmissions.items():
-            columns[name].append(spectra.transmission(gamma, *leg))
-        for name, pair in asymmetries.items():
-            columns[name].append(spectra.pair_asymmetry(gamma, pair))
+    gammas = (spectra.transfer_matrix(model, w, psi=psi, check=False).gamma for w in omegas)
+    columns = {"omega": omegas, **_port_pair_columns(gammas, *spectra.port_columns(model))}
     if port is not None:
         columns.update(spectra.output_spectrum(model, omegas, port).columns)
     _write_table(outdir, _basename(config, "spectrum"), fmt, _metadata(config), columns)
@@ -235,14 +239,9 @@ def run_asymmetry(config: dict, outdir: Path, fmt: str) -> None:
         grid_block.get("max", 2.0 * np.pi),
         grid_block.get("points", 721),
     )
-    asymmetries = spectra.port_columns(model)[1]
-    columns: dict = {"theta": thetas}
-    columns.update((name, []) for name in asymmetries)
-    for theta in thetas:
-        probe = with_coupling_phase(model, coupling_index, theta)
-        gamma = spectra.transfer_matrix(probe, omega, check=False).gamma
-        for name, pair in asymmetries.items():
-            columns[name].append(spectra.pair_asymmetry(gamma, pair))
+    probes = (with_coupling_phase(model, coupling_index, theta) for theta in thetas)
+    gammas = (spectra.transfer_matrix(probe, omega, check=False).gamma for probe in probes)
+    columns = {"theta": thetas, **_port_pair_columns(gammas, {}, spectra.port_columns(model)[1])}
     meta = _metadata(config, {"omega": omega})
     _write_table(outdir, _basename(config, "asymmetry"), fmt, meta, columns)
 
@@ -265,6 +264,8 @@ def _comparison_config(config: dict) -> metrics.ComparisonConfig:
     cs_model = build_system(config["system"])
     ics_model = build_system(task["ics"])
     omega_range = tuple(task.get("omega_range", (-3.0, 3.0)))
+    if not omega_range[0] < omega_range[1]:
+        raise ConfigError(f"omega_range must be increasing, got {list(omega_range)}")
     n_modes = min(cs_model.n_modes, ics_model.n_modes)
     return metrics.ComparisonConfig(
         cs_model=cs_model,
@@ -282,6 +283,8 @@ def run_fmap(config: dict, outdir: Path, fmt: str) -> None:
     lo = task.get("delta_min", -2.0)
     hi = task.get("delta_max", 2.0)
     points = task.get("delta_points", 41)
+    if hi <= lo:
+        raise ConfigError("fmap requires delta_max > delta_min")
     deltas = np.linspace(lo, hi, points)
     result = metrics.f_map(cfg, deltas, deltas)
     # Every cell, unstable ones included (listed under unstable_cells), holds
@@ -347,17 +350,20 @@ def run_oracle(config: dict, outdir: Path, fmt: str) -> None:
     seed = config.get("seed")
     if seed is None:
         raise ConfigError("oracle task requires a top-level seed")
-    cfg = OracleConfig(
-        model=model,
-        dt=block.get("dt", 0.002),
-        n_steps=block.get("n_steps", 131072),
-        ensemble=block.get("ensemble", 64),
-        seed=seed,
-        port=port,
-        segment_length=block.get("segment_length", 4096),
-        overlap=block.get("overlap", 0.5),
-        burn_in=block.get("burn_in"),
-    )
+    try:
+        cfg = OracleConfig(
+            model=model,
+            dt=block.get("dt", 0.002),
+            n_steps=block.get("n_steps", 131072),
+            ensemble=block.get("ensemble", 64),
+            seed=seed,
+            port=port,
+            segment_length=block.get("segment_length", 4096),
+            overlap=block.get("overlap", 0.5),
+            burn_in=block.get("burn_in"),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     run = oracle_mod.simulate(cfg)
     predicted = spectra.output_spectrum(model, run.omega, cfg.port)
     report = oracle_mod.compare(run, predicted)
@@ -449,16 +455,14 @@ def run_figures(which: str, outdir: Path, fmt: str) -> None:
         model = build_system(asset["system"])
         require_stable(build_drift_matrix(model))
         thetas = np.linspace(0.0, 2.0 * np.pi, asset.get("theta_points", 49))
+        theta_m, theta_c = np.repeat(thetas, len(thetas)), np.tile(thetas, len(thetas))
         asymmetries = spectra.port_columns(model)[1]
         for tag, omega in (("low", 0.0), ("resonance", spectra.resonance_probe_frequency())):
-            columns: dict = {"theta_m": np.repeat(thetas, len(thetas)),
-                             "theta_c": np.tile(thetas, len(thetas))}
-            columns.update((name, []) for name in asymmetries)
-            for tm, tc in zip(columns["theta_m"], columns["theta_c"]):
-                probe = with_coupling_phase(with_coupling_phase(model, 0, tm), 1, tc)
-                gamma = spectra.transfer_matrix(probe, omega, check=False).gamma
-                for name, pair in asymmetries.items():
-                    columns[name].append(spectra.pair_asymmetry(gamma, pair))
+            probes = (with_coupling_phase(with_coupling_phase(model, 0, tm), 1, tc)
+                      for tm, tc in zip(theta_m, theta_c))
+            gammas = (spectra.transfer_matrix(p, omega, check=False).gamma for p in probes)
+            columns = {"theta_m": theta_m, "theta_c": theta_c,
+                       **_port_pair_columns(gammas, {}, asymmetries)}
             # Always CSV: the gnuplot stub names these files.
             _write_table(outdir, f"fig3_{tag}", "csv", _metadata(asset, {"omega": omega}), columns)
             written.append(f"fig3_{tag}.csv")

@@ -15,9 +15,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .model import (
-    InstabilityError,
     SystemModel,
     build_drift_matrix,
+    check_stability,
     require_stable,
     with_coupling_phase,
 )
@@ -94,6 +94,8 @@ def max_snr_over_omega(
     """
     if n_scan < 401:
         raise ValueError("n_scan must be at least 401")
+    if not omega_range[0] < omega_range[1]:
+        raise ValueError(f"omega_range must be increasing, got {tuple(omega_range)}")
     solver = SnrSolver(model, signal_port, readout_port, psi)
     if check:
         require_stable(solver.drift)
@@ -142,6 +144,26 @@ def _with_detunings(model: SystemModel, delta_m: float, delta_c: float) -> Syste
     )
 
 
+def _max_snr(cfg: ComparisonConfig, model: SystemModel, check: bool = True) -> float:
+    """S* of one scheme over the comparison's frequency range, ports and phase."""
+    return max_snr_over_omega(
+        model, cfg.omega_range, signal_port=cfg.signal_port,
+        readout_port=cfg.readout_port, psi=cfg.psi, check=check,
+    )[1]
+
+
+def _baseline_max(cfg: ComparisonConfig, ics_max: float | None = None) -> float:
+    """The baseline scheme's maximal SNR (computed unless given), the denominator of f."""
+    if ics_max is None:
+        ics_max = _max_snr(cfg, cfg.ics_model)
+    if ics_max <= 0.0:
+        raise ValueError(
+            f"baseline maximum SNR is {ics_max} over omega_range {tuple(cfg.omega_range)}:"
+            " f is undefined"
+        )
+    return ics_max
+
+
 def f_factor(
     cfg: ComparisonConfig,
     delta_c: float | None = None,
@@ -159,16 +181,7 @@ def f_factor(
         dm = cs_model.modes[0].detuning if delta_m is None else delta_m
         dc = cs_model.modes[2].detuning if delta_c is None else delta_c
         cs_model = _with_detunings(cs_model, dm, dc)
-    _, cs_max = max_snr_over_omega(
-        cs_model, cfg.omega_range, signal_port=cfg.signal_port,
-        readout_port=cfg.readout_port, psi=cfg.psi,
-    )
-    if ics_max is None:
-        _, ics_max = max_snr_over_omega(
-            cfg.ics_model, cfg.omega_range, signal_port=cfg.signal_port,
-            readout_port=cfg.readout_port, psi=cfg.psi,
-        )
-    return cs_max / ics_max
+    return _max_snr(cfg, cs_model) / _baseline_max(cfg, ics_max)
 
 
 @dataclass
@@ -203,24 +216,15 @@ def f_map(cfg: ComparisonConfig, delta_c_grid, delta_m_grid) -> MapResult:
     """
     delta_c_grid = np.asarray(delta_c_grid, dtype=float)
     delta_m_grid = np.asarray(delta_m_grid, dtype=float)
-    _, ics_max = max_snr_over_omega(
-        cfg.ics_model, cfg.omega_range, signal_port=cfg.signal_port,
-        readout_port=cfg.readout_port, psi=cfg.psi,
-    )
+    ics_max = _baseline_max(cfg)
     values = np.empty((len(delta_m_grid), len(delta_c_grid)))
     unstable: list[tuple[float, float]] = []
     for i, dm in enumerate(delta_m_grid):
         for j, dc in enumerate(delta_c_grid):
             cell = _with_detunings(cfg.cs_model, dm, dc)
-            try:
-                require_stable(build_drift_matrix(cell))
-            except InstabilityError:
+            if not check_stability(build_drift_matrix(cell)).stable:
                 unstable.append((float(dc), float(dm)))
-            _, cs_max = max_snr_over_omega(
-                cell, cfg.omega_range, signal_port=cfg.signal_port,
-                readout_port=cfg.readout_port, psi=cfg.psi, check=False,
-            )
-            values[i, j] = cs_max / ics_max
+            values[i, j] = _max_snr(cfg, cell, check=False) / ics_max
     return MapResult(
         delta_c=delta_c_grid,
         delta_m=delta_m_grid,

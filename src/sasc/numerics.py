@@ -1,11 +1,11 @@
 """
-Self-contained dense complex linear-algebra and fitting kernel.
+Dense complex linear-algebra and fitting kernel.
 
-Implements LU solve/inversion with partial pivoting, eigenvalues via
-Hessenberg reduction plus shifted QR iteration, ordinary least-squares
-line fitting, and Welch power-spectral-density support. Matrices at this
-scale (<= ~64x64) need predictable precision more than BLAS speed, so
-everything here is written directly against numpy array primitives.
+LU solve/inversion with partial pivoting is written against numpy array
+primitives so that a pivot below a relative floor raises
+SingularMatrixError with its index. Eigenvalues come from LAPACK geev
+through numpy.linalg. Also: ordinary least-squares line fitting and
+Welch power-spectral-density support.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 _PIVOT_FLOOR = 1e-13
-_QR_MAX_SWEEPS = 10_000
 
 
 class SingularMatrixError(Exception):
@@ -43,7 +42,7 @@ class SingularMatrixError(Exception):
 
 
 class NonConvergenceError(Exception):
-    """Raised when the QR eigenvalue iteration exceeds its sweep budget."""
+    """Raised when the LAPACK eigenvalue iteration fails to converge."""
 
 
 @dataclass(frozen=True)
@@ -154,113 +153,15 @@ def invert(a) -> NDArray[np.complex128]:
     return lu_solve(a, np.eye(a.shape[0], dtype=complex))
 
 
-def _hessenberg(a: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Reduce to upper Hessenberg form by Householder similarity transforms."""
-    h = a.copy()
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1 :, k].copy()
-        norm_x = np.sqrt(np.sum(np.abs(x) ** 2))
-        if norm_x == 0.0:
-            continue
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        v = x.copy()
-        v[0] += phase * norm_x
-        v_norm = np.sqrt(np.sum(np.abs(v) ** 2))
-        if v_norm == 0.0:
-            continue
-        v /= v_norm
-        # H = I - 2 v v^H applied from both sides.
-        h[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
-        h[k + 2 :, k] = 0.0
-    return h
-
-
-def _wilkinson_shift(h: NDArray[np.complex128], hi: int) -> complex:
-    """Eigenvalue of the trailing 2x2 block closest to the corner entry."""
-    a = h[hi - 1, hi - 1]
-    b = h[hi - 1, hi]
-    c = h[hi, hi - 1]
-    d = h[hi, hi]
-    tr = a + d
-    disc = np.sqrt((a - d) ** 2 / 4.0 + b * c + 0j)
-    lam1 = tr / 2.0 + disc
-    lam2 = tr / 2.0 - disc
-    return lam1 if abs(lam1 - d) <= abs(lam2 - d) else lam2
-
-
 def eigenvalues(a) -> NDArray[np.complex128]:
-    """
-    All eigenvalues of a square complex matrix.
-
-    Hessenberg reduction followed by Wilkinson-shifted QR iteration with
-    deflation (Givens rotations on the Hessenberg band). Suitable for the
-    small dense matrices used throughout this package.
-    """
+    """All eigenvalues of a square complex matrix (LAPACK geev via numpy)."""
     a = as_complex_matrix(a)
-    n = a.shape[0]
-    if a.shape[1] != n:
+    if a.shape[0] != a.shape[1]:
         raise ValueError("eigenvalues requires a square matrix")
-    if n == 0:
-        return np.empty(0, dtype=complex)
-    if n == 1:
-        return a[0, :1].copy()
-    h = _hessenberg(a)
-    eigs = np.empty(n, dtype=complex)
-    hi = n - 1
-    sweeps = 0
-    while hi > 0:
-        # Deflate any negligible subdiagonal entries in the active block.
-        deflated = False
-        for k in range(hi, 0, -1):
-            if abs(h[k, k - 1]) <= 1e-14 * (abs(h[k - 1, k - 1]) + abs(h[k, k])):
-                h[k, k - 1] = 0.0
-                if k == hi:
-                    eigs[hi] = h[hi, hi]
-                    hi -= 1
-                    deflated = True
-                break
-        if deflated:
-            continue
-        if hi == 0:
-            break
-        lo = hi
-        while lo > 0 and h[lo, lo - 1] != 0.0:
-            lo -= 1
-        sweeps += 1
-        if sweeps > _QR_MAX_SWEEPS:
-            raise NonConvergenceError(
-                f"QR iteration exceeded {_QR_MAX_SWEEPS} sweeps at block size {hi - lo + 1}"
-            )
-        shift = _wilkinson_shift(h, hi)
-        # QR step on the active block via Givens rotations.
-        m = hi - lo + 1
-        block = h[lo : hi + 1, lo : hi + 1]
-        for k in range(m):
-            block[k, k] -= shift
-        rotations = []
-        for k in range(m - 1):
-            x, y = block[k, k], block[k + 1, k]
-            r = np.hypot(abs(x), abs(y))
-            if r == 0.0:
-                c_rot, s_rot = 1.0 + 0j, 0.0 + 0j
-            else:
-                c_rot, s_rot = x / r, y / r
-            rotations.append((c_rot, s_rot))
-            row_hi = block[k, k:].copy()
-            row_lo = block[k + 1, k:].copy()
-            block[k, k:] = np.conj(c_rot) * row_hi + np.conj(s_rot) * row_lo
-            block[k + 1, k:] = -s_rot * row_hi + c_rot * row_lo
-        for k, (c_rot, s_rot) in enumerate(rotations):  # form RQ
-            col_a = block[: k + 2, k].copy()
-            col_b = block[: k + 2, k + 1].copy()
-            block[: k + 2, k] = col_a * c_rot + col_b * s_rot
-            block[: k + 2, k + 1] = -col_a * np.conj(s_rot) + col_b * np.conj(c_rot)
-        for k in range(m):
-            block[k, k] += shift
-    eigs[0] = h[0, 0]
-    return eigs
+    try:
+        return np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
 def fit_line(xs, ys) -> LineFit:

@@ -111,14 +111,7 @@ def transfer_matrix(
     per channel. Set check=False to skip the (eigenvalue-based) stability
     gate, e.g. inside a frequency loop that has already verified it.
     """
-    m = build_drift_matrix(model)
-    if check:
-        require_stable(m)
-    n2 = m.shape[0]
-    lam = _channel_signature(model.n_modes)
-    ell = input_coupling_matrix(model)
-    a = 1j * omega * np.diag(lam) - m
-    gamma = ell @ numerics.lu_solve(a, ell) - np.eye(n2)
+    gamma = _input_output(model, 1j * omega * _channel_signature(model.n_modes), check)
     return TransferResult(omega=float(omega), gamma=gamma, psi=psi)
 
 
@@ -126,13 +119,16 @@ def causal_transfer_matrix(
     model: SystemModel, omega: float, check: bool = True
 ) -> NDArray[np.complex128]:
     """Causal input-output matrix L (-i w I - M)^{-1} L - I (time-domain convention)."""
+    return _input_output(model, np.full(2 * model.n_modes, -1j * omega), check)
+
+
+def _input_output(model: SystemModel, diagonal, check: bool) -> NDArray[np.complex128]:
+    """L (diag(diagonal) - M)^{-1} L - I, optionally behind the stability gate."""
     m = build_drift_matrix(model)
     if check:
         require_stable(m)
-    n2 = m.shape[0]
     ell = input_coupling_matrix(model)
-    a = -1j * omega * np.eye(n2) - m
-    return ell @ numerics.lu_solve(a, ell) - np.eye(n2)
+    return ell @ numerics.lu_solve(np.diag(diagonal) - m, ell) - np.eye(m.shape[0])
 
 
 #: A transmission leg (src, dst, sideband): a unit input on the `sideband`

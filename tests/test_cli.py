@@ -33,6 +33,34 @@ def chain_system(n_modes=5):
             "temperature": 0.01}
 
 
+def fmap_config(**task):
+    """A 3x3 fmap task (tunable scheme against a fixed baseline); task keys override."""
+    system = {
+        "topology": "three",
+        "modes": [
+            {"label": "m", "kappa": 1.0, "detuning": 0.0},
+            {"label": "b", "kappa": 1e-4, "detuning": 1.0},
+            {"label": "c", "kappa": 0.1, "detuning": 0.0},
+        ],
+        "couplings": [{"magnitude": 0.2, "phase": 1.0471975511965976},
+                      {"magnitude": 0.1, "phase": 2.0943951023931953}],
+        "temperature": 0.01,
+    }
+    ics = {
+        "topology": "three",
+        "modes": [
+            {"label": "m", "kappa": 0.1, "detuning": 1.0},
+            {"label": "b", "kappa": 1e-4, "detuning": 1.0},
+            {"label": "c", "kappa": 0.1, "detuning": 1.0},
+        ],
+        "couplings": [{"magnitude": 0.2}, {"magnitude": 0.1}],
+        "temperature": 0.01,
+    }
+    return {"system": system,
+            "task": {"kind": "fmap", "ics": ics, "delta_min": -0.5, "delta_max": 0.5,
+                     "delta_points": 3, **task}}
+
+
 def write_config(path, config):
     path.write_text(json.dumps(config), encoding="utf-8")
     return str(path)
@@ -88,6 +116,15 @@ class TestConfigValidation:
                   "grid": {"min": -1.0, "max": 1.0, "points": 5}}
         assert run_cli(tmp_path, "spectrum", config) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("command, config", [
+        ("fmap", fmap_config(delta_min=0.5, delta_max=-0.5)),
+        ("oracle", {"system": du_system(), "seed": 1, "task": {"kind": "oracle", "oracle": {
+            "n_steps": 512, "ensemble": 4, "segment_length": 1024}}}),
+    ], ids=["fmap.delta_max", "oracle.n_steps"])
+    def test_inconsistent_task_values_are_config_errors(self, tmp_path, caplog, command, config):
+        assert run_cli(tmp_path, command, config) == cli.EXIT_CONFIG
+        assert "config error" in caplog.text
+
     def test_config_hash_is_canonical(self):
         a = {"x": 1, "y": [1, 2]}
         b = {"y": [1, 2], "x": 1}
@@ -103,6 +140,28 @@ class TestStabilityGate:
         assert code == cli.EXIT_INSTABILITY
         assert not list(tmp_path.glob("*.csv"))
         assert not list(tmp_path.glob("spectrum*"))
+
+    def test_eigenvalue_failure_exits_4(self, tmp_path, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        config = {"system": du_system(), "task": {"kind": "spectrum"},
+                  "grid": {"min": -2.0, "max": 2.0, "points": 11}}
+        assert run_cli(tmp_path, "spectrum", config) == cli.EXIT_NUMERICAL
+
+
+class TestFmapOmegaRange:
+    @pytest.mark.parametrize("omega_range", [[3.0, -3.0], [1.0, 1.0]], ids=["reversed", "empty"])
+    def test_non_increasing_range_is_a_config_error(self, tmp_path, omega_range):
+        assert run_cli(tmp_path, "fmap", fmap_config(omega_range=omega_range)) == cli.EXIT_CONFIG
+        assert not list(tmp_path.glob("fmap*"))
+
+    def test_zero_baseline_maximum_is_a_numerical_failure(self, tmp_path, caplog):
+        # The whole range lies inside the excluded band around the resonance.
+        config = fmap_config(omega_range=[0.9995, 1.0005])
+        assert run_cli(tmp_path, "fmap", config) == cli.EXIT_NUMERICAL
+        assert "baseline maximum SNR is 0.0" in caplog.text
 
 
 class TestSpectrumRuns:
@@ -221,32 +280,7 @@ class TestOtherTasks:
         assert abs(payload["achieved"] + 1.0) < 1e-2
 
     def test_fmap_task_small_grid(self, tmp_path):
-        system = {
-            "topology": "three",
-            "modes": [
-                {"label": "m", "kappa": 1.0, "detuning": 0.0},
-                {"label": "b", "kappa": 1e-4, "detuning": 1.0},
-                {"label": "c", "kappa": 0.1, "detuning": 0.0},
-            ],
-            "couplings": [{"magnitude": 0.2, "phase": 1.0471975511965976},
-                          {"magnitude": 0.1, "phase": 2.0943951023931953}],
-            "temperature": 0.01,
-        }
-        ics = {
-            "topology": "three",
-            "modes": [
-                {"label": "m", "kappa": 0.1, "detuning": 1.0},
-                {"label": "b", "kappa": 1e-4, "detuning": 1.0},
-                {"label": "c", "kappa": 0.1, "detuning": 1.0},
-            ],
-            "couplings": [{"magnitude": 0.2}, {"magnitude": 0.1}],
-            "temperature": 0.01,
-        }
-        config = {"system": system,
-                  "task": {"kind": "fmap", "ics": ics,
-                           "delta_min": -0.5, "delta_max": 0.5,
-                           "delta_points": 3}}
-        assert run_cli(tmp_path, "fmap", config) == cli.EXIT_OK
+        assert run_cli(tmp_path, "fmap", fmap_config()) == cli.EXIT_OK
         lines = (tmp_path / "fmap.csv").read_text().splitlines()
         header = next(l for l in lines if not l.startswith("#"))
         assert header == "delta_c,delta_m,lg_f"

@@ -51,6 +51,12 @@ class TestMaxSnr:
         with pytest.raises(ValueError):
             metrics.max_snr_over_omega(cs, n_scan=100)
 
+    @pytest.mark.parametrize("omega_range", [(3.0, -3.0), (1.0, 1.0)])
+    def test_omega_range_must_increase(self, omega_range):
+        cs, _ = make_comparison_pair()
+        with pytest.raises(ValueError, match="omega_range"):
+            metrics.max_snr_over_omega(cs, omega_range)
+
     def test_unstable_model_rejected_unless_opted_out(self):
         model = make_du(delta_a=-1.0, kappa_a=0.1, magnitude=0.5)
         with pytest.raises(InstabilityError):

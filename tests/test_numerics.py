@@ -2,7 +2,8 @@
 Unit tests for the dense linear-algebra kernel, checked against independent
 reference computations: cofactor-expansion inverses and characteristic
 polynomials assembled by the Faddeev-LeVerrier recursion (rooted with
-numpy's companion-matrix solver, which shares no code with the kernel).
+numpy's companion-matrix solver), and matrices built by a unitary
+similarity from a known spectrum.
 """
 
 import numpy as np
@@ -120,6 +121,25 @@ class TestEigenvalues:
         a = np.triu(np.arange(1, 17, dtype=complex).reshape(4, 4))
         eigs = np.sort_complex(numerics.eigenvalues(a))
         assert np.allclose(eigs, np.sort_complex(np.diag(a)), atol=1e-10)
+
+    @pytest.mark.parametrize("n", [12, 40, 80])
+    def test_known_stable_spectrum_at_chain_sizes(self, n):
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(random_complex(rng, n))
+        d = -rng.uniform(0.01, 1.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
+        a = q @ np.diag(d) @ q.conj().T
+        eigs = numerics.eigenvalues(a)
+        nearest = [int(np.argmin(np.abs(eigs - x))) for x in d]
+        assert sorted(nearest) == list(range(n))
+        assert np.max(np.abs(eigs[nearest] - d)) < 1e-10
+
+    def test_lapack_failure_is_nonconvergence(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(numerics.NonConvergenceError):
+            numerics.eigenvalues(np.eye(3))
 
     def test_hermitian_eigenvalues_real(self):
         rng = np.random.default_rng(16)

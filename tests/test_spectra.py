@@ -41,19 +41,33 @@ class TestTransferMatrix:
         spectra.transfer_matrix(model, 0.0, check=False)  # explicit opt-out
 
 
-class TestBosonicIdentity:
-    """Gamma J Gamma^dag = J, J = diag(1, -1, ...): outputs keep the input commutators."""
+_IDENTITY_MODELS = pytest.mark.parametrize("model", [
+    make_du(), make_three(phase_m=0.4, phase_c=1.9),
+    chain_model(4), chain_model(7), chain_model(12),
+], ids=["du", "three", "chain4", "chain7", "chain12"])
+_IDENTITY_OMEGAS = pytest.mark.parametrize("omega", [-2.0, -0.3, 0.0, 0.6, 1.0 - 1e-6, 2.5])
 
-    @pytest.mark.parametrize("model", [
-        make_du(), make_three(phase_m=0.4, phase_c=1.9),
-        chain_model(4), chain_model(7), chain_model(12),
-    ], ids=["du", "three", "chain4", "chain7", "chain12"])
-    @pytest.mark.parametrize("omega", [-2.0, -0.3, 0.0, 0.6, 1.0 - 1e-6, 2.5])
+
+class TestBosonicIdentity:
+    """S J S^dag = J, J = diag(1, -1, ...): outputs keep the input commutators."""
+
+    @staticmethod
+    def scaled_residual(s, n_modes):
+        j = np.diag(np.tile([1.0, -1.0], n_modes))
+        residual = float(np.max(np.abs(s @ j @ s.conj().T - j)))
+        return residual / max(1.0, float(np.max(np.abs(s))) ** 2)
+
+    @_IDENTITY_MODELS
+    @_IDENTITY_OMEGAS
     def test_gamma_preserves_commutators(self, model, omega):
         gamma = spectra.transfer_matrix(model, omega).gamma
-        j = np.diag(np.tile([1.0, -1.0], model.n_modes))
-        residual = float(np.max(np.abs(gamma @ j @ gamma.conj().T - j)))
-        assert residual / max(1.0, float(np.max(np.abs(gamma))) ** 2) <= 1e-12
+        assert self.scaled_residual(gamma, model.n_modes) <= 1e-12
+
+    @_IDENTITY_MODELS
+    @_IDENTITY_OMEGAS
+    def test_causal_matrix_preserves_commutators(self, model, omega):
+        causal = spectra.causal_transfer_matrix(model, omega)
+        assert self.scaled_residual(causal, model.n_modes) <= 1e-12
 
 
 class TestTransmission:
