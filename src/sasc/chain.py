@@ -15,9 +15,10 @@ from .model import (
     ModeParams,
     SystemModel,
     Topology,
+    require_stable,
 )
 from .numerics import LineFit, fit_line
-from .spectra import quadrature_coefficients, transfer_matrix
+from .spectra import SnrSolver
 
 __all__ = ["ChainSpec", "ScalingReport", "build_chain_model", "end_to_end_gain", "scaling_fit"]
 
@@ -84,10 +85,9 @@ def end_to_end_gain(spec: ChainSpec, omega: float) -> float:
     Squared first-port-input to last-port-output quadrature transfer
     |C_{1,+} + C_{1,-}|^2, measured at the final mode's port.
     """
-    model = build_chain_model(spec)
-    tr = transfer_matrix(model, omega, psi=spec.psi)
-    c = quadrature_coefficients(tr, output_port=model.n_modes - 1)
-    return float(np.abs(c[0] + c[1]) ** 2)
+    solver = SnrSolver(build_chain_model(spec), psi=spec.psi)
+    require_stable(solver.drift)
+    return float(solver.solve([omega])[0][0])
 
 
 @dataclass

@@ -202,14 +202,14 @@ def _basename(config: dict, fallback: str) -> str:
     return config.get("output", {}).get("basename", fallback)
 
 
-def _port_pair_columns(gammas, transmissions: dict, asymmetries: dict) -> dict:
-    """Transmission then asymmetry columns (see spectra.port_columns), one row per Gamma."""
+def _port_pair_columns(gamma_stacks, transmissions: dict, asymmetries: dict) -> dict:
+    """Transmission then asymmetry columns (see spectra.port_columns) of Gamma stacks."""
     columns: dict = {name: [] for name in (*transmissions, *asymmetries)}
-    for gamma in gammas:
+    for gammas in gamma_stacks:
         for name, leg in transmissions.items():
-            columns[name].append(spectra.transmission(gamma, *leg))
+            columns[name].extend(spectra.transmission(gammas, *leg).tolist())
         for name, pair in asymmetries.items():
-            columns[name].append(spectra.pair_asymmetry(gamma, pair))
+            columns[name].extend(spectra.pair_asymmetry(gammas, pair).tolist())
     return columns
 
 
@@ -217,10 +217,8 @@ def run_spectrum(config: dict, outdir: Path, fmt: str) -> None:
     model = build_system(config["system"])
     task = config.get("task", {})
     port = _index(task, "include_output_port", model.n_modes)
-    require_stable(build_drift_matrix(model))
     omegas = _grid(config)
-    psi = task.get("psi", 0.0)
-    gammas = (spectra.transfer_matrix(model, w, psi=psi, check=False).gamma for w in omegas)
+    gammas = spectra.transfer_matrices(model, omegas)
     columns = {"omega": omegas, **_port_pair_columns(gammas, *spectra.port_columns(model))}
     if port is not None:
         columns.update(spectra.output_spectrum(model, omegas, port).columns)
@@ -240,7 +238,7 @@ def run_asymmetry(config: dict, outdir: Path, fmt: str) -> None:
         grid_block.get("points", 721),
     )
     probes = (with_coupling_phase(model, coupling_index, theta) for theta in thetas)
-    gammas = (spectra.transfer_matrix(probe, omega, check=False).gamma for probe in probes)
+    gammas = (spectra.transfer_matrix(p, omega, check=False).gamma[None] for p in probes)
     columns = {"theta": thetas, **_port_pair_columns(gammas, {}, spectra.port_columns(model)[1])}
     meta = _metadata(config, {"omega": omega})
     _write_table(outdir, _basename(config, "asymmetry"), fmt, meta, columns)
@@ -460,7 +458,7 @@ def run_figures(which: str, outdir: Path, fmt: str) -> None:
         for tag, omega in (("low", 0.0), ("resonance", spectra.resonance_probe_frequency())):
             probes = (with_coupling_phase(with_coupling_phase(model, 0, tm), 1, tc)
                       for tm, tc in zip(theta_m, theta_c))
-            gammas = (spectra.transfer_matrix(p, omega, check=False).gamma for p in probes)
+            gammas = (spectra.transfer_matrix(p, omega, check=False).gamma[None] for p in probes)
             columns = {"theta_m": theta_m, "theta_c": theta_c,
                        **_port_pair_columns(gammas, {}, asymmetries)}
             # Always CSV: the gnuplot stub names these files.

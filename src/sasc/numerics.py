@@ -1,11 +1,11 @@
 """
 Dense complex linear-algebra and fitting kernel.
 
-LU solve/inversion with partial pivoting is written against numpy array
-primitives so that a pivot below a relative floor raises
-SingularMatrixError with its index. Eigenvalues come from LAPACK geev
-through numpy.linalg. Also: ordinary least-squares line fitting and
-Welch power-spectral-density support.
+Solves and inverses of one matrix or a stack of them, and eigenvalues,
+are thin wrappers over LAPACK through numpy.linalg; a solve refuses a
+matrix whose reciprocal condition is below a fixed floor with
+SingularMatrixError. Also: ordinary least-squares line fitting and Welch
+power-spectral-density support.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ __all__ = [
     "NonConvergenceError",
     "LineFit",
     "as_complex_matrix",
-    "lu_factor",
     "lu_solve",
-    "solve_batch",
     "invert",
     "eigenvalues",
     "fit_line",
@@ -30,15 +28,18 @@ __all__ = [
     "welch_psd",
 ]
 
-_PIVOT_FLOOR = 1e-13
+_RCOND_FLOOR = 1e-13
 
 
 class SingularMatrixError(Exception):
-    """Raised when elimination meets a pivot that is zero to working precision."""
+    """
+    Raised when a matrix is singular to working precision: LAPACK met an
+    exact zero pivot (rcond 0), or its reciprocal condition is <= 1e-13.
+    """
 
-    def __init__(self, pivot_index: int):
-        self.pivot_index = pivot_index
-        super().__init__(f"matrix singular to working precision at pivot {pivot_index}")
+    def __init__(self, rcond: float):
+        self.rcond = rcond
+        super().__init__(f"matrix singular to working precision (rcond {rcond:.1e})")
 
 
 class NonConvergenceError(Exception):
@@ -64,93 +65,40 @@ def as_complex_matrix(a) -> NDArray[np.complex128]:
     return m
 
 
-def lu_factor(a) -> tuple[NDArray[np.complex128], NDArray[np.intp]]:
-    """
-    LU factorization with partial pivoting, PA = LU.
-
-    Returns
-    -------
-    lu:
-        Combined factors; strict lower triangle holds L (unit diagonal
-        implied), upper triangle holds U.
-    perm:
-        Row permutation such that a[perm] = L @ U.
-    """
-    lu = as_complex_matrix(a).copy()
-    n, m = lu.shape
-    if n != m:
-        raise ValueError("lu_factor requires a square matrix")
-    perm = np.arange(n)
-    scale = max(np.max(np.abs(lu)), 1.0)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) <= _PIVOT_FLOOR * scale:
-            raise SingularMatrixError(k)
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm
-
-
 def lu_solve(a, b) -> NDArray[np.complex128]:
-    """Solve A X = B via partial-pivoted LU; B may be a vector or matrix."""
-    lu, perm = lu_factor(a)
-    n = lu.shape[0]
-    b_arr = np.asarray(b, dtype=complex)
-    vector_input = b_arr.ndim == 1
-    x = b_arr.reshape(n, -1)[perm].copy()
-    for k in range(n):  # forward substitution, unit lower triangle
-        x[k + 1 :] -= np.outer(lu[k + 1 :, k], x[k])
-    for k in range(n - 1, -1, -1):  # back substitution
-        x[k] /= lu[k, k]
-        x[:k] -= np.outer(lu[:k, k], x[k])
-    return x[:, 0] if vector_input else x
-
-
-def solve_batch(a_stack, b_stack) -> NDArray[np.complex128]:
     """
-    Solve A_i X_i = B_i for a stack of systems, shapes (m, n, n) and (m, n, k).
+    Solve A X = B for one (n, n) matrix or a (..., n, n) stack of them.
 
-    Same partial-pivoted elimination as lu_solve, vectorized over the leading
-    axis so frequency scans do not pay per-point Python overhead.
+    One LAPACK call (numpy.linalg.inv, getrf/getrs against the identity)
+    gives A^{-1}, which makes the singularity check exact: any matrix with
+    1-norm reciprocal condition 1 / (max(|A|_1, 1) |A^{-1}|_1) at or below
+    1e-13, or an exact zero pivot, raises SingularMatrixError. B is a
+    vector (n,), one (n, k) block shared by the whole stack, or a
+    (..., n, k) stack of the same leading shape as A.
     """
-    a = np.array(a_stack, dtype=complex)
-    b = np.array(b_stack, dtype=complex)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError("a_stack must have shape (m, n, n)")
-    m, n, _ = a.shape
-    if b.shape[:2] != (m, n):
-        raise ValueError("b_stack must have shape (m, n, k)")
-    batch = np.arange(m)
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    for k in range(n):
-        p = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
-        if np.any(np.abs(a[batch, p, k]) <= _PIVOT_FLOOR * scale):
-            raise SingularMatrixError(k)
-        swap = p != k
-        if np.any(swap):
-            rows_k = a[batch, k, :].copy()
-            a[batch, k, :] = a[batch, p, :]
-            a[batch, p, :] = rows_k
-            rhs_k = b[batch, k, :].copy()
-            b[batch, k, :] = b[batch, p, :]
-            b[batch, p, :] = rhs_k
-        factors = a[:, k + 1 :, k] / a[:, k, k][:, None]
-        a[:, k + 1 :, k + 1 :] -= factors[:, :, None] * a[:, k, k + 1 :][:, None, :]
-        b[:, k + 1 :, :] -= factors[:, :, None] * b[:, k, :][:, None, :]
-    x = b
-    for k in range(n - 1, -1, -1):
-        x[:, k, :] /= a[:, k, k][:, None]
-        x[:, :k, :] -= a[:, :k, k][:, :, None] * x[:, k, :][:, None, :]
-    return x
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
+    b = np.asarray(b, dtype=complex)
+    if b.ndim > 2 and b.shape[:-2] != a.shape[:-2]:
+        raise ValueError(f"right-hand sides {b.shape} do not match the matrix stack {a.shape}")
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(0.0) from exc
+    norm_a = np.maximum(np.abs(a).sum(axis=-2).max(axis=-1), 1.0)
+    rcond = float(np.min(1.0 / (norm_a * np.abs(inverse).sum(axis=-2).max(axis=-1))))
+    if not rcond > _RCOND_FLOOR:
+        raise SingularMatrixError(rcond)
+    return inverse @ b
 
 
 def invert(a) -> NDArray[np.complex128]:
     """Matrix inverse via lu_solve against the identity."""
-    a = as_complex_matrix(a)
-    return lu_solve(a, np.eye(a.shape[0], dtype=complex))
+    a = np.asarray(a)
+    return lu_solve(a, np.eye(a.shape[-1], dtype=complex))
 
 
 def eigenvalues(a) -> NDArray[np.complex128]:

