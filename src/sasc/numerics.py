@@ -186,15 +186,16 @@ def welch_psd(
     window = hann_window(segment_length)
     norm = dt / np.sum(window**2)
     starts = range(0, n_samples - segment_length + 1, step)
+    if not starts:
+        raise ValueError("no complete segments available")
     # Frequency axis: e^{-i w0 t} lands at -fftfreq, so negate and sort.
     omega = -2.0 * np.pi * np.fft.fftfreq(segment_length, dt)
     order = np.argsort(omega)
-    periodograms = []
-    for s in starts:
+    # Each segment fills a block of columns of one preallocated array: one copy, no transpose.
+    columns = np.empty((segment_length, len(starts) * n_series))
+    for i, s in enumerate(starts):
         seg = data[s : s + segment_length] * window[:, None]
         spec = np.abs(np.fft.fft(seg, axis=0)) ** 2 * norm
-        periodograms.append(spec[order].T)
-    if not periodograms:
-        raise ValueError("no complete segments available")
-    all_periodograms = np.concatenate(periodograms, axis=0)
-    return omega[order], all_periodograms.mean(axis=0), all_periodograms
+        columns[:, i * n_series : (i + 1) * n_series] = spec[order]
+    periodograms = columns.T
+    return omega[order], periodograms.mean(axis=0), periodograms

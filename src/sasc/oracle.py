@@ -10,14 +10,23 @@ exact for every quantity computed here (all are symmetrized second
 moments of a linear system) but is not a full quantum simulation.
 
 The integrator is the drift-implicit Euler-Maruyama step
-z_{k+1} = (I - dt M)^{-1} (z_k + L xi_k dt); the explicit variant is
-unstable over the long horizons required by the narrow low-mode
-linewidths used throughout.
+z_{k+1} = A z_k + B xi_k with A = (I - dt M)^{-1} and B = A L dt; the
+explicit variant is unstable over the long horizons required by the
+narrow low-mode linewidths used throughout. The same discrete map is
+advanced _BLOCK steps per block,
+
+    z_{k+j} = A^j z_k + sum_{i<j} A^{j-1-i} B xi_{k+i},
+
+so a chunk of steps costs one matrix product for every block's noise
+response, one small product per block to carry the state, and one more
+for the carried states' share of the recorded port. No eigenbasis is
+used, only matrix powers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -37,6 +46,8 @@ __all__ = [
 ]
 
 _CHUNK = 4096
+#: Steps per block of the stepping recurrence; a full chunk makes _CHUNK / _BLOCK state carries.
+_BLOCK = 16
 _CONJUGATE_TOLERANCE = 1e-6
 
 
@@ -67,6 +78,12 @@ class OracleConfig:
             raise ValueError("dt must be positive")
         if self.ensemble < 1:
             raise ValueError("ensemble must be at least 1")
+        if self.segment_length < 2:
+            raise ValueError("segment_length must be at least 2")
+        if not 0.0 <= self.overlap < 1.0:
+            raise ValueError("overlap must be in [0, 1)")
+        if self.burn_in is not None and self.burn_in < 0:
+            raise ValueError("burn_in must not be negative")
         if self.n_steps < self.segment_length:
             raise ValueError("n_steps must cover at least one Welch segment")
         if not 0 <= self.port < self.model.n_modes:
@@ -88,12 +105,57 @@ class OracleRun:
     config: OracleConfig = field(repr=False)
 
 
-def _member_noise(
-    rng: np.random.Generator, n_steps: int, amplitudes: NDArray[np.float64]
-) -> NDArray[np.complex128]:
-    """Circular complex white noise per mode, shape (n_steps, n_modes)."""
-    draws = rng.standard_normal((n_steps, len(amplitudes), 2))
-    return (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0) * amplitudes
+def _block_maps(
+    step_matrix: NDArray[np.complex128],
+    noise_map: NDArray[np.complex128],
+    port_noise: NDArray[np.complex128],
+    gain: float,
+    port_row: int,
+    size: int,
+) -> tuple[NDArray[np.float64], NDArray[np.complex128], NDArray[np.complex128]]:
+    """
+    Linear maps of `size` steps z <- A z + W d, with W d = B xi for real draws d.
+
+    Returns (table, homogeneous, power). `table` takes a block's draws
+    d_0..d_{size-1}, flattened, to the draws' share of its `size` recorded
+    outputs gain * z[port_row] - xi[port_row] followed by its end state,
+    as interleaved (real, imaginary) columns so that real draws meet a real
+    matrix. `homogeneous` (n2, size) and `power` = (A^size)^T take the row
+    state at the block start to the rest of the outputs and the end state.
+    """
+    n2, n_draws = noise_map.shape
+    powers = [np.eye(n2, dtype=complex)]
+    for _ in range(size):
+        powers.append(step_matrix @ powers[-1])
+    powers = np.array(powers)
+    response = powers[:size] @ noise_map  # A^m W, m = 0 .. size-1
+    table = np.zeros((size, n_draws, size + n2), dtype=complex)
+    for i in range(size):
+        # Step i's draws reach output j >= i through A^{j-i} W, the end state through A^{size-1-i} W.
+        table[i, :, i:size] = gain * response[: size - i, port_row].T
+        table[i, :, i] -= port_noise
+        table[i, :, size:] = response[size - 1 - i].T
+    real_table = np.stack([table.real, table.imag], axis=-1).reshape(size * n_draws, -1)
+    return real_table, gain * powers[1:, port_row].T, powers[size].T
+
+
+def _advance(z, draws, maps):
+    """
+    Advance row states z (ensemble, n2) through draws (ensemble, n_blocks,
+    size * n_draws); return the end states and the recorded outputs
+    (ensemble, n_blocks * size) in step order.
+    """
+    table, homogeneous, power = maps
+    ensemble, n_blocks, _ = draws.shape
+    size = homogeneous.shape[1]
+    particular = (draws.reshape(-1, table.shape[0]) @ table).view(complex)
+    particular = particular.reshape(ensemble, n_blocks, size + len(power))
+    starts = np.empty((ensemble, n_blocks, len(power)), dtype=complex)
+    for b in range(n_blocks):
+        starts[:, b] = z
+        z = z @ power + particular[:, b, size:]
+    ports = particular[..., :size] + starts @ homogeneous
+    return z, ports.reshape(ensemble, n_blocks * size)
 
 
 def simulate(cfg: OracleConfig) -> OracleRun:
@@ -115,44 +177,50 @@ def simulate(cfg: OracleConfig) -> OracleRun:
             f"dt={cfg.dt} too large for spectral radius {max_rate:.3g}"
             f" (needs dt <= {0.01 / max_rate:.3g})"
         )
-    n_modes = model.n_modes
-    n2 = 2 * n_modes
+    n2 = 2 * model.n_modes
     ell = input_coupling_matrix(model)
-    sqrt_kappa = np.sqrt(np.array([m.kappa for m in model.modes]))
     # Drift-implicit step: z <- A z + B xi, with the input fed through L dt.
     step_matrix = numerics.invert(np.eye(n2) - cfg.dt * drift)
     input_matrix = step_matrix @ ell * cfg.dt
-    # Per-mode noise amplitude giving a two-sided input PSD of n + 1/2.
-    amplitudes = np.sqrt((occupations(model) + 0.5) / cfg.dt)
-    total_steps = cfg.effective_burn_in + cfg.n_steps
-    outputs = np.empty((cfg.n_steps, cfg.ensemble), dtype=complex)
+    # Each step draws (re, im) per mode, d[2m] and d[2m + 1]. Circular noise
+    # of two-sided input PSD n + 1/2 per mode is xi = E d, with
+    # xi[2m] = a_m (d[2m] + i d[2m + 1]) and its creation partner conj(xi[2m]).
+    amplitudes = np.sqrt((occupations(model) + 0.5) / cfg.dt) / np.sqrt(2.0)
+    draws_to_noise = np.kron(np.diag(amplitudes), [[1.0, 1.0j], [1.0, -1.0j]])
     port_row = 2 * cfg.port
+    gain = float(np.sqrt(model.modes[cfg.port].kappa))
+    maps = partial(_block_maps, step_matrix, input_matrix @ draws_to_noise,
+                   draws_to_noise[port_row], gain, port_row)
+    block_maps = maps(_BLOCK)
 
-    # All members advance in lockstep (state columns), but every member's
+    burn_in = cfg.effective_burn_in
+    total_steps = burn_in + cfg.n_steps
+    outputs = np.empty((cfg.ensemble, cfg.n_steps), dtype=complex)
+    noise = np.empty((cfg.ensemble, _CHUNK, n2))
+    # All members advance in lockstep (state rows), but every member's
     # noise stream comes from its own (seed, member) generator, so results
     # are identical to integrating the members one at a time.
     rngs = [np.random.default_rng([cfg.seed, member]) for member in range(cfg.ensemble)]
-    z = np.zeros((n2, cfg.ensemble), dtype=complex)
+    z = np.zeros((cfg.ensemble, n2), dtype=complex)
     recorded = 0
     done = 0
     while done < total_steps:
         chunk = min(_CHUNK, total_steps - done)
-        # (chunk, n_modes, ensemble) noise block, one slab per member.
-        xi_half = np.stack(
-            [_member_noise(rng, chunk, amplitudes) for rng in rngs], axis=2
+        for member, rng in enumerate(rngs):
+            rng.standard_normal(out=noise[member, :chunk])
+        full = chunk - chunk % _BLOCK
+        z, ports = _advance(
+            z, noise[:, :full].reshape(cfg.ensemble, full // _BLOCK, _BLOCK * n2), block_maps
         )
-        xi = np.empty((n2, cfg.ensemble), dtype=complex)
-        for t in range(chunk):
-            xi[0::2] = xi_half[t]
-            xi[1::2] = np.conj(xi_half[t])
-            z = step_matrix @ z + input_matrix @ xi
-            step_index = done + t
-            if step_index >= cfg.effective_burn_in:
-                outputs[recorded] = sqrt_kappa[cfg.port] * z[port_row] - xi[port_row]
-                recorded += 1
+        if full < chunk:  # the run ends in a partial block
+            z, tail = _advance(z, noise[:, full:chunk].reshape(cfg.ensemble, 1, -1), maps(chunk - full))
+            ports = np.concatenate([ports, tail], axis=1)
+        first = min(max(burn_in - done, 0), chunk)  # burn-in steps in this chunk
+        outputs[:, recorded : recorded + chunk - first] = ports[:, first:]
+        recorded += chunk - first
         done += chunk
         scale = np.max(np.abs(z)) + 1e-300
-        deviation = float(np.max(np.abs(z[1::2] - np.conj(z[0::2]))) / scale)
+        deviation = float(np.max(np.abs(z[:, 1::2] - np.conj(z[:, 0::2]))) / scale)
         if deviation > _CONJUGATE_TOLERANCE:
             raise IntegrationQualityError(
                 f"conjugate-pair structure drifted to {deviation:.3e}"
@@ -161,8 +229,9 @@ def simulate(cfg: OracleConfig) -> OracleRun:
             raise IntegrationQualityError("trajectory diverged (non-finite state)")
 
     omega, psd, periodograms = numerics.welch_psd(
-        outputs, cfg.dt, cfg.segment_length, cfg.overlap
+        outputs.T, cfg.dt, cfg.segment_length, cfg.overlap
     )
+    del outputs, noise, ports
     count = periodograms.shape[0]
     stderr = periodograms.std(axis=0, ddof=1) / np.sqrt(count) if count > 1 else np.zeros_like(psd)
     return OracleRun(omega=omega, psd=psd, stderr=stderr, n_segments=count, config=cfg)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import make_du
-from sasc.model import InstabilityError
-from sasc.spectra import SpectrumTable, output_spectrum
-from sasc import oracle
+from conftest import make_comparison_pair, make_du
+from sasc.model import InstabilityError, build_drift_matrix, input_coupling_matrix
+from sasc.spectra import SpectrumTable, occupations, output_spectrum
+from sasc import numerics, oracle
 
 
 def short_config(model, seed=101, **kwargs):
@@ -28,13 +28,68 @@ class TestConfig:
         with pytest.raises(ValueError):
             short_config(model, port=5)
 
+    @pytest.mark.parametrize("bad", [
+        dict(burn_in=-3000), dict(burn_in=-1), dict(overlap=1.0), dict(overlap=-0.1),
+        dict(segment_length=1), dict(segment_length=0),
+    ], ids=["burn_in=-3000", "burn_in=-1", "overlap=1", "overlap<0",
+            "segment_length=1", "segment_length=0"])
+    def test_out_of_range_settings_are_rejected(self, bad):
+        # Caught at construction, not after the integration or as unwritten output rows.
+        with pytest.raises(ValueError):
+            short_config(make_du(), **bad)
+
     def test_burn_in_defaults_to_segment_length(self):
         cfg = short_config(make_du())
         assert cfg.effective_burn_in == 2048
         assert short_config(make_du(), burn_in=17).effective_burn_in == 17
 
 
+def stepwise_simulate(cfg):
+    """
+    Reference integrator: one drift-implicit Euler step per Python iteration,
+    drawing each member's noise from the same (seed, member) stream.
+    """
+    model = cfg.model
+    n2 = 2 * model.n_modes
+    drift = build_drift_matrix(model)
+    step_matrix = np.linalg.inv(np.eye(n2) - cfg.dt * drift)
+    input_matrix = step_matrix @ input_coupling_matrix(model) * cfg.dt
+    amplitudes = np.sqrt((occupations(model) + 0.5) / cfg.dt)
+    gain = np.sqrt(model.modes[cfg.port].kappa)
+    port_row = 2 * cfg.port
+    total = cfg.effective_burn_in + cfg.n_steps
+    outputs = np.empty((cfg.n_steps, cfg.ensemble), dtype=complex)
+    for member in range(cfg.ensemble):
+        draws = np.random.default_rng([cfg.seed, member]).standard_normal((total, model.n_modes, 2))
+        xi_half = (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0) * amplitudes
+        z = np.zeros(n2, dtype=complex)
+        xi = np.empty(n2, dtype=complex)
+        for t in range(total):
+            xi[0::2] = xi_half[t]
+            xi[1::2] = np.conj(xi_half[t])
+            z = step_matrix @ z + input_matrix @ xi
+            if t >= cfg.effective_burn_in:
+                outputs[t - cfg.effective_burn_in, member] = gain * z[port_row] - xi[port_row]
+    _, psd, periodograms = numerics.welch_psd(outputs, cfg.dt, cfg.segment_length, cfg.overlap)
+    return psd, periodograms.std(axis=0, ddof=1) / np.sqrt(periodograms.shape[0])
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("model,port", [(make_du(), 0), (make_comparison_pair()[0], 2)],
+                             ids=["du-port0", "three-port2"])
+    @pytest.mark.parametrize("burn_in,n_steps", [(37, 5120), (5, 4096)],
+                             ids=["last-chunk-1061", "last-chunk-5"])
+    def test_matches_stepwise_reference(self, model, port, burn_in, n_steps):
+        # burn_in + n_steps is a multiple of neither the block nor the chunk
+        # length: the last chunk has 1061 steps (66 blocks and 5 more) or only
+        # 5, and the last Welch segment ends on the last step.
+        cfg = short_config(model, port=port, ensemble=3, segment_length=1024,
+                           burn_in=burn_in, n_steps=n_steps)
+        run = oracle.simulate(cfg)
+        psd, stderr = stepwise_simulate(cfg)
+        np.testing.assert_allclose(run.psd, psd, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(run.stderr, stderr, rtol=1e-10, atol=0)
+
     def test_deterministic_for_fixed_seed(self):
         model = make_du()
         run_a = oracle.simulate(short_config(model, seed=7))

@@ -134,6 +134,51 @@ class TestStackedTransferMatrices:
             assert TestBosonicIdentity.scaled_residual(gamma, model.n_modes) <= bound
 
 
+class TestConjugationIdentities:
+    """
+    Conjugation symmetry of Gamma and of the causal matrix, and the causal
+    matrix's commutator identity, over random stable chains. P swaps each
+    (annihilation, creation) channel pair. The bound is the one of
+    TestStackedTransferMatrices, from cond_1 of the solved matrix.
+    """
+
+    @staticmethod
+    def swap(n_modes):
+        perm = conjugation_permutation(n_modes)
+        p = np.zeros((2 * n_modes, 2 * n_modes))
+        p[np.arange(2 * n_modes), perm] = 1.0
+        return p
+
+    @staticmethod
+    def bound(a):
+        return max(1e-12, 32 * np.finfo(float).eps * np.linalg.cond(a, 1))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(model=stable_chains(), omega=st.floats(-3.0, 3.0))
+    def test_gamma_is_conjugation_symmetric(self, model, omega):
+        # P Gamma(w)* P = Gamma(w)
+        gamma = spectra.transfer_matrix(model, omega).gamma
+        p = self.swap(model.n_modes)
+        lam = np.diag(np.tile([-1.0, 1.0], model.n_modes))
+        bound = self.bound(1j * omega * lam - build_drift_matrix(model))
+        scale = max(1.0, float(np.max(np.abs(gamma))))
+        assert np.max(np.abs(p @ np.conj(gamma) @ p - gamma)) <= bound * scale
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(model=stable_chains(), omega=st.floats(-3.0, 3.0))
+    def test_causal_matrix_mirrors_and_preserves_commutators(self, model, omega):
+        # P C(w)* P = C(-w) and C J C^dag = J
+        causal = spectra.causal_transfer_matrix(model, omega)
+        mirrored = spectra.causal_transfer_matrix(model, -omega)
+        p = self.swap(model.n_modes)
+        drift = build_drift_matrix(model)
+        eye = np.eye(len(drift))
+        bound = max(self.bound(-1j * omega * eye - drift), self.bound(1j * omega * eye - drift))
+        scale = max(1.0, float(np.max(np.abs(causal))), float(np.max(np.abs(mirrored))))
+        assert np.max(np.abs(p @ np.conj(causal) @ p - mirrored)) <= bound * scale
+        assert TestBosonicIdentity.scaled_residual(causal, model.n_modes) <= bound
+
+
 class TestTransmission:
     def test_sideband_pair_members_are_equal(self):
         model = make_du(phase=1.1)
