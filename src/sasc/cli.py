@@ -5,7 +5,9 @@ Parses JSON scenario configs (schema-validated, unknown keys rejected),
 runs the requested pipeline, and writes CSV/JSON artifacts whose data
 payloads are deterministic for a fixed config and seed. Every output file
 embeds '#'-prefixed metadata lines with the tool version and a hash of
-the canonicalized config.
+the canonicalized config. A built-in figure (`sasc figures figN`) is the
+list of ordinary task configs in configs/figN.json, each run by its task
+runner, plus a gnuplot stub naming the files written.
 
 Exit codes: 0 success, 2 config error, 3 instability, 4 numerical
 failure, 5 oracle-comparison failure.
@@ -14,7 +16,6 @@ failure, 5 oracle-comparison failure.
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import importlib.resources
 import json
@@ -33,9 +34,7 @@ from .model import (
     ModeParams,
     SystemModel,
     Topology,
-    build_drift_matrix,
-    require_stable,
-    with_coupling_phase,
+    coupled_modes,
 )
 from .numerics import NonConvergenceError, SingularMatrixError
 from .oracle import IntegrationQualityError, OracleComparisonError, OracleConfig
@@ -80,18 +79,15 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
         except json.JSONDecodeError:
             value = raw
         node = config
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if isinstance(node, list):
-                part = int(part)
-                node = node[part]
-            else:
-                node = node.setdefault(part, {})
-        leaf = parts[-1]
-        if isinstance(node, list):
-            node[int(leaf)] = value
-        else:
-            node[leaf] = value
+        *parents, leaf = key.split(".")
+        try:
+            # A list takes only a non-negative index; any other key fails on it.
+            for part in parents:
+                listed = isinstance(node, list) and part.isdigit()
+                node = node[int(part)] if listed else node.setdefault(part, {})
+            node[int(leaf) if isinstance(node, list) and leaf.isdigit() else leaf] = value
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            raise ConfigError(f"--set {key}: the path does not resolve ({exc})") from exc
     validate_config(config)
     return config
 
@@ -180,11 +176,12 @@ def _write_table(outdir: Path, base: str, fmt: str, metadata: dict, columns: dic
     log.info("wrote %s", path)
 
 
-def _index(block: dict, key: str, count: int, default: int | None = None) -> int | None:
-    """block[key] (or default), which must index one of `count` ports or couplings."""
+def _index(block: dict, key: str, count: int, default: int | None = None):
+    """block[key] (or default): an index, or a list of indices, of `count` ports or couplings."""
     value = block.get(key, default)
-    if value is not None and not 0 <= value < count:
-        raise ConfigError(f"{key} {value} is out of range: the system has {count}")
+    for index in value if isinstance(value, list) else [value]:
+        if index is not None and not 0 <= index < count:
+            raise ConfigError(f"{key} {index} is out of range: the system has {count}")
     return value
 
 
@@ -228,18 +225,18 @@ def run_spectrum(config: dict, outdir: Path, fmt: str) -> None:
 def run_asymmetry(config: dict, outdir: Path, fmt: str) -> None:
     model = build_system(config["system"])
     task = config.get("task", {})
-    coupling_index = _index(task, "coupling_index", len(model.couplings), 0)
-    require_stable(build_drift_matrix(model))
+    coupling = _index(task, "coupling_index", len(model.couplings), 0)
     omega = task.get("omega", spectra.resonance_probe_frequency())
-    grid_block = config.get("grid", {})
-    thetas = np.linspace(
-        grid_block.get("min", 0.0),
-        grid_block.get("max", 2.0 * np.pi),
-        grid_block.get("points", 721),
-    )
-    probes = (with_coupling_phase(model, coupling_index, theta) for theta in thetas)
-    gammas = (spectra.transfer_matrix(p, omega, check=False).gamma[None] for p in probes)
-    columns = {"theta": thetas, **_port_pair_columns(gammas, {}, spectra.port_columns(model)[1])}
+    thetas = _grid(config, (0.0, 2.0 * np.pi, 721))
+    if isinstance(coupling, list):
+        axes = np.meshgrid(thetas, thetas, indexing="ij")
+        names = [f"theta_{model.modes[coupled_modes(i)[0]].label}" for i in coupling]
+        columns = {name: axis.ravel() for name, axis in zip(names, axes)}
+        phases = dict.fromkeys(coupling, thetas)
+    else:
+        columns, phases = {"theta": thetas}, {coupling: thetas}
+    gammas = spectra.phase_grid(model, omega, phases)
+    columns.update(_port_pair_columns(gammas, {}, spectra.port_columns(model)[1]))
     meta = _metadata(config, {"omega": omega})
     _write_table(outdir, _basename(config, "asymmetry"), fmt, meta, columns)
 
@@ -261,6 +258,10 @@ def _comparison_config(config: dict) -> metrics.ComparisonConfig:
         raise ConfigError("fmap task requires an 'ics' baseline system block")
     cs_model = build_system(config["system"])
     ics_model = build_system(task["ics"])
+    if cs_model.n_modes != 3:
+        raise ConfigError(
+            f"fmap tunes the detunings of a three-mode system; this one has {cs_model.n_modes}"
+        )
     omega_range = tuple(task.get("omega_range", (-3.0, 3.0)))
     if not omega_range[0] < omega_range[1]:
         raise ConfigError(f"omega_range must be increasing, got {list(omega_range)}")
@@ -419,72 +420,21 @@ def _load_figure_asset(name: str) -> dict:
         return json.load(fh)
 
 
-def _gnuplot_stub(path: Path, csv_names: list[str]) -> None:
+def _gnuplot_stub(path: Path, names: list[str]) -> None:
     lines = ["set datafile separator ','", "set key outside"]
-    for name in csv_names:
+    for name in names:
         lines.append(f"# plot '{name}' using 1:2 with lines")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def run_figures(which: str, outdir: Path, fmt: str) -> None:
-    asset = _load_figure_asset(which)
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Run each task config of the figure's asset (configs/<which>.json), then its gnuplot stub."""
     written: list[str] = []
-    if which == "fig2":
-        base_system = asset["system"]
-        for panel, kappa_a in zip(("a", "b", "c"), asset["kappa_a_values"]):
-            config = {"system": copy.deepcopy(base_system)}
-            config["system"]["modes"][0]["kappa"] = kappa_a
-            config["grid"] = asset["grid"]
-            config["task"] = {"kind": "spectrum"}
-            config["output"] = {"basename": f"fig2_{panel}"}
-            validate_config(config)
-            run_spectrum(config, outdir, fmt)
-            written.append(f"fig2_{panel}.csv")
-        config = {"system": copy.deepcopy(base_system)}
-        config["system"]["modes"][0]["kappa"] = asset["phase_panel"]["kappa_a"]
-        config["task"] = {"kind": "asymmetry", "omega": asset["phase_panel"]["omega"]}
-        config["grid"] = {"min": 0.0, "max": 2.0 * np.pi, "points": 721}
-        config["output"] = {"basename": "fig2_d"}
+    for config in _load_figure_asset(which)["tasks"]:
         validate_config(config)
-        run_asymmetry(config, outdir, fmt)
-        written.append("fig2_d.csv")
-    elif which == "fig3":
-        model = build_system(asset["system"])
-        require_stable(build_drift_matrix(model))
-        thetas = np.linspace(0.0, 2.0 * np.pi, asset.get("theta_points", 49))
-        theta_m, theta_c = np.repeat(thetas, len(thetas)), np.tile(thetas, len(thetas))
-        asymmetries = spectra.port_columns(model)[1]
-        for tag, omega in (("low", 0.0), ("resonance", spectra.resonance_probe_frequency())):
-            probes = (with_coupling_phase(with_coupling_phase(model, 0, tm), 1, tc)
-                      for tm, tc in zip(theta_m, theta_c))
-            gammas = (spectra.transfer_matrix(p, omega, check=False).gamma[None] for p in probes)
-            columns = {"theta_m": theta_m, "theta_c": theta_c,
-                       **_port_pair_columns(gammas, {}, asymmetries)}
-            # Always CSV: the gnuplot stub names these files.
-            _write_table(outdir, f"fig3_{tag}", "csv", _metadata(asset, {"omega": omega}), columns)
-            written.append(f"fig3_{tag}.csv")
-    elif which == "fig4":
-        config = {
-            "system": asset["system"],
-            "task": asset["fmap_task"],
-            "output": {"basename": "fig4_map"},
-        }
-        validate_config(config)
-        run_fmap(config, outdir, fmt)
-        written.append("fig4_map.csv")
-        for tag, system in (("cs", asset["system"]), ("ics", asset["fmap_task"]["ics"])):
-            config = {
-                "system": system,
-                "task": {"kind": "snr"},
-                "grid": asset["snr_grid"],
-                "output": {"basename": f"fig4_snr_{tag}"},
-            }
-            validate_config(config)
-            run_snr(config, outdir, fmt)
-            written.append(f"fig4_snr_{tag}.csv")
-    else:
-        raise ConfigError(f"unknown figure {which!r}")
+        kind = config["task"]["kind"]
+        _TASK_RUNNERS[kind](config, outdir, fmt)
+        written.append(f"{_basename(config, kind)}.{fmt}")
     _gnuplot_stub(outdir / f"{which}.gp", written)
 
 

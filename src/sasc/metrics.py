@@ -14,19 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import (
-    SystemModel,
-    build_drift_matrix,
-    check_stability,
-    require_stable,
-    with_coupling_phase,
-)
+from .model import SystemModel, build_drift_matrix, check_stability, require_stable
 from .spectra import (
     SnrSolver,
     UndefinedAsymmetryError,
     asymmetry_pair,
     pair_asymmetry,
-    transfer_matrix,
+    phase_grid,
 )
 
 __all__ = [
@@ -262,28 +256,36 @@ def find_phase_for_target_R(
     if not -1.0 <= target <= 1.0:
         raise ValueError("target asymmetry must lie in [-1, 1]")
     pair = asymmetry_pair(model, which)
-    require_stable(build_drift_matrix(model))
 
-    def extract(theta: float) -> float:
-        probe = with_coupling_phase(model, pair[2], theta)
-        return pair_asymmetry(transfer_matrix(probe, omega, check=False).gamma, pair)
-
-    def objective(theta: float) -> float:
-        return -abs(extract(theta) - target)
+    def asymmetries(thetas) -> NDArray[np.float64]:
+        gammas = phase_grid(model, omega, {pair[2]: thetas})
+        return np.concatenate([pair_asymmetry(g, pair) for g in gammas])
 
     thetas = np.linspace(0.0, 2.0 * np.pi, n_grid)
-    scores = np.array([objective(t) for t in thetas])
+    scores = -np.abs(asymmetries(thetas) - target)
     best = int(np.argmax(scores))
     lo = thetas[max(best - 1, 0)]
     hi = thetas[min(best + 1, n_grid - 1)]
-    theta_star, neg_res = golden_section_max(objective, lo, hi, rel_tol=1e-9)
+    theta_star, neg_res = golden_section_max(
+        lambda theta: -abs(asymmetries([theta])[0] - target), lo, hi, rel_tol=1e-9
+    )
     if scores[best] > neg_res:
         theta_star, neg_res = float(thetas[best]), float(scores[best])
-    achieved = extract(theta_star)
+    achieved = asymmetries([theta_star])[0]
     return PhaseSearchResult(
         theta=float(theta_star), achieved=float(achieved),
         residual=float(-neg_res), target=float(target),
     )
+
+
+def _cell_asymmetries(gammas, pair: tuple) -> NDArray[np.float64]:
+    """pair_asymmetry of each Gamma of a stack, NaN where it is 0/0."""
+    try:
+        return pair_asymmetry(gammas, pair)
+    except UndefinedAsymmetryError:
+        if len(gammas) == 1:
+            return np.array([np.nan])
+        return np.concatenate([_cell_asymmetries(g[None], pair) for g in gammas])
 
 
 @dataclass(frozen=True)
@@ -305,20 +307,14 @@ def independence_check(
     rather than as zero variation.
     """
     mb, bc = asymmetry_pair(model, "mb"), asymmetry_pair(model, "bc")
-    require_stable(build_drift_matrix(model))
-    theta_m_grid = np.asarray(theta_m_grid, dtype=float)
-    theta_c_grid = np.asarray(theta_c_grid, dtype=float)
-    r_mb = np.full((len(theta_m_grid), len(theta_c_grid)), np.nan)
-    r_bc = np.full_like(r_mb, np.nan)
-    for i, tm in enumerate(theta_m_grid):
-        for j, tc in enumerate(theta_c_grid):
-            probe = with_coupling_phase(with_coupling_phase(model, mb[2], tm), bc[2], tc)
-            gamma = transfer_matrix(probe, omega, check=False).gamma
-            for values, pair in ((r_mb, mb), (r_bc, bc)):
-                try:
-                    values[i, j] = pair_asymmetry(gamma, pair)
-                except UndefinedAsymmetryError:
-                    pass
+    blocks = [
+        (_cell_asymmetries(gammas, mb), _cell_asymmetries(gammas, bc))
+        for gammas in phase_grid(model, omega, {mb[2]: theta_m_grid, bc[2]: theta_c_grid})
+    ]
+    r_mb, r_bc = (
+        np.concatenate(values).reshape(len(theta_m_grid), len(theta_c_grid))
+        for values in zip(*blocks)
+    )
 
     def cross_variation(values: NDArray[np.float64], axis: int) -> tuple[float | None, bool]:
         if np.all(np.isnan(values)):

@@ -33,6 +33,7 @@ __all__ = [
     "InstabilityError",
     "conjugation_permutation",
     "build_drift_matrix",
+    "coupled_modes",
     "with_coupling_phase",
     "input_coupling_matrix",
     "solve_steady_state",
@@ -191,7 +192,7 @@ def build_drift_matrix(model: SystemModel) -> NDArray[np.complex128]:
         m[2 * i, 2 * i] = -(1j * mode.detuning + mode.kappa / 2.0)
     for i, coupling in enumerate(model.couplings):
         g = coupling.value
-        hi, lo = (i, i + 1) if i % 2 == 0 else (i + 1, i)
+        hi, lo = coupled_modes(i)
         m[2 * hi, 2 * lo] += -1j * g
         m[2 * hi, 2 * lo + 1] += -1j * g
         m[2 * lo, 2 * hi] += -1j * np.conj(g)
@@ -200,6 +201,11 @@ def build_drift_matrix(model: SystemModel) -> NDArray[np.complex128]:
     for i in range(n):
         m[2 * i + 1, :] = np.conj(m[2 * i, perm])
     return m
+
+
+def coupled_modes(index: int) -> tuple[int, int]:
+    """(high, low) indices of the modes that coupling `index` joins."""
+    return (index, index + 1) if index % 2 == 0 else (index + 1, index)
 
 
 def with_coupling_phase(model: SystemModel, index: int, theta: float) -> SystemModel:

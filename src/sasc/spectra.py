@@ -13,8 +13,9 @@ the same Langevin system produces.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ from .model import (
     build_drift_matrix,
     input_coupling_matrix,
     require_stable,
+    with_coupling_phase,
 )
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "transfer_matrix",
     "transfer_matrices",
     "causal_transfer_matrix",
+    "phase_grid",
     "transmission",
     "asymmetry",
     "pair_asymmetry",
@@ -143,11 +146,43 @@ _BLOCK = 16
 
 
 def _resolvent_blocks(drift, ell, diagonals) -> Iterator[NDArray[np.complex128]]:
-    """L (diag(d) - M)^{-1} L - I for the rows d of `diagonals`, one stacked solve per block."""
-    eye = np.eye(drift.shape[0])
+    """
+    L (diag(d) - M)^{-1} L - I for the rows d of `diagonals`, one stacked
+    solve per block. `drift` is one M for every row, or a stack of one M per row.
+    """
+    eye = np.eye(ell.shape[0])
     for start in range(0, len(diagonals), _BLOCK):
-        block = diagonals[start : start + _BLOCK]
-        yield ell @ numerics.lu_solve(block[:, :, None] * eye - drift, ell) - eye
+        rows = slice(start, start + _BLOCK)
+        m = drift if drift.ndim == 2 else drift[rows]
+        yield ell @ numerics.lu_solve(diagonals[rows, :, None] * eye - m, ell) - eye
+
+
+def phase_grid(
+    model: SystemModel, omega: float, phases: dict[int, Sequence[float]]
+) -> Iterator[NDArray[np.complex128]]:
+    """
+    Gated Gamma(omega) with the phases of the couplings keyed in `phases` set
+    to every point of the product of their values (the first key varying
+    slowest), as consecutive stacks of at most _BLOCK points. The stability
+    gate checks the model as given; only one block of drift matrices is built
+    at a time.
+    """
+    require_stable(build_drift_matrix(model))
+    ell = input_coupling_matrix(model)
+    diagonal = 1j * omega * _channel_signature(model.n_modes)
+    points = itertools.product(*phases.values())
+
+    def blocks() -> Iterator[NDArray[np.complex128]]:
+        while block := list(itertools.islice(points, _BLOCK)):
+            drifts = []
+            for point in block:
+                probe = model
+                for index, theta in zip(phases, point):
+                    probe = with_coupling_phase(probe, index, theta)
+                drifts.append(build_drift_matrix(probe))
+            yield from _resolvent_blocks(np.array(drifts), ell, np.tile(diagonal, (len(block), 1)))
+
+    return blocks()
 
 
 #: A transmission leg (src, dst, sideband): a unit input on the `sideband`

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sasc import cli
+from sasc import cli, spectra
+from sasc.model import with_coupling_phase
 
 
 def du_system(kappa_a=1.0, delta_a=0.0, magnitude=0.1, phase=0.0):
@@ -122,12 +123,29 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command, config", [
         ("fmap", fmap_config(delta_min=0.5, delta_max=-0.5)),
+        ("fmap", {**fmap_config(), "system": du_system()}),
         ("oracle", {"system": du_system(), "seed": 1, "task": {"kind": "oracle", "oracle": {
             "n_steps": 512, "ensemble": 4, "segment_length": 1024}}}),
-    ], ids=["fmap.delta_max", "oracle.n_steps"])
+        ("asymmetry", {"system": fmap_config()["system"],
+                       "task": {"kind": "asymmetry", "coupling_index": [1, 1]}}),
+        ("asymmetry", {"system": fmap_config()["system"],
+                       "task": {"kind": "asymmetry", "coupling_index": [0, 2]}}),
+    ], ids=["fmap.delta_max", "fmap.two_mode_system", "oracle.n_steps",
+            "asymmetry.repeated_coupling", "asymmetry.coupling_out_of_range"])
     def test_inconsistent_task_values_are_config_errors(self, tmp_path, caplog, command, config):
         assert run_cli(tmp_path, command, config) == cli.EXIT_CONFIG
         assert "config error" in caplog.text
+
+    @pytest.mark.parametrize("path", [
+        "system.modes.x.kappa", "system.modes.9.kappa", "system.modes.-1.kappa",
+        "system.topology.x", "system.couplings.0.magnitude.x", "system.couplings.-1",
+    ])
+    def test_unresolvable_set_path_is_a_config_error(self, tmp_path, caplog, path):
+        config = {"system": du_system(), "task": {"kind": "spectrum"},
+                  "grid": {"min": -1.0, "max": 1.0, "points": 5}}
+        code = run_cli(tmp_path, "spectrum", config, ("--set", f"{path}=1"))
+        assert code == cli.EXIT_CONFIG
+        assert f"--set {path}" in caplog.text
 
     def test_config_hash_is_canonical(self):
         a = {"x": 1, "y": [1, 2]}
@@ -218,6 +236,24 @@ class TestOtherTasks:
         lines = (tmp_path / "asymmetry.csv").read_text().splitlines()
         header = next(l for l in lines if l.startswith("theta"))
         assert header == "theta,R_ab"
+
+    def test_two_coupling_asymmetry_matches_per_phase_reference(self, tmp_path):
+        config = {"system": fmap_config()["system"],
+                  "task": {"kind": "asymmetry", "coupling_index": [1, 0], "omega": 0.999999},
+                  "grid": {"min": 0.0, "max": 6.0, "points": 5}}
+        assert run_cli(tmp_path, "asymmetry", config, ("--format", "json")) == cli.EXIT_OK
+        data = json.loads((tmp_path / "asymmetry.json").read_text())["data"]
+        assert list(data) == sorted(["theta_c", "theta_m", "R_mb", "R_bc"])
+        model = cli.build_system(config["system"])
+        thetas = np.linspace(0.0, 6.0, 5)
+        pairs = [(tc, tm) for tc in thetas for tm in thetas]  # coupling 1 varies slowest
+        assert data["theta_c"] == [tc for tc, _ in pairs]
+        assert data["theta_m"] == [tm for _, tm in pairs]
+        for k, (tc, tm) in enumerate(pairs):
+            probe = with_coupling_phase(with_coupling_phase(model, 1, tc), 0, tm)
+            gamma = spectra.transfer_matrix(probe, 0.999999).gamma
+            for name, pair in spectra.port_columns(model)[1].items():
+                assert data[name][k] == spectra.pair_asymmetry(gamma, pair)
 
     def test_snr_task(self, tmp_path):
         config = {"system": du_system(), "task": {"kind": "snr"},
@@ -326,6 +362,27 @@ class TestFigures:
         for name in ("fig2_a.csv", "fig2_b.csv", "fig2_c.csv", "fig2_d.csv",
                      "fig2.gp"):
             assert (tmp_path / name).exists()
+
+    def test_assets_are_schema_valid_task_lists(self):
+        basenames = []
+        for name in ("fig2", "fig3", "fig4"):
+            for config in cli._load_figure_asset(name)["tasks"]:
+                cli.validate_config(config)
+                basenames.append(config["output"]["basename"])
+        assert len(basenames) == len(set(basenames))
+
+    @pytest.mark.parametrize("which, basenames, fmt", [
+        ("fig2", ["fig2_a", "fig2_b", "fig2_c", "fig2_d"], "json"),
+        ("fig3", ["fig3_low", "fig3_resonance"], "csv"),
+        ("fig3", ["fig3_low", "fig3_resonance"], "json"),
+    ], ids=["fig2-json", "fig3-csv", "fig3-json"])
+    def test_artifacts_follow_format_and_stub_names_them(self, tmp_path, which, basenames, fmt):
+        out = ["figures", which, "--out", str(tmp_path), "--format", fmt]
+        assert cli.main(out) == cli.EXIT_OK
+        names = [f"{base}.{fmt}" for base in basenames]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*names, f"{which}.gp"])
+        stub = (tmp_path / f"{which}.gp").read_text().splitlines()
+        assert [line.split("'")[1] for line in stub if "plot" in line] == names
 
 
 class TestRuntimeDependencies:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import OMEGA_HIGH, OMEGA_LOW, TEMPERATURE, make_du, make_three
+from conftest import (
+    OMEGA_HIGH, OMEGA_LOW, TEMPERATURE, make_comparison_pair, make_du, make_three,
+)
 from sasc.model import (
     CouplingParams,
     InstabilityError,
@@ -15,6 +17,7 @@ from sasc.model import (
     check_stability,
     conjugation_permutation,
     input_coupling_matrix,
+    with_coupling_phase,
 )
 from sasc import chain, spectra
 
@@ -132,6 +135,26 @@ class TestStackedTransferMatrices:
             assert np.max(np.abs(gamma - pointwise)) <= bound * scale
             assert np.max(np.abs(gamma - reference)) <= bound * scale
             assert TestBosonicIdentity.scaled_residual(gamma, model.n_modes) <= bound
+
+
+class TestPhaseGrid:
+    def test_matches_per_phase_transfer_matrices_exactly(self):
+        model = make_comparison_pair()[0]
+        omega = spectra.resonance_probe_frequency()
+        slow, fast = np.linspace(0.0, 2.0 * np.pi, 7), [0.3, 2.0, 5.5]
+        # 21 phase pairs span two solve blocks; coupling 1 (the first key) varies slowest.
+        gammas = np.concatenate(list(spectra.phase_grid(model, omega, {1: slow, 0: fast})))
+        reference = [
+            spectra.transfer_matrix(
+                with_coupling_phase(with_coupling_phase(model, 1, t1), 0, t0), omega, check=False
+            ).gamma
+            for t1 in slow for t0 in fast
+        ]
+        assert np.array_equal(gammas, np.array(reference))
+
+    def test_gates_the_model_before_any_solve(self):
+        with pytest.raises(InstabilityError):
+            spectra.phase_grid(make_du(kappa_a=0.1, delta_a=-1.0, magnitude=0.5), 0.0, {0: [0.0]})
 
 
 class TestConjugationIdentities:
