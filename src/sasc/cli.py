@@ -92,9 +92,19 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
     return config
 
 
+_TYPES = jsonschema.Draft202012Validator.TYPE_CHECKER
+#: The schema's validator with "number" meaning a finite double, which JSON does not ensure.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=_TYPES.redefine(
+        "number", lambda _, v: _TYPES.is_type(v, "number") and abs(v) <= sys.float_info.max
+    ),
+)
+
+
 def validate_config(config: dict) -> None:
     schema = _load_schema()
-    validator = jsonschema.Draft202012Validator(schema)
+    validator = _Validator(schema)
     errors = sorted(validator.iter_errors(config), key=lambda e: e.json_path)
     if errors:
         first = errors[0]
@@ -265,6 +275,10 @@ def _comparison_config(config: dict) -> metrics.ComparisonConfig:
     omega_range = tuple(task.get("omega_range", (-3.0, 3.0)))
     if not omega_range[0] < omega_range[1]:
         raise ConfigError(f"omega_range must be increasing, got {list(omega_range)}")
+    if any(max(abs(w - r) for w in omega_range) < metrics.RESONANCE_EXCLUSION_WIDTH
+           for r in (-1.0, 1.0)):
+        raise ConfigError(f"omega_range {list(omega_range)} lies inside a resonance band"
+                          " that the SNR search excludes: nothing to search")
     n_modes = min(cs_model.n_modes, ics_model.n_modes)
     return metrics.ComparisonConfig(
         cs_model=cs_model,

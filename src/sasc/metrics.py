@@ -3,7 +3,9 @@ Figures of merit and deterministic searches: SNR maximization over
 frequency, scheme-comparison factor f, detuning maps, phase searches for
 target asymmetry, and the phase-independence check of the two asymmetry
 factors. All optimizers are deterministic (fixed grids plus golden-section
-refinement); no stochastic search.
+refinement); no stochastic search. The detuning map runs every cell's SNR
+search in lockstep: one stacked solve per cell's coarse scan, then one per
+golden-section step over all cells, each bracket stopping on its own.
 """
 
 from __future__ import annotations
@@ -40,23 +42,33 @@ __all__ = [
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_max(fun, lo: float, hi: float, rel_tol: float = 1e-6) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    span = max(abs(a), abs(b), 1.0)
-    while (b - a) > rel_tol * span:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fun(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+def golden_section_max(fun, lo, hi, rel_tol: float = 1e-6):
+    """
+    Golden-section maximization of unimodal functions on brackets [lo, hi]: two
+    floats, or two 1-D arrays searched in lockstep. `fun` maps an array of one
+    probe per bracket to their values; a bracket that has stopped, once
+    b - a <= rel_tol max(|lo|, |hi|, 1), gets NaN and its value is not read.
+    Returns (x*, f*) shaped like the brackets. ValueError unless every bracket
+    is finite with lo < hi and rel_tol is at least machine epsilon.
+    """
+    a, b = (np.array(bound, dtype=float, ndmin=1) for bound in (lo, hi))
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(a < b)):
+        raise ValueError(f"brackets must be finite with lo < hi, got lo={lo}, hi={hi}")
+    if not rel_tol >= np.finfo(float).eps:
+        raise ValueError(f"rel_tol must be at least machine epsilon, got {rel_tol}")
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = (np.array(fun(x), dtype=float) for x in (x1, x2))
+    tol = rel_tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+    while np.any(live := (b - a) > tol):
+        up, down = live & (f1 < f2), live & ~(f1 < f2)
+        a[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
+        b[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
+        probe = np.where(up, a + _GOLDEN * (b - a), np.where(down, b - _GOLDEN * (b - a), np.nan))
+        values = fun(probe)
+        x2[up], f2[up] = probe[up], values[up]
+        x1[down], f1[down] = probe[down], values[down]
+    x, f = np.where(f1 >= f2, x1, x2), np.where(f1 >= f2, f1, f2)
+    return (x[0], f[0]) if np.ndim(lo) == np.ndim(hi) == 0 else (x, f)
 
 
 #: Default half-width of the excluded bands around the low-mode resonances
@@ -93,24 +105,38 @@ def max_snr_over_omega(
     solver = SnrSolver(model, signal_port, readout_port, psi)
     if check:
         require_stable(solver.drift)
-    width = float(exclude_resonance_width)
+    w, s = _search_snr(solver, solver.drift[None], omega_range, n_scan, exclude_resonance_width)
+    return float(w[0]), float(s[0])
 
-    def masked(omega: float) -> float:
-        if min(abs(omega - 1.0), abs(omega + 1.0)) < width:
-            return 0.0
-        return float(solver.solve(np.array([omega]))[1][0])
+
+def _search_snr(solver: SnrSolver, drifts, omega_range, n_scan: int, width: float):
+    """
+    (omega*, S*) arrays of a stack of drift matrices, whose models differ from
+    the solver's only in M: one stacked solve per coarse scan, then one over every
+    live bracket per golden-section step. SNR reads 0 within `width` of omega = +/- 1.
+    """
+
+    def excluded(omegas):
+        return np.minimum(np.abs(omegas - 1.0), np.abs(omegas + 1.0)) < width
 
     grid = np.linspace(omega_range[0], omega_range[1], n_scan)
-    values = solver.solve(grid)[1]
-    excluded = np.minimum(np.abs(grid - 1.0), np.abs(grid + 1.0)) < width
-    values[excluded] = 0.0
-    best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, n_scan - 1)]
-    w_star, s_star = golden_section_max(masked, lo, hi)
-    if values[best] > s_star:
-        w_star, s_star = float(grid[best]), float(values[best])
-    return float(w_star), float(s_star)
+    best, coarse = np.zeros(len(drifts), dtype=int), np.zeros(len(drifts))
+    for k, drift in enumerate(drifts):
+        values = np.where(excluded(grid), 0.0, solver.solve(grid, drift)[1])
+        best[k] = np.argmax(values)
+        coarse[k] = values[best[k]]
+
+    def snr(omegas: NDArray[np.float64]) -> NDArray[np.float64]:
+        values = np.zeros(len(omegas))
+        solve = ~(np.isnan(omegas) | excluded(omegas))
+        if solve.any():
+            values[solve] = solver.solve(omegas[solve], drifts[solve])[1]
+        return values
+
+    lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, n_scan - 1)]
+    w_star, s_star = golden_section_max(snr, lo, hi)
+    on_grid = coarse > s_star
+    return np.where(on_grid, grid[best], w_star), np.where(on_grid, coarse, s_star)
 
 
 @dataclass(frozen=True)
@@ -138,11 +164,11 @@ def _with_detunings(model: SystemModel, delta_m: float, delta_c: float) -> Syste
     )
 
 
-def _max_snr(cfg: ComparisonConfig, model: SystemModel, check: bool = True) -> float:
+def _max_snr(cfg: ComparisonConfig, model: SystemModel) -> float:
     """S* of one scheme over the comparison's frequency range, ports and phase."""
     return max_snr_over_omega(
         model, cfg.omega_range, signal_port=cfg.signal_port,
-        readout_port=cfg.readout_port, psi=cfg.psi, check=check,
+        readout_port=cfg.readout_port, psi=cfg.psi,
     )[1]
 
 
@@ -211,14 +237,12 @@ def f_map(cfg: ComparisonConfig, delta_c_grid, delta_m_grid) -> MapResult:
     delta_c_grid = np.asarray(delta_c_grid, dtype=float)
     delta_m_grid = np.asarray(delta_m_grid, dtype=float)
     ics_max = _baseline_max(cfg)
-    values = np.empty((len(delta_m_grid), len(delta_c_grid)))
-    unstable: list[tuple[float, float]] = []
-    for i, dm in enumerate(delta_m_grid):
-        for j, dc in enumerate(delta_c_grid):
-            cell = _with_detunings(cfg.cs_model, dm, dc)
-            if not check_stability(build_drift_matrix(cell)).stable:
-                unstable.append((float(dc), float(dm)))
-            values[i, j] = _max_snr(cfg, cell, check=False) / ics_max
+    cells = [(float(dc), float(dm)) for dm in delta_m_grid for dc in delta_c_grid]
+    drifts = np.array([build_drift_matrix(_with_detunings(cfg.cs_model, m, c)) for c, m in cells])
+    unstable = [cell for cell, drift in zip(cells, drifts) if not check_stability(drift).stable]
+    solver = SnrSolver(cfg.cs_model, cfg.signal_port, cfg.readout_port, cfg.psi)
+    _, s_star = _search_snr(solver, drifts, cfg.omega_range, 401, RESONANCE_EXCLUSION_WIDTH)
+    values = s_star.reshape(len(delta_m_grid), len(delta_c_grid)) / ics_max
     return MapResult(
         delta_c=delta_c_grid,
         delta_m=delta_m_grid,
@@ -267,7 +291,7 @@ def find_phase_for_target_R(
     lo = thetas[max(best - 1, 0)]
     hi = thetas[min(best + 1, n_grid - 1)]
     theta_star, neg_res = golden_section_max(
-        lambda theta: -abs(asymmetries([theta])[0] - target), lo, hi, rel_tol=1e-9
+        lambda theta: -np.abs(asymmetries(theta) - target), lo, hi, rel_tol=1e-9
     )
     if scores[best] > neg_res:
         theta_star, neg_res = float(thetas[best]), float(scores[best])

@@ -121,7 +121,7 @@ def transfer_matrix(
 
 
 def transfer_matrices(model: SystemModel, omegas) -> Iterator[NDArray[np.complex128]]:
-    """Gated Gamma(w) over a grid, as consecutive stacks of at most _BLOCK frequencies."""
+    """Gated Gamma(w) over a grid, as consecutive stacks of frequencies (see _BLOCK_ENTRIES)."""
     diagonals = 1j * np.multiply.outer(omegas, _channel_signature(model.n_modes))
     return _input_output(model, diagonals, check=True)
 
@@ -141,20 +141,22 @@ def _input_output(model: SystemModel, diagonals, check: bool) -> Iterator[NDArra
     return _resolvent_blocks(m, input_coupling_matrix(model), diagonals)
 
 
-#: Frequencies per stacked solve: the working set stays a few (_BLOCK, 2N, 2N) arrays.
-_BLOCK = 16
+#: Points per stacked solve: as many as fit in this many matrix entries (256 KB of
+#: complex), but at least 16: 455 for a 6x6 three-mode system, 16 for an 80x80 chain.
+_BLOCK_ENTRIES = 128 * 128
 
 
-def _resolvent_blocks(drift, ell, diagonals) -> Iterator[NDArray[np.complex128]]:
+def _resolvent_blocks(drift, ell, diagonals, rows=slice(None)) -> Iterator[NDArray[np.complex128]]:
     """
-    L (diag(d) - M)^{-1} L - I for the rows d of `diagonals`, one stacked
-    solve per block. `drift` is one M for every row, or a stack of one M per row.
+    Rows `rows` of L (diag(d) - M)^{-1} L - I for the rows d of `diagonals`, one
+    stacked solve per block. `drift` is one M for every d, or a stack of one M per d.
     """
     eye = np.eye(ell.shape[0])
-    for start in range(0, len(diagonals), _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        m = drift if drift.ndim == 2 else drift[rows]
-        yield ell @ numerics.lu_solve(diagonals[rows, :, None] * eye - m, ell) - eye
+    step = max(16, _BLOCK_ENTRIES // len(ell) ** 2)
+    for start in range(0, len(diagonals), step):
+        block = slice(start, start + step)
+        m = drift if drift.ndim == 2 else drift[block]
+        yield ell[rows] @ numerics.lu_solve(diagonals[block, :, None] * eye - m, ell) - eye[rows]
 
 
 def phase_grid(
@@ -163,7 +165,7 @@ def phase_grid(
     """
     Gated Gamma(omega) with the phases of the couplings keyed in `phases` set
     to every point of the product of their values (the first key varying
-    slowest), as consecutive stacks of at most _BLOCK points. The stability
+    slowest), as consecutive stacks (see _BLOCK_ENTRIES). The stability
     gate checks the model as given; only one block of drift matrices is built
     at a time.
     """
@@ -173,7 +175,7 @@ def phase_grid(
     points = itertools.product(*phases.values())
 
     def blocks() -> Iterator[NDArray[np.complex128]]:
-        while block := list(itertools.islice(points, _BLOCK)):
+        while block := list(itertools.islice(points, max(16, _BLOCK_ENTRIES // len(ell) ** 2))):
             drifts = []
             for point in block:
                 probe = model
@@ -342,8 +344,8 @@ class SnrSolver:
     S_AP and SNR of one model over frequency grids.
 
     Builds the drift matrix, input couplings and occupations once; a grid
-    goes through the stacked resolvent path of transfer_matrix, of which
-    only the two readout-port rows are kept, giving the homodyne
+    goes through the stacked resolvent path of transfer_matrix, which
+    forms only the two readout-port rows, giving the homodyne
     coefficients C. S_AP = |C_s + C_s*|^2 is the quadrature amplification of
     a unit Hermitian signal entering at signal_port; the SNR divides it by
     the thermally weighted homodyne noise
@@ -368,12 +370,12 @@ class SnrSolver:
         self.ell = input_coupling_matrix(model)
         self.weights = occupations(model) + 0.5
 
-    def solve(self, omegas) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """(S_AP, SNR) at every frequency of a grid, via stacked solves."""
+    def solve(self, omegas, drift=None) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """(S_AP, SNR) over a grid; `drift` replaces M (one, or one per frequency)."""
         diagonals = 1j * np.multiply.outer(np.asarray(omegas, dtype=float), self.lam)
-        r = self.readout_port
-        gammas = _resolvent_blocks(self.drift, self.ell, diagonals)
-        rows = np.concatenate([g[:, 2 * r : 2 * r + 2, :] for g in gammas])
+        r = slice(2 * self.readout_port, 2 * self.readout_port + 2)
+        m = self.drift if drift is None else drift
+        rows = np.concatenate(list(_resolvent_blocks(m, self.ell, diagonals, r)))
         c = (
             rows[:, 0, :] * np.exp(-1j * self.psi) + rows[:, 1, :] * np.exp(1j * self.psi)
         ) / np.sqrt(2.0)

@@ -147,6 +147,32 @@ class TestConfigValidation:
         assert code == cli.EXIT_CONFIG
         assert f"--set {path}" in caplog.text
 
+    @pytest.mark.parametrize("via", ["file", "set"])
+    @pytest.mark.parametrize("command, setting, named", [
+        ("fmap", "task.delta_min=NaN", "nan"), ("fmap", "task.delta_max=Infinity", "inf"),
+        ("fmap", "task.psi=NaN", "nan"), ("fmap", "task.omega_range=[-Infinity,3.0]", "-inf"),
+        ("snr", "grid.min=NaN", "nan"), ("snr", "task.psi=Infinity", "inf"),
+        ("snr", "task.psi=" + "9" * 400, "9" * 400),
+    ])
+    def test_non_finite_numbers_are_config_errors(
+        self, tmp_path, caplog, command, setting, named, via
+    ):
+        config = fmap_config() if command == "fmap" else {
+            "system": du_system(), "task": {"kind": "snr"},
+            "grid": {"min": -1.0, "max": 1.0, "points": 5}}
+        key, _, raw = setting.partition("=")
+        extra = ("--set", setting)
+        if via == "file":
+            *parents, leaf = key.split(".")
+            node = config
+            for part in parents:
+                node = node[part]
+            node[leaf] = json.loads(raw)
+            extra = ()
+        assert run_cli(tmp_path, command, config, extra) == cli.EXIT_CONFIG
+        assert f"config invalid at $.{key}" in caplog.text
+        assert f"{named} is not of type 'number'" in caplog.text
+
     def test_config_hash_is_canonical(self):
         a = {"x": 1, "y": [1, 2]}
         b = {"y": [1, 2], "x": 1}
@@ -179,9 +205,17 @@ class TestFmapOmegaRange:
         assert run_cli(tmp_path, "fmap", fmap_config(omega_range=omega_range)) == cli.EXIT_CONFIG
         assert not list(tmp_path.glob("fmap*"))
 
+    @pytest.mark.parametrize("omega_range", [[0.9995, 1.0005], [-1.0009, -0.9991]],
+                             ids=["upper", "lower"])
+    def test_range_inside_a_resonance_band_is_a_config_error(self, tmp_path, caplog, omega_range):
+        assert run_cli(tmp_path, "fmap", fmap_config(omega_range=omega_range)) == cli.EXIT_CONFIG
+        assert "nothing to search" in caplog.text
+
     def test_zero_baseline_maximum_is_a_numerical_failure(self, tmp_path, caplog):
-        # The whole range lies inside the excluded band around the resonance.
-        config = fmap_config(omega_range=[0.9995, 1.0005])
+        # The range reaches past the excluded band, but the baseline's uncoupled
+        # modes carry no signal to the readout port.
+        config = fmap_config(omega_range=[0.9995, 1.0011])
+        config["task"]["ics"]["couplings"] = [{"magnitude": 0.0}, {"magnitude": 0.0}]
         assert run_cli(tmp_path, "fmap", config) == cli.EXIT_NUMERICAL
         assert "baseline maximum SNR is 0.0" in caplog.text
 

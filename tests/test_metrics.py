@@ -20,6 +20,34 @@ def dense_grid_max_snr(model, omega_range=(-3.0, 3.0), n=100_001):
     return float(grid[best]), float(values[best])
 
 
+def scalar_golden_section_max(fun, lo, hi, rel_tol=1e-6):
+    """One bracket, one point per call: the path each lockstep bracket must follow."""
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    x1 = b - golden * (b - a)
+    x2 = a + golden * (b - a)
+    f1, f2 = fun(x1), fun(x2)
+    span = max(abs(a), abs(b), 1.0)
+    while (b - a) > rel_tol * span:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + golden * (b - a)
+            f2 = fun(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - golden * (b - a)
+            f1 = fun(x1)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
+def with_scalar_golden_section(fun, lo, hi, rel_tol=1e-6):
+    """golden_section_max on one bracket (floats or 1-element arrays), run by the scalar reference."""
+    x, f = scalar_golden_section_max(
+        lambda t: fun(np.array([t]))[0], np.ravel(lo)[0], np.ravel(hi)[0], rel_tol
+    )
+    return (x, f) if np.ndim(lo) == 0 else (np.array([x]), np.array([f]))
+
+
 class TestGoldenSection:
     def test_finds_parabola_peak(self):
         x, fx = metrics.golden_section_max(lambda t: 2.0 - (t - 0.3) ** 2, -1.0, 1.0)
@@ -29,6 +57,35 @@ class TestGoldenSection:
     def test_respects_bracket_edges(self):
         x, _ = metrics.golden_section_max(lambda t: t, 0.0, 1.0)
         assert x == pytest.approx(1.0, abs=1e-5)
+
+    def test_lockstep_brackets_follow_their_scalar_paths(self):
+        # Brackets near |x| = 3 have a wider stopping tolerance than those
+        # inside [-1, 1], so the brackets stop after different step counts.
+        lo = np.array([-0.9, 2.0, -3.0, 0.2, 0.5])
+        hi = np.array([0.4, 2.9, -2.2, 0.21, 0.6])
+        peaks = np.array([0.3, 2.95, -2.5, 0.2, 0.55])
+        calls = []
+
+        def fun(x):
+            calls.append(np.isnan(x).sum())
+            return -(x - peaks) * (x - peaks)
+
+        x, f = metrics.golden_section_max(fun, lo, hi)
+        for k, peak in enumerate(peaks):
+            expected = scalar_golden_section_max(lambda t: -(t - peak) * (t - peak), lo[k], hi[k])
+            assert (x[k], f[k]) == expected
+        assert 0 < max(calls) < len(peaks)
+
+    @pytest.mark.parametrize("lo, hi, rel_tol", [
+        (1.0, -1.0, 1e-6), (0.5, 0.5, 1e-6), (np.nan, 1.0, 1e-6), (-1.0, np.inf, 1e-6),
+        ([0.0, 1.0], [1.0, 0.5], 1e-6), (-1.0, 1.0, 0.0), (-1.0, 1.0, -1e-6),
+        (-1.0, 1.0, 1e-20),
+    ], ids=["reversed", "empty", "nan_lo", "inf_hi", "one_bad_bracket", "zero_rel_tol",
+            "negative_rel_tol", "rel_tol_below_epsilon"])
+    def test_rejects_bad_brackets(self, lo, hi, rel_tol):
+        # Below machine epsilon the bracket can stop shrinking, and the loop never ends.
+        with pytest.raises(ValueError, match="rel_tol" if rel_tol < 1e-15 else "lo < hi"):
+            metrics.golden_section_max(lambda t: -(t - 0.3) ** 2, lo, hi, rel_tol)
 
 
 class TestMaxSnr:
@@ -121,6 +178,66 @@ class TestFMap:
         assert len(result.metadata["unstable_cells"]) > 0
         assert result.values[1, 1] > 1.0
         assert result.metadata["baseline_max_snr"] > 0.0
+
+
+class TestLockstepSearch:
+    """f_map runs every cell's SNR search at once; each cell must take its one-cell path."""
+
+    # The range ends inside the excluded band around omega = 1, so golden probes land there.
+    OMEGA_RANGE = (0.5, 1.0005)
+    DELTAS = np.array([-0.5, 0.0, 0.5])
+
+    def traced_f_map(self, monkeypatch):
+        """f_map with each golden_section_max call's probe arrays recorded, as bench/tracer.py hooks it."""
+        cs, ics = make_comparison_pair()
+        cfg = metrics.ComparisonConfig(cs_model=cs, ics_model=ics, omega_range=self.OMEGA_RANGE)
+        searches = []
+        golden = metrics.golden_section_max
+
+        def traced(fun, *args, **kwargs):
+            searches.append([])
+
+            def counted(x):
+                searches[-1].append(np.array(x))
+                return fun(x)
+
+            return golden(counted, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "golden_section_max", traced)
+        return cfg, metrics.f_map(cfg, self.DELTAS, self.DELTAS), searches
+
+    def test_cells_equal_one_cell_searches(self, monkeypatch):
+        cfg, result, searches = self.traced_f_map(monkeypatch)
+        monkeypatch.setattr(metrics, "golden_section_max", with_scalar_golden_section)
+        assert result.metadata["unstable_cells"]
+        probes = np.array(searches[-1])
+        assert np.any(np.minimum(np.abs(probes - 1.0), np.abs(probes + 1.0))
+                      < metrics.RESONANCE_EXCLUSION_WIDTH)
+        grid = np.linspace(*self.OMEGA_RANGE, 401)
+        banded = np.minimum(np.abs(grid - 1.0), np.abs(grid + 1.0)) < (
+            metrics.RESONANCE_EXCLUSION_WIDTH
+        )
+        expected, coarse = np.empty((2, 3, 3))
+        for i, dm in enumerate(self.DELTAS):
+            for j, dc in enumerate(self.DELTAS):
+                cell = metrics._with_detunings(cfg.cs_model, dm, dc)
+                expected[i, j] = metrics.max_snr_over_omega(cell, self.OMEGA_RANGE, check=False)[1]
+                coarse[i, j] = np.max(np.where(banded, 0.0, spectra.SnrSolver(cell).solve(grid)[1]))
+        assert np.array_equal(result.values, expected / result.metadata["baseline_max_snr"])
+        # Some cells keep their coarse-grid maximum, the others a refined one.
+        assert np.any(expected == coarse) and np.any(expected > coarse)
+
+    def test_searches_make_one_call_per_step_for_all_cells(self, monkeypatch):
+        _, _, searches = self.traced_f_map(monkeypatch)
+        assert [len(s[0]) for s in searches] == [1, 9]  # the baseline, then every cell at once
+        assert len(searches[-1]) < 40
+
+    def test_phase_search_follows_the_scalar_path(self, monkeypatch):
+        model = make_three()
+        omega = spectra.resonance_probe_frequency()
+        found = metrics.find_phase_for_target_R(model, 0.25, "bc", omega)
+        monkeypatch.setattr(metrics, "golden_section_max", with_scalar_golden_section)
+        assert metrics.find_phase_for_target_R(model, 0.25, "bc", omega) == found
 
 
 class TestPhaseSearch:
