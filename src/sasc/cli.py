@@ -275,8 +275,7 @@ def _comparison_config(config: dict) -> metrics.ComparisonConfig:
     omega_range = tuple(task.get("omega_range", (-3.0, 3.0)))
     if not omega_range[0] < omega_range[1]:
         raise ConfigError(f"omega_range must be increasing, got {list(omega_range)}")
-    if any(max(abs(w - r) for w in omega_range) < metrics.RESONANCE_EXCLUSION_WIDTH
-           for r in (-1.0, 1.0)):
+    if metrics.excludes_whole_range(omega_range):
         raise ConfigError(f"omega_range {list(omega_range)} lies inside a resonance band"
                           " that the SNR search excludes: nothing to search")
     n_modes = min(cs_model.n_modes, ics_model.n_modes)

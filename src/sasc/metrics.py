@@ -3,14 +3,14 @@ Figures of merit and deterministic searches: SNR maximization over
 frequency, scheme-comparison factor f, detuning maps, phase searches for
 target asymmetry, and the phase-independence check of the two asymmetry
 factors. All optimizers are deterministic (fixed grids plus golden-section
-refinement); no stochastic search. The detuning map runs every cell's SNR
-search in lockstep: one stacked solve per cell's coarse scan, then one per
-golden-section step over all cells, each bracket stopping on its own.
+refinement); no stochastic search. The detuning map builds all cells' drift
+matrices in one call and runs their SNR searches in lockstep: one stacked
+solve per cell's coarse scan, then one per golden-section step over all
+cells, each bracket stopping on its own.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +31,7 @@ __all__ = [
     "PhaseSearchResult",
     "IndependenceReport",
     "RESONANCE_EXCLUSION_WIDTH",
+    "excludes_whole_range",
     "golden_section_max",
     "max_snr_over_omega",
     "f_factor",
@@ -79,6 +80,18 @@ def golden_section_max(fun, lo, hi, rel_tol: float = 1e-6):
 RESONANCE_EXCLUSION_WIDTH = 1e-3
 
 
+def _excluded(omegas, width: float) -> NDArray[np.bool_]:
+    """Whether each frequency lies within `width` of a low-mode resonance omega = +/- 1."""
+    return np.minimum(np.abs(omegas - 1.0), np.abs(omegas + 1.0)) < width
+
+
+def excludes_whole_range(omega_range, width: float = RESONANCE_EXCLUSION_WIDTH) -> bool:
+    """Whether no frequency of [lo, hi] is left for an SNR search to search."""
+    lo, hi = omega_range
+    # The distance to the nearest resonance peaks at an end of the range or at omega = 0.
+    return bool(np.all(_excluded(np.array([lo, hi, min(max(0.0, lo), hi)]), width)))
+
+
 def max_snr_over_omega(
     model: SystemModel,
     omega_range: tuple[float, float] = (-3.0, 3.0),
@@ -88,6 +101,7 @@ def max_snr_over_omega(
     psi: float = 0.0,
     exclude_resonance_width: float = RESONANCE_EXCLUSION_WIDTH,
     check: bool = True,
+    detunings=None,
 ) -> tuple[float, float]:
     """
     (omega*, S*) maximizing the SNR spectrum: coarse scan (>= 401 points)
@@ -95,17 +109,19 @@ def max_snr_over_omega(
 
     Frequencies within ``exclude_resonance_width`` of the low-mode
     resonances (omega = +/- 1 in low-mode units) are excluded from the
-    search domain; see RESONANCE_EXCLUSION_WIDTH. With check=False the
-    spectrum formula is evaluated without the stability gate.
+    search domain (see RESONANCE_EXCLUSION_WIDTH); ValueError if nothing is
+    left. `detunings` replaces the model's (see build_drift_matrix). With
+    check=False the spectrum formula is evaluated without the stability gate.
     """
     if n_scan < 401:
         raise ValueError("n_scan must be at least 401")
     if not omega_range[0] < omega_range[1]:
         raise ValueError(f"omega_range must be increasing, got {tuple(omega_range)}")
     solver = SnrSolver(model, signal_port, readout_port, psi)
+    drift = solver.drift if detunings is None else build_drift_matrix(model, detunings)
     if check:
-        require_stable(solver.drift)
-    w, s = _search_snr(solver, solver.drift[None], omega_range, n_scan, exclude_resonance_width)
+        require_stable(drift)
+    w, s = _search_snr(solver, drift[None], omega_range, n_scan, exclude_resonance_width)
     return float(w[0]), float(s[0])
 
 
@@ -115,20 +131,19 @@ def _search_snr(solver: SnrSolver, drifts, omega_range, n_scan: int, width: floa
     the solver's only in M: one stacked solve per coarse scan, then one over every
     live bracket per golden-section step. SNR reads 0 within `width` of omega = +/- 1.
     """
-
-    def excluded(omegas):
-        return np.minimum(np.abs(omegas - 1.0), np.abs(omegas + 1.0)) < width
-
+    if excludes_whole_range(omega_range, width):
+        raise ValueError(f"omega_range {tuple(omega_range)} lies inside a resonance band"
+                         f" that the SNR search excludes (half-width {width}): nothing to search")
     grid = np.linspace(omega_range[0], omega_range[1], n_scan)
     best, coarse = np.zeros(len(drifts), dtype=int), np.zeros(len(drifts))
     for k, drift in enumerate(drifts):
-        values = np.where(excluded(grid), 0.0, solver.solve(grid, drift)[1])
+        values = np.where(_excluded(grid, width), 0.0, solver.solve(grid, drift)[1])
         best[k] = np.argmax(values)
         coarse[k] = values[best[k]]
 
     def snr(omegas: NDArray[np.float64]) -> NDArray[np.float64]:
         values = np.zeros(len(omegas))
-        solve = ~(np.isnan(omegas) | excluded(omegas))
+        solve = ~(np.isnan(omegas) | _excluded(omegas, width))
         if solve.any():
             values[solve] = solver.solve(omegas[solve], drifts[solve])[1]
         return values
@@ -151,24 +166,11 @@ class ComparisonConfig:
     psi: float = 0.0
 
 
-def _with_detunings(model: SystemModel, delta_m: float, delta_c: float) -> SystemModel:
-    """Three-mode model with the two high-mode detunings replaced."""
-    m, b, c = model.modes
-    return dataclasses.replace(
-        model,
-        modes=(
-            dataclasses.replace(m, detuning=delta_m),
-            b,
-            dataclasses.replace(c, detuning=delta_c),
-        ),
-    )
-
-
-def _max_snr(cfg: ComparisonConfig, model: SystemModel) -> float:
-    """S* of one scheme over the comparison's frequency range, ports and phase."""
+def _max_snr(cfg: ComparisonConfig, model: SystemModel, detunings=None) -> float:
+    """S* of one scheme, its detunings optionally replaced, over the comparison's frequencies."""
     return max_snr_over_omega(
         model, cfg.omega_range, signal_port=cfg.signal_port,
-        readout_port=cfg.readout_port, psi=cfg.psi,
+        readout_port=cfg.readout_port, psi=cfg.psi, detunings=detunings,
     )[1]
 
 
@@ -193,15 +195,12 @@ def f_factor(
     """
     Ratio f = S*_tunable / S*_baseline of the maximal SNRs of the two schemes.
 
-    Optional delta_c/delta_m override the tunable scheme's high-mode
-    detunings; ics_max short-circuits recomputation of the fixed baseline.
+    Optional delta_c/delta_m override the high-mode detunings of the tunable
+    three-mode scheme; ics_max short-circuits recomputation of the baseline.
     """
-    cs_model = cfg.cs_model
-    if delta_c is not None or delta_m is not None:
-        dm = cs_model.modes[0].detuning if delta_m is None else delta_m
-        dc = cs_model.modes[2].detuning if delta_c is None else delta_c
-        cs_model = _with_detunings(cs_model, dm, dc)
-    return _max_snr(cfg, cs_model) / _baseline_max(cfg, ics_max)
+    m, b, c = (mode.detuning for mode in cfg.cs_model.modes)
+    detunings = (m if delta_m is None else delta_m, b, c if delta_c is None else delta_c)
+    return _max_snr(cfg, cfg.cs_model, detunings) / _baseline_max(cfg, ics_max)
 
 
 @dataclass
@@ -238,7 +237,8 @@ def f_map(cfg: ComparisonConfig, delta_c_grid, delta_m_grid) -> MapResult:
     delta_m_grid = np.asarray(delta_m_grid, dtype=float)
     ics_max = _baseline_max(cfg)
     cells = [(float(dc), float(dm)) for dm in delta_m_grid for dc in delta_c_grid]
-    drifts = np.array([build_drift_matrix(_with_detunings(cfg.cs_model, m, c)) for c, m in cells])
+    low = cfg.cs_model.modes[1].detuning
+    drifts = build_drift_matrix(cfg.cs_model, detunings=[(dm, low, dc) for dc, dm in cells])
     unstable = [cell for cell, drift in zip(cells, drifts) if not check_stability(drift).stable]
     solver = SnrSolver(cfg.cs_model, cfg.signal_port, cfg.readout_port, cfg.psi)
     _, s_star = _search_snr(solver, drifts, cfg.omega_range, 401, RESONANCE_EXCLUSION_WIDTH)

@@ -1,5 +1,5 @@
 """
-Physical parameter types, drift matrices, steady states, and stability.
+Physical parameter types, drift matrices (one, or stacked over a sweep), steady states, stability.
 
 All internal rates, detunings, and frequencies are expressed in units of
 the shared low-mode frequency (set to 1); absolute frequencies are kept
@@ -12,8 +12,8 @@ the three-mode system, and (high, low, high, ...) for longer chains.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,7 +34,6 @@ __all__ = [
     "conjugation_permutation",
     "build_drift_matrix",
     "coupled_modes",
-    "with_coupling_phase",
     "input_coupling_matrix",
     "solve_steady_state",
     "check_stability",
@@ -176,7 +175,9 @@ def conjugation_permutation(n_modes: int) -> NDArray[np.intp]:
     return perm
 
 
-def build_drift_matrix(model: SystemModel) -> NDArray[np.complex128]:
+def build_drift_matrix(
+    model: SystemModel, detunings=None, couplings=None
+) -> NDArray[np.complex128]:
     """
     Drift matrix of the linearized Langevin system in the doubled basis
     (delta_1, delta_1^dag, delta_2, delta_2^dag, ...).
@@ -184,35 +185,42 @@ def build_drift_matrix(model: SystemModel) -> NDArray[np.complex128]:
     High modes contribute -(i Delta + kappa/2) on their diagonal; each
     high-low coupling G adds the beam-splitter and parametric terms to both
     partners. Creation-channel rows follow from the conjugation symmetry
-    P M* P = M.
+    P M* P = M: M[2i+1, 2j+b] = M[2i, 2j+1-b]*. Per-point mode `detunings`
+    (..., n_modes) or coupling values G (..., n_modes - 1), of one leading
+    shape if both are given, replace the model's and give one M per point.
     """
     n = model.n_modes
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-    for i, mode in enumerate(model.modes):
-        m[2 * i, 2 * i] = -(1j * mode.detuning + mode.kappa / 2.0)
-    for i, coupling in enumerate(model.couplings):
-        g = coupling.value
-        hi, lo = coupled_modes(i)
-        m[2 * hi, 2 * lo] += -1j * g
-        m[2 * hi, 2 * lo + 1] += -1j * g
-        m[2 * lo, 2 * hi] += -1j * np.conj(g)
-        m[2 * lo, 2 * hi + 1] += -1j * g
-    perm = conjugation_permutation(n)
-    for i in range(n):
-        m[2 * i + 1, :] = np.conj(m[2 * i, perm])
-    return m
+    if detunings is None:
+        detunings = [mode.detuning for mode in model.modes]
+    if couplings is None:
+        couplings = [coupling.value for coupling in model.couplings]
+    g = np.asarray(couplings, dtype=complex)
+    half_kappas = np.array([mode.kappa / 2.0 for mode in model.modes])
+    diagonal = -(1j * np.asarray(detunings, dtype=float) + half_kappas)
+    # + 0.0 turns -0.0 parts into 0.0, as adding the terms to a zero matrix does.
+    entries = -1j * np.concatenate([g, g, g, np.conj(g)], axis=-1) + 0.0
+    shape = diagonal.shape[:-1] or entries.shape[:-1]
+    m = np.zeros((*shape, n, 2, n, 2), dtype=complex)
+    diagonal_at, entries_at = _drift_layout(n)
+    flat = m.reshape(*shape, -1)
+    flat[..., diagonal_at] = diagonal
+    flat[..., entries_at] = entries
+    np.conjugate(m[..., 0, :, ::-1], out=m[..., 1, :, :])
+    return m.reshape(*shape, 2 * n, 2 * n)
+
+
+@functools.cache
+def _drift_layout(n_modes: int) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
+    """Flat diagonal indices, and each coupling's (h, l), (h, l^dag), (l, h^dag), (l, h) indices."""
+    size = 2 * n_modes
+    hi, lo = 2 * np.array([coupled_modes(i) for i in range(n_modes - 1)]).T
+    rows, cols = np.concatenate([hi, hi, lo, lo]), np.concatenate([lo, lo + 1, hi + 1, hi])
+    return np.arange(0, size, 2) * (size + 1), rows * size + cols
 
 
 def coupled_modes(index: int) -> tuple[int, int]:
     """(high, low) indices of the modes that coupling `index` joins."""
     return (index, index + 1) if index % 2 == 0 else (index + 1, index)
-
-
-def with_coupling_phase(model: SystemModel, index: int, theta: float) -> SystemModel:
-    """The model with the phase of coupling `index` replaced by theta."""
-    couplings = list(model.couplings)
-    couplings[index] = CouplingParams(magnitude=couplings[index].magnitude, phase=theta)
-    return dataclasses.replace(model, couplings=tuple(couplings))
 
 
 def input_coupling_matrix(model: SystemModel) -> NDArray[np.float64]:

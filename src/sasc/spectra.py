@@ -27,7 +27,6 @@ from .model import (
     build_drift_matrix,
     input_coupling_matrix,
     require_stable,
-    with_coupling_phase,
 )
 
 __all__ = [
@@ -74,11 +73,10 @@ class UndefinedAsymmetryError(Exception):
 
 @dataclass(frozen=True)
 class TransferResult:
-    """Transfer matrix Gamma at one frequency, with the homodyne phase used."""
+    """Transfer matrix Gamma at one frequency."""
 
     omega: float
     gamma: NDArray[np.complex128]
-    psi: float = 0.0
 
 
 @dataclass
@@ -105,9 +103,7 @@ def _channel_signature(n_modes: int) -> NDArray[np.float64]:
     return np.tile([-1.0, 1.0], n_modes)
 
 
-def transfer_matrix(
-    model: SystemModel, omega: float, psi: float = 0.0, check: bool = True
-) -> TransferResult:
+def transfer_matrix(model: SystemModel, omega: float, check: bool = True) -> TransferResult:
     """
     Input-output transfer matrix Gamma(w) = L (i w Lambda - M)^{-1} L - I.
 
@@ -117,7 +113,7 @@ def transfer_matrix(
     """
     diagonals = 1j * omega * _channel_signature(model.n_modes)[None, :]
     gamma = next(_input_output(model, diagonals, check))[0]
-    return TransferResult(omega=float(omega), gamma=gamma, psi=psi)
+    return TransferResult(omega=float(omega), gamma=gamma)
 
 
 def transfer_matrices(model: SystemModel, omegas) -> Iterator[NDArray[np.complex128]]:
@@ -149,13 +145,14 @@ _BLOCK_ENTRIES = 128 * 128
 def _resolvent_blocks(drift, ell, diagonals, rows=slice(None)) -> Iterator[NDArray[np.complex128]]:
     """
     Rows `rows` of L (diag(d) - M)^{-1} L - I for the rows d of `diagonals`, one
-    stacked solve per block. `drift` is one M for every d, or a stack of one M per d.
+    stacked solve per block. `drift` is one M for every d, a stack of one M per d,
+    or a function called on each block's slice of d, in order, that builds its stack.
     """
     eye = np.eye(ell.shape[0])
     step = max(16, _BLOCK_ENTRIES // len(ell) ** 2)
     for start in range(0, len(diagonals), step):
         block = slice(start, start + step)
-        m = drift if drift.ndim == 2 else drift[block]
+        m = drift(block) if callable(drift) else drift if drift.ndim == 2 else drift[block]
         yield ell[rows] @ numerics.lu_solve(diagonals[block, :, None] * eye - m, ell) - eye[rows]
 
 
@@ -166,25 +163,22 @@ def phase_grid(
     Gated Gamma(omega) with the phases of the couplings keyed in `phases` set
     to every point of the product of their values (the first key varying
     slowest), as consecutive stacks (see _BLOCK_ENTRIES). The stability
-    gate checks the model as given; only one block of drift matrices is built
-    at a time.
+    gate checks the model as given; each block's drift matrices are one
+    build_drift_matrix call on the swept values |G| exp(i theta).
     """
     require_stable(build_drift_matrix(model))
-    ell = input_coupling_matrix(model)
-    diagonal = 1j * omega * _channel_signature(model.n_modes)
     points = itertools.product(*phases.values())
+    magnitudes = np.array([model.couplings[index].magnitude for index in phases])
 
-    def blocks() -> Iterator[NDArray[np.complex128]]:
-        while block := list(itertools.islice(points, max(16, _BLOCK_ENTRIES // len(ell) ** 2))):
-            drifts = []
-            for point in block:
-                probe = model
-                for index, theta in zip(phases, point):
-                    probe = with_coupling_phase(probe, index, theta)
-                drifts.append(build_drift_matrix(probe))
-            yield from _resolvent_blocks(np.array(drifts), ell, np.tile(diagonal, (len(block), 1)))
+    def drifts(block: slice) -> NDArray[np.complex128]:
+        thetas = np.array(list(itertools.islice(points, block.stop - block.start)))
+        couplings = np.tile([coupling.value for coupling in model.couplings], (len(thetas), 1))
+        couplings[:, list(phases)] = magnitudes * np.exp(1j * thetas)
+        return build_drift_matrix(model, couplings=couplings)
 
-    return blocks()
+    diagonal = 1j * omega * _channel_signature(model.n_modes)
+    diagonals = np.broadcast_to(diagonal, (math.prod(map(len, phases.values())), len(diagonal)))
+    return _resolvent_blocks(drifts, input_coupling_matrix(model), diagonals)
 
 
 #: A transmission leg (src, dst, sideband): a unit input on the `sideband`
@@ -301,7 +295,7 @@ def occupations(model: SystemModel) -> NDArray[np.float64]:
 
 
 def quadrature_coefficients(
-    tr: TransferResult, output_port: int, psi: float | None = None
+    tr: TransferResult, output_port: int, psi: float = 0.0
 ) -> NDArray[np.complex128]:
     """
     Coefficients C_k of each input channel in the measured output quadrature
@@ -311,10 +305,8 @@ def quadrature_coefficients(
     n_modes = g.shape[0] // 2
     if not 0 <= output_port < n_modes:
         raise ValueError(f"output_port {output_port} out of range")
-    phase = tr.psi if psi is None else psi
-    row_a = g[2 * output_port, :]
-    row_c = g[2 * output_port + 1, :]
-    return (row_a * np.exp(-1j * phase) + row_c * np.exp(1j * phase)) / np.sqrt(2.0)
+    row_a, row_c = g[2 * output_port], g[2 * output_port + 1]
+    return (row_a * np.exp(-1j * psi) + row_c * np.exp(1j * psi)) / np.sqrt(2.0)
 
 
 def output_spectrum(

@@ -1,9 +1,14 @@
 """Shared model builders for the test suite (frequencies in rad/s)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, strategies as st
 
-from sasc.model import CouplingParams, ModeParams, SystemModel, Topology
+from sasc.model import (
+    CouplingParams, ModeParams, SystemModel, Topology, build_drift_matrix, check_stability,
+)
 
 OMEGA_LOW = 2.0 * np.pi * 10e6
 OMEGA_HIGH = 2.0 * np.pi * 10e9
@@ -50,6 +55,42 @@ def make_comparison_pair():
     ics = make_three(kappa_m=0.1, kappa_c=0.1, delta_m=1.0, delta_c=1.0,
                      magnitude_m=0.2, magnitude_c=0.1, phase_m=0.0, phase_c=0.0)
     return cs, ics
+
+
+def with_phases(model, phases):
+    """The model with the phase of each coupling keyed in `phases` replaced (per-point reference)."""
+    couplings = list(model.couplings)
+    for index, theta in phases.items():
+        couplings[index] = dataclasses.replace(couplings[index], phase=theta)
+    return dataclasses.replace(model, couplings=tuple(couplings))
+
+
+def with_detunings(model, detunings):
+    """The model with the detuning of each mode keyed in `detunings` replaced (per-point reference)."""
+    modes = list(model.modes)
+    for index, delta in detunings.items():
+        modes[index] = dataclasses.replace(modes[index], detuning=delta)
+    return dataclasses.replace(model, modes=tuple(modes))
+
+
+@st.composite
+def stable_chains(draw):
+    """Chains of 2 to 12 modes with random rates, detunings and couplings, stable by a margin."""
+    n_modes = draw(st.integers(2, 12))
+    modes = []
+    for i in range(n_modes):
+        if i % 2 == 0:
+            kappa, detuning = draw(st.floats(0.05, 2.0)), draw(st.floats(-2.0, 2.0))
+            modes.append(ModeParams(f"h{i}", OMEGA_HIGH, kappa, detuning))
+        else:
+            modes.append(ModeParams(f"l{i}", OMEGA_LOW, 10.0 ** draw(st.floats(-4.0, -0.5)), 1.0))
+    couplings = tuple(
+        CouplingParams(draw(st.floats(0.0, 0.2)), draw(st.floats(0.0, 2.0 * np.pi)))
+        for _ in range(n_modes - 1)
+    )
+    model = SystemModel(Topology.CHAIN, tuple(modes), couplings, TEMPERATURE)
+    assume(check_stability(build_drift_matrix(model)).spectral_abscissa < -1e-6)
+    return model
 
 
 @pytest.fixture

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import with_phases
 from sasc import cli, spectra
-from sasc.model import with_coupling_phase
 
 
 def du_system(kappa_a=1.0, delta_a=0.0, magnitude=0.1, phase=0.0):
@@ -284,7 +284,7 @@ class TestOtherTasks:
         assert data["theta_c"] == [tc for tc, _ in pairs]
         assert data["theta_m"] == [tm for _, tm in pairs]
         for k, (tc, tm) in enumerate(pairs):
-            probe = with_coupling_phase(with_coupling_phase(model, 1, tc), 0, tm)
+            probe = with_phases(model, {1: tc, 0: tm})
             gamma = spectra.transfer_matrix(probe, 0.999999).gamma
             for name, pair in spectra.port_columns(model)[1].items():
                 assert data[name][k] == spectra.pair_asymmetry(gamma, pair)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_comparison_pair, make_du, make_three
+from conftest import make_comparison_pair, make_du, make_three, with_detunings
 from sasc.model import InstabilityError
 from sasc import metrics, spectra
 
@@ -132,6 +132,30 @@ class TestMaxSnr:
         _, s_raw = metrics.max_snr_over_omega(ics, exclude_resonance_width=0.0)
         assert s_raw >= s_masked
 
+    @pytest.mark.parametrize("omega_range, width, expected", [
+        ((0.9995, 1.0005), metrics.RESONANCE_EXCLUSION_WIDTH, True),
+        ((-1.0005, -0.9995), metrics.RESONANCE_EXCLUSION_WIDTH, True),
+        ((0.9995, 1.0011), metrics.RESONANCE_EXCLUSION_WIDTH, False),
+        ((-1.0005, 1.0005), metrics.RESONANCE_EXCLUSION_WIDTH, False),
+        ((0.9995, 1.0005), 0.0, False),
+        ((-0.5, 0.5), 1.5, True),  # merged bands cover omega = 0 as well
+        ((-0.5, 0.5), 1.0, False),
+    ])
+    def test_whole_range_exclusion(self, omega_range, width, expected):
+        assert metrics.excludes_whole_range(omega_range, width) is expected
+
+    def test_search_with_nothing_left_to_search_raises(self):
+        _, ics = make_comparison_pair()
+        with pytest.raises(ValueError, match="nothing to search"):
+            metrics.max_snr_over_omega(ics, (0.9995, 1.0005))
+        with pytest.raises(ValueError, match="nothing to search"):
+            metrics.max_snr_over_omega(ics, (-0.5, 0.5), exclude_resonance_width=1.5)
+        cfg = metrics.ComparisonConfig(cs_model=ics, ics_model=ics, omega_range=(0.9995, 1.0005))
+        with pytest.raises(ValueError, match="nothing to search"):
+            metrics.f_factor(cfg)
+        w, _ = metrics.max_snr_over_omega(ics, (0.9995, 1.0005), exclude_resonance_width=0.0)
+        assert 0.9995 <= w <= 1.0005
+
 
 class TestFFactor:
     def test_identical_schemes_give_unity(self):
@@ -220,7 +244,7 @@ class TestLockstepSearch:
         expected, coarse = np.empty((2, 3, 3))
         for i, dm in enumerate(self.DELTAS):
             for j, dc in enumerate(self.DELTAS):
-                cell = metrics._with_detunings(cfg.cs_model, dm, dc)
+                cell = with_detunings(cfg.cs_model, {0: dm, 2: dc})
                 expected[i, j] = metrics.max_snr_over_omega(cell, self.OMEGA_RANGE, check=False)[1]
                 coarse[i, j] = np.max(np.where(banded, 0.0, spectra.SnrSolver(cell).solve(grid)[1]))
         assert np.array_equal(result.values, expected / result.metadata["baseline_max_snr"])

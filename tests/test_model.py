@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import OMEGA_HIGH, OMEGA_LOW, make_du, make_three
+from conftest import (
+    OMEGA_HIGH, OMEGA_LOW, make_du, make_three, stable_chains, with_detunings, with_phases,
+)
 from sasc.model import (
     BareDriveParams,
     CouplingParams,
@@ -63,6 +66,39 @@ class TestDriftMatrix:
         m3 = build_drift_matrix(three)
         m2 = build_drift_matrix(du)
         assert np.allclose(m3[:4, :4], m2, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        model=st.one_of(
+            st.sampled_from([make_du(phase=0.3), make_three(phase_m=0.4, phase_c=1.9)]),
+            stable_chains(),
+        ),
+        swept=st.sampled_from(["detunings", "couplings", "both"]),
+        data=st.data(),
+    )
+    def test_stack_slices_equal_per_point_models_bit_for_bit(self, model, swept, data):
+        n = model.n_modes
+        shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+        size = int(np.prod(shape))
+
+        def draws(lo, hi, count):
+            values = data.draw(st.lists(st.floats(lo, hi), min_size=count, max_size=count))
+            return np.array(values).reshape(*shape, -1)
+
+        detunings = draws(-3.0, 3.0, size * n) if swept != "couplings" else None
+        thetas = draws(0.0, 2.0 * np.pi, size * (n - 1)) if swept != "detunings" else None
+        magnitudes = np.array([coupling.magnitude for coupling in model.couplings])
+        couplings = None if thetas is None else magnitudes * np.exp(1j * thetas)
+        stack = build_drift_matrix(model, detunings=detunings, couplings=couplings)
+        assert stack.shape == (*shape, 2 * n, 2 * n)
+        for point in np.ndindex(shape):
+            probe = model
+            if detunings is not None:
+                probe = with_detunings(probe, dict(enumerate(detunings[point])))
+            if thetas is not None:
+                probe = with_phases(probe, dict(enumerate(thetas[point])))
+            expected = build_drift_matrix(probe)
+            assert np.array_equal(stack[point].view(np.uint64), expected.view(np.uint64))
 
     def test_input_coupling_is_sqrt_kappa_diagonal(self):
         model = make_du(kappa_a=0.81, kappa_b=0.04)

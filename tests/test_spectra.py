@@ -2,22 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    OMEGA_HIGH, OMEGA_LOW, TEMPERATURE, make_comparison_pair, make_du, make_three,
+    OMEGA_HIGH, OMEGA_LOW, make_comparison_pair, make_du, make_three, stable_chains, with_phases,
 )
 from sasc.model import (
     CouplingParams,
     InstabilityError,
-    ModeParams,
-    SystemModel,
-    Topology,
     build_drift_matrix,
-    check_stability,
     conjugation_permutation,
     input_coupling_matrix,
-    with_coupling_phase,
 )
 from sasc import chain, spectra
 
@@ -84,26 +79,6 @@ class TestBosonicIdentity:
         assert self.scaled_residual(causal, model.n_modes) <= 1e-12
 
 
-@st.composite
-def stable_chains(draw):
-    """Chains of 2 to 12 modes with random rates, detunings and couplings, stable by a margin."""
-    n_modes = draw(st.integers(2, 12))
-    modes = []
-    for i in range(n_modes):
-        if i % 2 == 0:
-            kappa, detuning = draw(st.floats(0.05, 2.0)), draw(st.floats(-2.0, 2.0))
-            modes.append(ModeParams(f"h{i}", OMEGA_HIGH, kappa, detuning))
-        else:
-            modes.append(ModeParams(f"l{i}", OMEGA_LOW, 10.0 ** draw(st.floats(-4.0, -0.5)), 1.0))
-    couplings = tuple(
-        CouplingParams(draw(st.floats(0.0, 0.2)), draw(st.floats(0.0, 2.0 * np.pi)))
-        for _ in range(n_modes - 1)
-    )
-    model = SystemModel(Topology.CHAIN, tuple(modes), couplings, TEMPERATURE)
-    assume(check_stability(build_drift_matrix(model)).spectral_abscissa < -1e-6)
-    return model
-
-
 class TestStackedTransferMatrices:
     """
     The stacked Gamma path against per-frequency and independent references.
@@ -145,9 +120,7 @@ class TestPhaseGrid:
         # 21 phase pairs span two solve blocks; coupling 1 (the first key) varies slowest.
         gammas = np.concatenate(list(spectra.phase_grid(model, omega, {1: slow, 0: fast})))
         reference = [
-            spectra.transfer_matrix(
-                with_coupling_phase(with_coupling_phase(model, 1, t1), 0, t0), omega, check=False
-            ).gamma
+            spectra.transfer_matrix(with_phases(model, {1: t1, 0: t0}), omega, check=False).gamma
             for t1 in slow for t0 in fast
         ]
         assert np.array_equal(gammas, np.array(reference))
@@ -269,9 +242,9 @@ class TestThermal:
 class TestQuadratures:
     def test_coefficient_pairs_are_conjugate(self):
         model = make_three(phase_m=0.8, phase_c=2.3)
+        tr = spectra.transfer_matrix(model, 0.55)
         for psi in (0.0, 0.4):
-            tr = spectra.transfer_matrix(model, 0.55, psi=psi)
-            c = spectra.quadrature_coefficients(tr, output_port=2)
+            c = spectra.quadrature_coefficients(tr, output_port=2, psi=psi)
             assert np.allclose(c[1::2], np.conj(c[0::2]), atol=1e-10)
 
     def test_output_port_validation(self):
