@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import SystemModel, build_drift_matrix, check_stability, require_stable
+from . import numerics
+from .model import STABILITY_MARGIN, SystemModel, build_drift_matrix, require_stable
 from .spectra import (
     SnrSolver,
     UndefinedAsymmetryError,
@@ -239,7 +240,8 @@ def f_map(cfg: ComparisonConfig, delta_c_grid, delta_m_grid) -> MapResult:
     cells = [(float(dc), float(dm)) for dm in delta_m_grid for dc in delta_c_grid]
     low = cfg.cs_model.modes[1].detuning
     drifts = build_drift_matrix(cfg.cs_model, detunings=[(dm, low, dc) for dc, dm in cells])
-    unstable = [cell for cell, drift in zip(cells, drifts) if not check_stability(drift).stable]
+    abscissae = numerics.eigenvalues(drifts).real.max(axis=-1)
+    unstable = [cell for cell, abscissa in zip(cells, abscissae) if not abscissa < -STABILITY_MARGIN]
     solver = SnrSolver(cfg.cs_model, cfg.signal_port, cfg.readout_port, cfg.psi)
     _, s_star = _search_snr(solver, drifts, cfg.omega_range, 401, RESONANCE_EXCLUSION_WIDTH)
     values = s_star.reshape(len(delta_m_grid), len(delta_c_grid)) / ics_max

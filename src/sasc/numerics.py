@@ -4,13 +4,14 @@ Dense complex linear-algebra and fitting kernel.
 Solves and inverses of one matrix or a stack of them, and eigenvalues,
 are thin wrappers over LAPACK through numpy.linalg; a solve refuses a
 matrix whose reciprocal condition is below a fixed floor with
-SingularMatrixError. Also: ordinary least-squares line fitting and Welch
-power-spectral-density support.
+SingularMatrixError. Also: ordinary least-squares line fitting and a
+streaming Welch power-spectral-density estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -19,16 +20,19 @@ __all__ = [
     "SingularMatrixError",
     "NonConvergenceError",
     "LineFit",
-    "as_complex_matrix",
     "lu_solve",
     "invert",
     "eigenvalues",
     "fit_line",
     "hann_window",
+    "WelchEstimate",
+    "WelchAccumulator",
     "welch_psd",
 ]
 
 _RCOND_FLOOR = 1e-13
+#: Complex entries per windowed batch of Welch segments (4 MB), or one segment of every series if larger.
+_WELCH_BATCH_ENTRIES = 1 << 18
 
 
 class SingularMatrixError(Exception):
@@ -55,14 +59,14 @@ class LineFit:
     r_squared: float
 
 
-def as_complex_matrix(a) -> NDArray[np.complex128]:
-    """Coerce to a 2-D complex array, rejecting non-finite entries."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+def _square_stack(a) -> NDArray[np.complex128]:
+    """Coerce to a complex (..., n, n) array, rejecting other shapes and non-finite entries."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    return m
+    return a
 
 
 def lu_solve(a, b) -> NDArray[np.complex128]:
@@ -76,11 +80,7 @@ def lu_solve(a, b) -> NDArray[np.complex128]:
     vector (n,), one (n, k) block shared by the whole stack, or a
     (..., n, k) stack of the same leading shape as A.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
+    a = _square_stack(a)
     b = np.asarray(b, dtype=complex)
     if b.ndim > 2 and b.shape[:-2] != a.shape[:-2]:
         raise ValueError(f"right-hand sides {b.shape} do not match the matrix stack {a.shape}")
@@ -102,10 +102,8 @@ def invert(a) -> NDArray[np.complex128]:
 
 
 def eigenvalues(a) -> NDArray[np.complex128]:
-    """All eigenvalues of a square complex matrix (LAPACK geev via numpy)."""
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("eigenvalues requires a square matrix")
+    """All eigenvalues of a square complex matrix, or (..., n) of a (..., n, n) stack (LAPACK geev)."""
+    a = _square_stack(a)
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
@@ -140,62 +138,96 @@ def hann_window(n: int) -> NDArray[np.float64]:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
 
 
-def welch_psd(
-    x,
-    dt: float,
-    segment_length: int,
-    overlap: float = 0.5,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+class WelchEstimate(NamedTuple):
+    """Welch PSD with per-bin standard errors; n_segments counts periodograms (segments x series)."""
+
+    omega: NDArray[np.float64]
+    psd: NDArray[np.float64]
+    stderr: NDArray[np.float64]
+    n_segments: int
+
+
+class WelchAccumulator:
     """
-    Two-sided Welch PSD estimate of a complex time series.
+    Two-sided Welch PSD of complex series, fed chunk by chunk with time on
+    the last axis (leading axes index independent series). A component
+    e^{-i omega0 t} appears at +omega0, matching the resolvent
+    (-i omega I - M)^{-1} of predicted spectra. Segments start every
+    round(segment_length * (1 - overlap)) samples, however the input is
+    chunked; only the samples after the last segment start (fewer than
+    segment_length) are kept between chunks. Each Hann-windowed periodogram
+    is folded into a per-bin mean and sum of squared deviations (Chan,
+    Golub & LeVeque, Am. Stat. 37, 242 (1983)) and dropped.
+    """
 
-    The frequency axis follows the analytic convention in which a component
-    e^{-i omega0 t} appears at angular frequency +omega0, matching the
-    resolvent (-i omega I - M)^{-1} used for predicted spectra.
+    def __init__(self, dt: float, segment_length: int, overlap: float = 0.5):
+        if segment_length < 2:
+            raise ValueError("segment_length must be at least 2")
+        if not 0.0 <= overlap < 1.0:
+            raise ValueError("overlap must be in [0, 1)")
+        self._dt = dt
+        self._length = segment_length
+        self._step = max(1, int(round(segment_length * (1.0 - overlap))))
+        self._window = hann_window(segment_length)
+        self._tail = None
+        self._count = 0
+        self._mean = np.zeros(segment_length)
+        self._m2 = np.zeros(segment_length)
 
-    Parameters
-    ----------
-    x:
-        Complex samples, shape (n_samples,) or (n_samples, n_series); the
-        trailing axis indexes independent realizations.
-    dt:
-        Sample spacing.
-    segment_length:
-        Samples per Welch segment (Hann window applied).
-    overlap:
-        Fractional segment overlap in [0, 1).
+    def add(self, chunk) -> None:
+        """Append samples (..., n_samples) of every series."""
+        data = np.asarray(chunk, dtype=complex)
+        if self._tail is not None:
+            data = np.concatenate([self._tail, data], axis=-1)
+        n_segments = max(0, (data.shape[-1] - self._length) // self._step + 1)
+        if n_segments:
+            segments = np.lib.stride_tricks.sliding_window_view(data, self._length, axis=-1)
+            segments = segments[..., :: self._step, :]  # (..., n_segments, segment_length) view
+            # Bounded batches keep the windowed copy and its FFT small, whatever the overlap.
+            per_batch = max(1, _WELCH_BATCH_ENTRIES // (segments.size // n_segments))
+            for first in range(0, n_segments, per_batch):
+                batch = segments[..., first : first + per_batch, :]
+                # Windowed into C order, so each FFT runs over contiguous samples.
+                windowed = np.multiply(batch, self._window, out=np.empty(batch.shape, complex))
+                spectrum = np.fft.fft(windowed)
+                self._merge((spectrum.real**2 + spectrum.imag**2).reshape(-1, self._length))
+        self._tail = data[..., n_segments * self._step :].copy()
 
-    Returns
-    -------
-    omega:
-        Angular frequencies, ascending.
-    psd:
-        Mean PSD over all segments and series, aligned with omega.
-    periodograms:
-        Per-segment PSDs, shape (n_segments_total, len(omega)).
+    def _merge(self, power: NDArray[np.float64]) -> None:
+        """Fold in a (count, segment_length) batch of periodograms, overwriting it."""
+        count = len(power)
+        mean = power.mean(axis=0)
+        delta = mean - self._mean
+        total = self._count + count
+        power -= mean
+        power *= power
+        self._mean += delta * (count / total)
+        self._m2 += power.sum(axis=0) + delta**2 * (self._count * count / total)
+        self._count = total
+
+    def result(self) -> WelchEstimate:
+        """The estimate over every complete segment added so far, omega ascending."""
+        count = self._count
+        if count == 0:
+            raise ValueError("no complete segments available")
+        norm = self._dt / np.sum(self._window**2)
+        stderr = np.sqrt(self._m2 / (max(count - 1, 1) * count)) * norm  # 0 for one segment
+        # e^{-i w0 t} lands at -fftfreq: negate and sort once.
+        omega = -2.0 * np.pi * np.fft.fftfreq(self._length, self._dt)
+        order = np.argsort(omega)
+        return WelchEstimate(omega[order], self._mean[order] * norm, stderr[order], count)
+
+
+def welch_psd(x, dt: float, segment_length: int, overlap: float = 0.5) -> WelchEstimate:
+    """
+    Welch PSD of samples x, (n_samples,) or (n_samples, n_series) with one
+    realization per column: a WelchAccumulator fed the whole array at once.
     """
     data = np.asarray(x, dtype=complex)
-    if data.ndim == 1:
-        data = data[:, None]
-    n_samples, n_series = data.shape
-    if segment_length > n_samples:
+    if data.ndim not in (1, 2):
+        raise ValueError(f"expected (n_samples,) or (n_samples, n_series), got shape {data.shape}")
+    if segment_length > data.shape[0]:
         raise ValueError("segment_length exceeds the number of samples")
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError("overlap must be in [0, 1)")
-    step = max(1, int(round(segment_length * (1.0 - overlap))))
-    window = hann_window(segment_length)
-    norm = dt / np.sum(window**2)
-    starts = range(0, n_samples - segment_length + 1, step)
-    if not starts:
-        raise ValueError("no complete segments available")
-    # Frequency axis: e^{-i w0 t} lands at -fftfreq, so negate and sort.
-    omega = -2.0 * np.pi * np.fft.fftfreq(segment_length, dt)
-    order = np.argsort(omega)
-    # Each segment fills a block of columns of one preallocated array: one copy, no transpose.
-    columns = np.empty((segment_length, len(starts) * n_series))
-    for i, s in enumerate(starts):
-        seg = data[s : s + segment_length] * window[:, None]
-        spec = np.abs(np.fft.fft(seg, axis=0)) ** 2 * norm
-        columns[:, i * n_series : (i + 1) * n_series] = spec[order]
-    periodograms = columns.T
-    return omega[order], periodograms.mean(axis=0), periodograms
+    welch = WelchAccumulator(dt, segment_length, overlap)
+    welch.add(data.T)
+    return welch.result()

@@ -4,10 +4,13 @@ Independent time-domain validation path.
 Integrates the linearized Langevin system dz = M z dt + L dW with
 synthesized Gaussian noise and estimates the output power spectrum of one
 port via Welch averaging, for cross-checking the frequency-domain
-pipeline. The noise is a classical complex circular surrogate whose
-symmetrized second moments match the quantum input correlators; this is
-exact for every quantity computed here (all are symmetrized second
-moments of a linear system) but is not a full quantum simulation.
+pipeline. The Welch estimate is accumulated chunk by chunk as the port is
+recorded, so no output record is kept: memory is O(ensemble x (chunk +
+segment_length)), whatever n_steps and overlap. The noise is a classical
+complex circular surrogate whose symmetrized second moments match the
+quantum input correlators; this is exact for every quantity computed here
+(all are symmetrized second moments of a linear system) but is not a full
+quantum simulation.
 
 The integrator is the drift-implicit Euler-Maruyama step
 z_{k+1} = A z_k + B xi_k with A = (I - dt M)^{-1} and B = A L dt; the
@@ -161,7 +164,8 @@ def _advance(z, draws, maps):
 def simulate(cfg: OracleConfig) -> OracleRun:
     """
     Integrate the Langevin system for the whole ensemble and Welch-estimate
-    the output PSD of the configured port.
+    the output PSD of the configured port, each chunk's recorded outputs
+    after the burn-in going straight into the estimate.
 
     Every ensemble member draws its noise from a seed derived as
     (seed, member_index), so results are independent of evaluation order.
@@ -195,14 +199,13 @@ def simulate(cfg: OracleConfig) -> OracleRun:
 
     burn_in = cfg.effective_burn_in
     total_steps = burn_in + cfg.n_steps
-    outputs = np.empty((cfg.ensemble, cfg.n_steps), dtype=complex)
+    welch = numerics.WelchAccumulator(cfg.dt, cfg.segment_length, cfg.overlap)
     noise = np.empty((cfg.ensemble, _CHUNK, n2))
     # All members advance in lockstep (state rows), but every member's
     # noise stream comes from its own (seed, member) generator, so results
     # are identical to integrating the members one at a time.
     rngs = [np.random.default_rng([cfg.seed, member]) for member in range(cfg.ensemble)]
     z = np.zeros((cfg.ensemble, n2), dtype=complex)
-    recorded = 0
     done = 0
     while done < total_steps:
         chunk = min(_CHUNK, total_steps - done)
@@ -215,10 +218,6 @@ def simulate(cfg: OracleConfig) -> OracleRun:
         if full < chunk:  # the run ends in a partial block
             z, tail = _advance(z, noise[:, full:chunk].reshape(cfg.ensemble, 1, -1), maps(chunk - full))
             ports = np.concatenate([ports, tail], axis=1)
-        first = min(max(burn_in - done, 0), chunk)  # burn-in steps in this chunk
-        outputs[:, recorded : recorded + chunk - first] = ports[:, first:]
-        recorded += chunk - first
-        done += chunk
         scale = np.max(np.abs(z)) + 1e-300
         deviation = float(np.max(np.abs(z[:, 1::2] - np.conj(z[:, 0::2]))) / scale)
         if deviation > _CONJUGATE_TOLERANCE:
@@ -227,14 +226,11 @@ def simulate(cfg: OracleConfig) -> OracleRun:
             )
         if not np.all(np.isfinite(z.view(float))):
             raise IntegrationQualityError("trajectory diverged (non-finite state)")
+        first = min(max(burn_in - done, 0), chunk)  # burn-in steps in this chunk
+        welch.add(ports[:, first:])
+        done += chunk
 
-    omega, psd, periodograms = numerics.welch_psd(
-        outputs.T, cfg.dt, cfg.segment_length, cfg.overlap
-    )
-    del outputs, noise, ports
-    count = periodograms.shape[0]
-    stderr = periodograms.std(axis=0, ddof=1) / np.sqrt(count) if count > 1 else np.zeros_like(psd)
-    return OracleRun(omega=omega, psd=psd, stderr=stderr, n_segments=count, config=cfg)
+    return OracleRun(*welch.result(), config=cfg)  # omega, psd, stderr, n_segments
 
 
 @dataclass(frozen=True)

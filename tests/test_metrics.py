@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_comparison_pair, make_du, make_three, with_detunings
-from sasc.model import InstabilityError
+from sasc.model import InstabilityError, build_drift_matrix, check_stability
 from sasc import metrics, spectra
 
 
@@ -202,6 +202,19 @@ class TestFMap:
         assert len(result.metadata["unstable_cells"]) > 0
         assert result.values[1, 1] > 1.0
         assert result.metadata["baseline_max_snr"] > 0.0
+
+    def test_unstable_cells_match_per_cell_verdicts(self):
+        # One stacked eigenvalue call must flag exactly the cells check_stability flags, in order.
+        cs, ics = make_comparison_pair()
+        cfg = metrics.ComparisonConfig(cs_model=cs, ics_model=ics)
+        deltas = np.linspace(-0.6, 0.6, 7)
+        result = metrics.f_map(cfg, deltas, deltas)
+        expected = [
+            (float(dc), float(dm)) for dm in deltas for dc in deltas
+            if not check_stability(build_drift_matrix(with_detunings(cs, {0: dm, 2: dc}))).stable
+        ]
+        assert 0 < len(expected) < len(deltas) ** 2
+        assert result.metadata["unstable_cells"] == expected
 
 
 class TestLockstepSearch:

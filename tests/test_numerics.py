@@ -138,6 +138,16 @@ class TestEigenvalues:
         assert sorted(nearest) == list(range(n))
         assert np.max(np.abs(eigs[nearest] - d)) < 1e-10
 
+    def test_stack_equals_per_matrix_calls_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        stack = rng.standard_normal((3, 5, 6, 6)) + 1j * rng.standard_normal((3, 5, 6, 6))
+        eigs = numerics.eigenvalues(stack)
+        assert eigs.shape == (3, 5, 6)
+        for index in np.ndindex(3, 5):
+            assert np.array_equal(eigs[index], numerics.eigenvalues(stack[index]))
+        with pytest.raises(ValueError):
+            numerics.eigenvalues(np.zeros((2, 3, 4)))
+
     def test_lapack_failure_is_nonconvergence(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -181,11 +191,12 @@ class TestWelch:
         dt = 0.01
         n = 1 << 15
         x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-        omega, psd, periodograms = numerics.welch_psd(x, dt, 1024)
+        omega, psd, stderr, n_segments = numerics.welch_psd(x, dt, 1024)
         # Unit-variance circular white noise has a flat two-sided PSD of dt.
         assert np.mean(psd) == pytest.approx(dt, rel=0.05)
         assert np.all(np.diff(omega) > 0)
-        assert periodograms.shape[1] == len(omega)
+        assert stderr.shape == omega.shape
+        assert n_segments == 63
 
     def test_analytic_signal_lands_at_positive_frequency(self):
         dt = 0.01
@@ -193,7 +204,7 @@ class TestWelch:
         omega0 = 2.0 * np.pi * 4.0
         t = np.arange(n) * dt
         x = np.exp(-1j * omega0 * t)
-        omega, psd, _ = numerics.welch_psd(x, dt, 2048)
+        omega, psd, _, _ = numerics.welch_psd(x, dt, 2048)
         assert omega[np.argmax(psd)] == pytest.approx(omega0, abs=0.35)
 
     def test_segment_length_validation(self):
@@ -201,3 +212,81 @@ class TestWelch:
             numerics.welch_psd(np.zeros(10, dtype=complex), 0.1, 16)
         with pytest.raises(ValueError):
             numerics.welch_psd(np.zeros(32, dtype=complex), 0.1, 16, overlap=1.0)
+        with pytest.raises(ValueError):
+            numerics.WelchAccumulator(0.1, 1)
+
+    @pytest.mark.parametrize("layout", ["1-D", "columns"])
+    def test_bench_call_convention(self, layout):
+        # bench/probes.py passes (n_samples, n_series); a single series may also be 1-D.
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((4096, 3)) + 1j * rng.standard_normal((4096, 3))
+        if layout == "1-D":
+            x = x[:, 0]
+        estimate = numerics.welch_psd(x, 0.002, 512, 0.5)
+        reference = stored_periodogram_welch(np.atleast_2d(x.T), 0.002, 512, 0.5)
+        assert_same_estimate(estimate, reference)
+
+
+def stored_periodogram_welch(x, dt, segment_length, overlap):
+    """
+    Reference Welch estimate of series x (n_series, n_samples): FFT every
+    segment, keep all periodograms, then take their mean and standard error.
+    """
+    step = max(1, int(round(segment_length * (1.0 - overlap))))
+    window = numerics.hann_window(segment_length)
+    periodograms = np.concatenate([
+        np.abs(np.fft.fft(x[:, s : s + segment_length] * window, axis=-1)) ** 2
+        for s in range(0, x.shape[-1] - segment_length + 1, step)
+    ]) * dt / np.sum(window**2)
+    omega = -2.0 * np.pi * np.fft.fftfreq(segment_length, dt)
+    order = np.argsort(omega)
+    stderr = periodograms.std(axis=0, ddof=1) / np.sqrt(len(periodograms))
+    return omega[order], periodograms.mean(axis=0)[order], stderr[order], len(periodograms)
+
+
+def assert_same_estimate(estimate, reference):
+    omega, psd, stderr, n_segments = reference
+    assert np.array_equal(estimate.omega, omega)
+    np.testing.assert_allclose(estimate.psd, psd, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(estimate.stderr, stderr, rtol=1e-12, atol=0)
+    assert estimate.n_segments == n_segments
+
+
+class TestWelchAccumulator:
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_chunks_match_stored_periodograms(self, overlap, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((3, 3002)) + 1j * rng.standard_normal((3, 3002))
+        # Chunks of 1 to 300 samples, many shorter than the Welch step; the
+        # last samples, past the last complete segment, stay in the tail.
+        edges = np.cumsum(rng.integers(1, 300, size=40))
+        edges = edges[edges < x.shape[1]]
+        welch = numerics.WelchAccumulator(0.05, 256, overlap)
+        for chunk in np.split(x, edges, axis=1):
+            welch.add(chunk)
+        reference = stored_periodogram_welch(x, 0.05, 256, overlap)
+        assert_same_estimate(welch.result(), reference)
+
+    def test_all_zero_input_has_zero_stderr(self):
+        welch = numerics.WelchAccumulator(0.1, 64)
+        for _ in range(5):
+            welch.add(np.zeros((2, 100), dtype=complex))
+        estimate = welch.result()
+        assert estimate.n_segments == 2 * 14  # (500 - 64) // 32 + 1 segments per series
+        assert np.all(estimate.psd == 0.0)
+        assert np.all(estimate.stderr == 0.0)
+
+    def test_single_segment_has_zero_stderr(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+        estimate = numerics.welch_psd(x, 0.1, 128)
+        assert estimate.n_segments == 1
+        assert np.all(estimate.stderr == 0.0)
+        assert np.all(estimate.psd > 0.0)
+
+    def test_no_complete_segment_is_an_error(self):
+        welch = numerics.WelchAccumulator(0.1, 64)
+        welch.add(np.ones(63, dtype=complex))
+        with pytest.raises(ValueError):
+            welch.result()

@@ -1,5 +1,7 @@
 """Time-domain validation path: integration, reproducibility, comparison."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,8 +72,8 @@ def stepwise_simulate(cfg):
             z = step_matrix @ z + input_matrix @ xi
             if t >= cfg.effective_burn_in:
                 outputs[t - cfg.effective_burn_in, member] = gain * z[port_row] - xi[port_row]
-    _, psd, periodograms = numerics.welch_psd(outputs, cfg.dt, cfg.segment_length, cfg.overlap)
-    return psd, periodograms.std(axis=0, ddof=1) / np.sqrt(periodograms.shape[0])
+    estimate = numerics.welch_psd(outputs, cfg.dt, cfg.segment_length, cfg.overlap)
+    return estimate.psd, estimate.stderr
 
 
 class TestSimulate:
@@ -89,6 +91,28 @@ class TestSimulate:
         psd, stderr = stepwise_simulate(cfg)
         np.testing.assert_allclose(run.psd, psd, rtol=1e-10, atol=0)
         np.testing.assert_allclose(run.stderr, stderr, rtol=1e-10, atol=0)
+
+    def test_high_overlap_matches_stepwise_reference(self):
+        # Overlap 0.99 of 64 samples starts a segment at every step: 4,922 per member.
+        cfg = short_config(make_du(), ensemble=2, segment_length=64, overlap=0.99,
+                           burn_in=37, n_steps=4985)
+        run = oracle.simulate(cfg)
+        psd, stderr = stepwise_simulate(cfg)
+        assert run.n_segments == 2 * 4922
+        np.testing.assert_allclose(run.psd, psd, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(run.stderr, stderr, rtol=1e-10, atol=0)
+
+    def test_memory_does_not_grow_with_n_steps(self):
+        # The Welch estimate is accumulated per chunk: no record of n_steps outputs is kept.
+        def peak_bytes(n_steps):
+            tracemalloc.start()
+            try:
+                oracle.simulate(short_config(make_du(), n_steps=n_steps, segment_length=1024))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(65536) <= peak_bytes(16384) + 0.5e6
 
     def test_deterministic_for_fixed_seed(self):
         model = make_du()
