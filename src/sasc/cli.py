@@ -299,6 +299,8 @@ def run_fmap(config: dict, outdir: Path, fmt: str) -> None:
         raise ConfigError("fmap requires delta_max > delta_min")
     deltas = np.linspace(lo, hi, points)
     result = metrics.f_map(cfg, deltas, deltas)
+    log.debug("fmap coarse scans: %d of %d cells exact, worst cond_1(V) %.3g",
+              result.scan["fallback_cells"], result.values.size, result.scan["max_eigvec_cond"])
     # Every cell, unstable ones included (listed under unstable_cells), holds
     # the algebraic ratio f; lg f is undefined where f <= 0 and written as null/nan.
     with np.errstate(divide="ignore"):

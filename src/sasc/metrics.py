@@ -4,9 +4,11 @@ frequency, scheme-comparison factor f, detuning maps, phase searches for
 target asymmetry, and the phase-independence check of the two asymmetry
 factors. All optimizers are deterministic (fixed grids plus golden-section
 refinement); no stochastic search. The detuning map builds all cells' drift
-matrices in one call and runs their SNR searches in lockstep: one stacked
-solve per cell's coarse scan, then one per golden-section step over all
-cells, each bracket stopping on its own.
+matrices in one call and runs their SNR searches in lockstep. Each cell's
+coarse argmax is ranked from the poles of Lambda M (one stacked eig per block
+of cells), or by the exact scan where a proven guard does not trust that; the
+value at the argmax and each golden-section step are one stacked exact solve
+over all cells, each bracket stopping on its own.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from numpy.typing import NDArray
 from . import numerics
 from .model import STABILITY_MARGIN, SystemModel, build_drift_matrix, require_stable
 from .spectra import (
+    _BLOCK_ENTRIES,
     SnrSolver,
     UndefinedAsymmetryError,
     asymmetry_pair,
@@ -122,25 +125,71 @@ def max_snr_over_omega(
     drift = solver.drift if detunings is None else build_drift_matrix(model, detunings)
     if check:
         require_stable(drift)
-    w, s = _search_snr(solver, drift[None], omega_range, n_scan, exclude_resonance_width)
+    w, s, _ = _search_snr(solver, drift[None], omega_range, n_scan, exclude_resonance_width)
     return float(w[0]), float(s[0])
+
+
+#: A cell's coarse scan is ranked from its poles only if cond_1 of its eigenvector
+#: matrix is below this bound, and the exact kernel's rcond provably exceeds
+#: _RCOND_MARGIN (ten times the solve's floor) at every grid point; otherwise it
+#: takes the exact scan, which raises SingularMatrixError where that floor refuses it.
+_EIGVEC_COND_LIMIT = 1e4
+_RCOND_MARGIN = 10.0 * numerics._RCOND_FLOOR
+
+
+def _pole_residue_snr(solver: SnrSolver, drifts, grid):
+    """
+    (SNR over `grid`, trusted, cond_1(V)) of each drift matrix M of a stack, from
+    the poles d and eigenvectors V of Lambda M. Lambda^2 = I, so
+    i w Lambda - M = Lambda (i w I - Lambda M), and the readout rows are
+    L_r V diag(1 / (i w - d)) V^-1 Lambda L - I_r: O(n^2) per frequency. Since
+    |(i w Lambda - M)^-1|_1 <= cond_1(V) / min_k |i w - d_k|, the exact kernel's
+    rcond at w is at least min_k |i w - d_k| / (max(|w| + |M|_1, 1) cond_1(V));
+    a matrix is trusted if that bound and cond_1(V) pass the guard above.
+    Nothing is trusted (cond_1 inf, SNR 0) if eig or inv fails.
+    """
+    cells = len(drifts)
+    try:
+        poles, v = np.linalg.eig(solver.lam[:, None] * drifts)
+        v_inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        return np.zeros((cells, len(grid))), np.zeros(cells, dtype=bool), np.full(cells, np.inf)
+
+    cond = np.linalg.norm(v, 1, axis=(-2, -1)) * np.linalg.norm(v_inv, 1, axis=(-2, -1))
+    gaps = 1j * grid[:, None] - poles[:, None, :]
+    norm_m = np.linalg.norm(drifts, 1, axis=(-2, -1))
+    scale = np.maximum(np.abs(grid) + norm_m[:, None], 1.0) * cond[:, None]
+    rcond_bound = np.abs(gaps).min(axis=-1) / scale
+    trusted = (cond < _EIGVEC_COND_LIMIT) & np.all(rcond_bound > _RCOND_MARGIN, axis=-1)
+    r = slice(2 * solver.readout_port, 2 * solver.readout_port + 2)
+    w = np.exp([-1j * solver.psi, 1j * solver.psi]) / np.sqrt(2.0)
+    left, right = w @ solver.ell[r] @ v, v_inv @ (solver.lam[:, None] * solver.ell)
+    with np.errstate(all="ignore"):  # only an untrusted matrix can overflow or meet a pole
+        c = left[:, None, :] / gaps @ right - w @ np.eye(len(solver.lam))[r]
+        return solver.from_coefficients(c)[1], trusted, cond
 
 
 def _search_snr(solver: SnrSolver, drifts, omega_range, n_scan: int, width: float):
     """
-    (omega*, S*) arrays of a stack of drift matrices, whose models differ from
-    the solver's only in M: one stacked solve per coarse scan, then one over every
-    live bracket per golden-section step. SNR reads 0 within `width` of omega = +/- 1.
+    (omega*, S*, scan) of a stack of drift matrices, whose models differ from the
+    solver's only in M. Each cell's coarse argmax comes from _pole_residue_snr over
+    blocks of _BLOCK_ENTRIES entries (cells x n_scan x n), or from the exact scan if
+    untrusted; its value is one stacked exact solve, as is each golden-section step
+    over the live brackets. SNR reads 0 within `width` of omega = +/- 1. `scan` holds
+    the number of exact-scan cells and the worst cond_1(V).
     """
     if excludes_whole_range(omega_range, width):
         raise ValueError(f"omega_range {tuple(omega_range)} lies inside a resonance band"
                          f" that the SNR search excludes (half-width {width}): nothing to search")
     grid = np.linspace(omega_range[0], omega_range[1], n_scan)
-    best, coarse = np.zeros(len(drifts), dtype=int), np.zeros(len(drifts))
-    for k, drift in enumerate(drifts):
-        values = np.where(_excluded(grid, width), 0.0, solver.solve(grid, drift)[1])
-        best[k] = np.argmax(values)
-        coarse[k] = values[best[k]]
+    cells = len(drifts)
+    best, trusted, cond = np.zeros(cells, dtype=int), np.zeros(cells, dtype=bool), np.zeros(cells)
+    step = max(1, _BLOCK_ENTRIES // (n_scan * drifts.shape[-1]))
+    for block in (slice(start, start + step) for start in range(0, cells, step)):
+        values, trusted[block], cond[block] = _pole_residue_snr(solver, drifts[block], grid)
+        for k in np.flatnonzero(~trusted[block]):
+            values[k] = solver.solve(grid, drifts[block][k])[1]
+        best[block] = np.argmax(np.where(_excluded(grid, width), 0.0, values), axis=-1)
 
     def snr(omegas: NDArray[np.float64]) -> NDArray[np.float64]:
         values = np.zeros(len(omegas))
@@ -149,10 +198,12 @@ def _search_snr(solver: SnrSolver, drifts, omega_range, n_scan: int, width: floa
             values[solve] = solver.solve(omegas[solve], drifts[solve])[1]
         return values
 
+    coarse = snr(grid[best])
     lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, n_scan - 1)]
     w_star, s_star = golden_section_max(snr, lo, hi)
     on_grid = coarse > s_star
-    return np.where(on_grid, grid[best], w_star), np.where(on_grid, coarse, s_star)
+    scan = {"fallback_cells": int(np.count_nonzero(~trusted)), "max_eigvec_cond": float(cond.max())}
+    return np.where(on_grid, grid[best], w_star), np.where(on_grid, coarse, s_star), scan
 
 
 @dataclass(frozen=True)
@@ -206,12 +257,14 @@ def f_factor(
 
 @dataclass
 class MapResult:
-    """f (or derived) values over a (delta_c, delta_m) grid, with provenance."""
+    """f (or derived) values over a (delta_c, delta_m) grid, with provenance; `scan`
+    (see _search_snr) says how the coarse scans ran and is kept out of artifacts."""
 
     delta_c: NDArray[np.float64]
     delta_m: NDArray[np.float64]
     values: NDArray[np.float64]
     metadata: dict = field(default_factory=dict)
+    scan: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.delta_c = np.asarray(self.delta_c, dtype=float)
@@ -243,13 +296,14 @@ def f_map(cfg: ComparisonConfig, delta_c_grid, delta_m_grid) -> MapResult:
     abscissae = numerics.eigenvalues(drifts).real.max(axis=-1)
     unstable = [cell for cell, abscissa in zip(cells, abscissae) if not abscissa < -STABILITY_MARGIN]
     solver = SnrSolver(cfg.cs_model, cfg.signal_port, cfg.readout_port, cfg.psi)
-    _, s_star = _search_snr(solver, drifts, cfg.omega_range, 401, RESONANCE_EXCLUSION_WIDTH)
+    _, s_star, scan = _search_snr(solver, drifts, cfg.omega_range, 401, RESONANCE_EXCLUSION_WIDTH)
     values = s_star.reshape(len(delta_m_grid), len(delta_c_grid)) / ics_max
     return MapResult(
         delta_c=delta_c_grid,
         delta_m=delta_m_grid,
         values=values,
         metadata={"baseline_max_snr": ics_max, "unstable_cells": unstable},
+        scan=scan,
     )
 
 

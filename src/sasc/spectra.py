@@ -371,10 +371,14 @@ class SnrSolver:
         c = (
             rows[:, 0, :] * np.exp(-1j * self.psi) + rows[:, 1, :] * np.exp(1j * self.psi)
         ) / np.sqrt(2.0)
+        return self.from_coefficients(c)
+
+    def from_coefficients(self, c) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """(S_AP, SNR) of homodyne coefficients C, input channels on the last axis."""
         s = self.signal_port
-        s_ap = np.abs(c[:, 2 * s] + c[:, 2 * s + 1]) ** 2
+        s_ap = np.abs(c[..., 2 * s] + c[..., 2 * s + 1]) ** 2
         mags = np.abs(c) ** 2
-        noise = np.sum((mags[:, 0::2] + mags[:, 1::2]) * self.weights, axis=1)
+        noise = np.sum((mags[..., 0::2] + mags[..., 1::2]) * self.weights, axis=-1)
         return s_ap, np.where(noise > 0.0, s_ap / np.where(noise > 0.0, noise, 1.0), 0.0)
 
 

@@ -73,6 +73,19 @@ def with_detunings(model, detunings):
     return dataclasses.replace(model, modes=tuple(modes))
 
 
+def pole_centred_range(model, detunings):
+    """
+    An omega_range whose middle point of 401 is a real frequency w* at which
+    i w Lambda - M is singular for the model at `detunings`: i w* is a purely
+    imaginary eigenvalue of Lambda M, away from the low-mode resonances.
+    """
+    lam = np.tile([-1.0, 1.0], model.n_modes)
+    poles = np.linalg.eigvals(lam[:, None] * build_drift_matrix(model, detunings))
+    near_resonance = np.abs(np.abs(poles.imag) - 1.0) < 0.05
+    w = poles[np.argmin(np.abs(poles.real) + near_resonance)].imag
+    return (w - 1.0, w + 1.0)
+
+
 @st.composite
 def stable_chains(draw):
     """Chains of 2 to 12 modes with random rates, detunings and couplings, stable by a margin."""

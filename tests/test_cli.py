@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import with_phases
+from conftest import pole_centred_range, with_phases
 from sasc import cli, spectra
 
 
@@ -218,6 +218,16 @@ class TestFmapOmegaRange:
         config["task"]["ics"]["couplings"] = [{"magnitude": 0.0}, {"magnitude": 0.0}]
         assert run_cli(tmp_path, "fmap", config) == cli.EXIT_NUMERICAL
         assert "baseline maximum SNR is 0.0" in caplog.text
+
+    def test_pole_on_a_grid_frequency_is_a_numerical_failure(self, tmp_path, caplog):
+        # At delta_c = delta_m = 0.7 the middle grid frequency is a real pole of Lambda M,
+        # where i w Lambda - M is singular.
+        config = fmap_config(delta_min=0.7, delta_max=0.8, delta_points=2)
+        model = cli.build_system(config["system"])
+        config["task"]["omega_range"] = list(pole_centred_range(model, (0.7, 1.0, 0.7)))
+        assert run_cli(tmp_path, "fmap", config) == cli.EXIT_NUMERICAL
+        assert "singular" in caplog.text
+        assert not list(tmp_path.glob("fmap*"))
 
 
 class TestSpectrumRuns:

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_comparison_pair, make_du, make_three, with_detunings
+from conftest import (
+    make_comparison_pair, make_du, make_three, pole_centred_range, with_detunings,
+)
 from sasc.model import InstabilityError, build_drift_matrix, check_stability
+from sasc.numerics import SingularMatrixError
 from sasc import metrics, spectra
 
 
@@ -275,6 +279,91 @@ class TestLockstepSearch:
         found = metrics.find_phase_for_target_R(model, 0.25, "bc", omega)
         monkeypatch.setattr(metrics, "golden_section_max", with_scalar_golden_section)
         assert metrics.find_phase_for_target_R(model, 0.25, "bc", omega) == found
+
+
+class TestPoleResidueScan:
+    """Coarse argmaxes ranked from poles; every written value comes from the exact kernel."""
+
+    GRID = np.linspace(-3.0, 3.0, 401)
+
+    @pytest.mark.parametrize("omega_range, deltas", [
+        (TestLockstepSearch.OMEGA_RANGE, TestLockstepSearch.DELTAS),
+        ((-3.0, 3.0), np.linspace(-2.0, 2.0, 15)),
+    ], ids=["lockstep", "15x15"])
+    def test_exact_scans_give_the_same_map(self, monkeypatch, omega_range, deltas):
+        cs, ics = make_comparison_pair()
+        cfg = metrics.ComparisonConfig(cs_model=cs, ics_model=ics, omega_range=omega_range)
+        ranked = metrics.f_map(cfg, deltas, deltas)
+        monkeypatch.setattr(metrics, "_EIGVEC_COND_LIMIT", 0.0)
+        exact = metrics.f_map(cfg, deltas, deltas)
+        assert ranked.scan["fallback_cells"] == 0
+        assert exact.scan["fallback_cells"] == len(deltas) ** 2
+        assert ranked.metadata["unstable_cells"]
+        assert np.array_equal(ranked.values, exact.values)
+        assert ranked.metadata == exact.metadata
+
+    def test_defective_drift_takes_the_exact_scan(self, monkeypatch):
+        # Lambda M with a 2x2 Jordan block at -0.3 + 0.5i: its eigenvectors are
+        # numerically parallel, while i w Lambda - M stays far from singular.
+        rng = np.random.default_rng(5)
+        jordan = np.diag([-0.3 + 0.5j, -0.3 + 0.5j, 0.4 - 1.5j, -0.5 + 2.0j, 0.2 + 0.1j, -0.6 - 0.8j])
+        jordan[0, 1] = 1.0
+        basis = np.eye(6) + 0.3 * (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        solver = spectra.SnrSolver(make_three())
+        defective = solver.lam[:, None] * (basis @ jordan @ np.linalg.inv(basis))
+        drifts = np.stack([solver.drift, defective])
+        _, trusted, cond = metrics._pole_residue_snr(solver, drifts, self.GRID)
+        assert trusted.tolist() == [True, False] and cond[1] >= 1e4
+        w, s, scan = metrics._search_snr(solver, drifts, (-3.0, 3.0), 401, 1e-3)
+        assert scan == {"fallback_cells": 1, "max_eigvec_cond": cond[1]}
+        monkeypatch.setattr(metrics, "_EIGVEC_COND_LIMIT", 0.0)
+        exact_w, exact_s, _ = metrics._search_snr(solver, drifts, (-3.0, 3.0), 401, 1e-3)
+        assert np.array_equal(w, exact_w) and np.array_equal(s, exact_s)
+
+    def test_pole_on_a_grid_frequency_is_refused(self):
+        cs, ics = make_comparison_pair()
+        omega_range = pole_centred_range(cs, (0.7, 1.0, 0.7))
+        cfg = metrics.ComparisonConfig(cs_model=cs, ics_model=ics, omega_range=omega_range)
+        with pytest.raises(SingularMatrixError):
+            metrics.f_map(cfg, [0.7], [0.7])
+
+    def test_pole_on_a_grid_frequency_fails_the_guard(self):
+        cs, _ = make_comparison_pair()
+        grid = np.linspace(*pole_centred_range(cs, (0.7, 1.0, 0.7)), 401)
+        solver = spectra.SnrSolver(cs)
+        drift = build_drift_matrix(cs, (0.7, 1.0, 0.7))
+        poles = np.linalg.eigvals(solver.lam[:, None] * drift)
+        assert np.min(np.abs(1j * grid[200] - poles)) < 1e-14
+        _, trusted, cond = metrics._pole_residue_snr(solver, drift[None], grid)
+        assert not trusted[0] and cond[0] < metrics._EIGVEC_COND_LIMIT
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        kappas=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+        detunings=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+        magnitudes=st.tuples(st.floats(0.05, 0.2), st.floats(0.05, 0.2)),
+        phases=st.tuples(st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 2.0 * np.pi)),
+    )
+    def test_pole_residue_snr_matches_the_exact_kernel(self, kappas, detunings, magnitudes, phases):
+        # Three-mode cells over the fig4 ranges, stable or not: the SNR is the one of
+        # SnrSolver.solve, and so is the coarse argmax wherever the top two values differ.
+        model = make_three(kappa_m=kappas[0], kappa_c=kappas[1],
+                           delta_m=detunings[0], delta_c=detunings[1],
+                           magnitude_m=magnitudes[0], magnitude_c=magnitudes[1],
+                           phase_m=phases[0], phase_c=phases[1])
+        solver = spectra.SnrSolver(model)
+        values, trusted, _ = metrics._pole_residue_snr(solver, solver.drift[None], self.GRID)
+        assume(trusted[0])
+        exact = solver.solve(self.GRID)[1]
+        tol = 1e-9 * exact.max()
+        assert np.max(np.abs(values[0] - exact)) <= tol
+        banded = np.minimum(np.abs(self.GRID - 1.0), np.abs(self.GRID + 1.0)) < (
+            metrics.RESONANCE_EXCLUSION_WIDTH
+        )
+        masked = np.where(banded, 0.0, exact)
+        top, second = np.sort(masked)[-2:][::-1]
+        if top - second > tol:
+            assert np.argmax(np.where(banded, 0.0, values[0])) == np.argmax(masked)
 
 
 class TestPhaseSearch:
