@@ -7,7 +7,9 @@ payloads are deterministic for a fixed config and seed. Every output file
 embeds '#'-prefixed metadata lines with the tool version and a hash of
 the canonicalized config. A built-in figure (`sasc figures figN`) is the
 list of ordinary task configs in configs/figN.json, each run by its task
-runner, plus a gnuplot stub naming the files written.
+runner, plus a gnuplot stub naming the files written. Each runner imports
+the pipeline modules only it uses (metrics, chain, oracle), so a command
+loads no other command's code.
 
 Exit codes: 0 success, 2 config error, 3 instability, 4 numerical
 failure, 5 oracle-comparison failure.
@@ -27,7 +29,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from . import __version__, chain as chain_mod, metrics, oracle as oracle_mod, spectra
+from . import __version__, spectra
 from .model import (
     CouplingParams,
     InstabilityError,
@@ -36,10 +38,8 @@ from .model import (
     Topology,
     coupled_modes,
 )
-from .numerics import NonConvergenceError, SingularMatrixError
-from .oracle import IntegrationQualityError, OracleComparisonError, OracleConfig
+from .numerics import IntegrationQualityError, NonConvergenceError, SingularMatrixError
 from .spectra import UndefinedAsymmetryError
-
 log = logging.getLogger("sasc")
 
 EXIT_OK = 0
@@ -54,6 +54,10 @@ _DEFAULT_LOW_FREQUENCY = 2.0 * np.pi * 10e6
 
 class ConfigError(Exception):
     """Invalid configuration content or structure."""
+
+
+class OracleComparisonError(Exception):
+    """Predicted and simulated spectra disagree beyond the oracle task's threshold."""
 
 
 def _load_schema() -> dict:
@@ -262,7 +266,9 @@ def run_snr(config: dict, outdir: Path, fmt: str) -> None:
     _write_table(outdir, _basename(config, "snr"), fmt, _metadata(config), columns)
 
 
-def _comparison_config(config: dict) -> metrics.ComparisonConfig:
+def _comparison_config(config: dict):
+    """The fmap task's metrics.ComparisonConfig."""
+    from . import metrics
     task = config.get("task", {})
     if "ics" not in task:
         raise ConfigError("fmap task requires an 'ics' baseline system block")
@@ -290,6 +296,7 @@ def _comparison_config(config: dict) -> metrics.ComparisonConfig:
 
 
 def run_fmap(config: dict, outdir: Path, fmt: str) -> None:
+    from . import metrics
     task = config.get("task", {})
     cfg = _comparison_config(config)
     lo = task.get("delta_min", -2.0)
@@ -325,6 +332,7 @@ def run_fmap(config: dict, outdir: Path, fmt: str) -> None:
 
 
 def run_chain(config: dict, outdir: Path, fmt: str) -> None:
+    from . import chain
     task = config.get("task", {})
     block = task.get("chain")
     if block is None:
@@ -334,7 +342,7 @@ def run_chain(config: dict, outdir: Path, fmt: str) -> None:
         phase=block["coupling"].get("phase", 0.0),
     )
     specs = [
-        chain_mod.ChainSpec(
+        chain.ChainSpec(
             n_modes=n,
             coupling=coupling,
             detuning=block["detuning"],
@@ -346,7 +354,7 @@ def run_chain(config: dict, outdir: Path, fmt: str) -> None:
         for n in block["n_values"]
     ]
     omega = block.get("omega", 0.3)
-    report = chain_mod.scaling_fit(specs, omega)
+    report = chain.scaling_fit(specs, omega)
     meta = _metadata(config, {"omega": omega})
     base = _basename(config, "chain")
     if fmt == "csv":
@@ -357,6 +365,7 @@ def run_chain(config: dict, outdir: Path, fmt: str) -> None:
 
 
 def run_oracle(config: dict, outdir: Path, fmt: str) -> None:
+    from . import oracle
     model = build_system(config["system"])
     task = config.get("task", {})
     block = task.get("oracle", {})
@@ -365,7 +374,7 @@ def run_oracle(config: dict, outdir: Path, fmt: str) -> None:
     if seed is None:
         raise ConfigError("oracle task requires a top-level seed")
     try:
-        cfg = OracleConfig(
+        cfg = oracle.OracleConfig(
             model=model,
             dt=block.get("dt", 0.002),
             n_steps=block.get("n_steps", 131072),
@@ -378,9 +387,9 @@ def run_oracle(config: dict, outdir: Path, fmt: str) -> None:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    run = oracle_mod.simulate(cfg)
+    run = oracle.simulate(cfg)
     predicted = spectra.output_spectrum(model, run.omega, cfg.port)
-    report = oracle_mod.compare(run, predicted)
+    report = oracle.compare(run, predicted)
     meta = _metadata(config, {"n_segments": run.n_segments})
     base = _basename(config, "oracle")
     _write_json(outdir / f"{base}.json", meta, {
@@ -397,6 +406,7 @@ def run_oracle(config: dict, outdir: Path, fmt: str) -> None:
 
 
 def run_optimize(config: dict, outdir: Path, fmt: str) -> None:
+    from . import metrics
     model = build_system(config["system"])
     task = config.get("task", {})
     which = task.get("which", "mb")

@@ -19,7 +19,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import numerics
-from .model import STABILITY_MARGIN, SystemModel, build_drift_matrix, require_stable
+from .model import (
+    STABILITY_MARGIN, SystemModel, build_drift_matrix, quadrature_eigenvalues, require_stable,
+)
 from .spectra import (
     _BLOCK_ENTRIES,
     SnrSolver,
@@ -293,7 +295,7 @@ def f_map(cfg: ComparisonConfig, delta_c_grid, delta_m_grid) -> MapResult:
     cells = [(float(dc), float(dm)) for dm in delta_m_grid for dc in delta_c_grid]
     low = cfg.cs_model.modes[1].detuning
     drifts = build_drift_matrix(cfg.cs_model, detunings=[(dm, low, dc) for dc, dm in cells])
-    abscissae = numerics.eigenvalues(drifts).real.max(axis=-1)
+    abscissae = quadrature_eigenvalues(drifts).real.max(axis=-1)
     unstable = [cell for cell, abscissa in zip(cells, abscissae) if not abscissa < -STABILITY_MARGIN]
     solver = SnrSolver(cfg.cs_model, cfg.signal_port, cfg.readout_port, cfg.psi)
     _, s_star, scan = _search_snr(solver, drifts, cfg.omega_range, 401, RESONANCE_EXCLUSION_WIDTH)

@@ -1,6 +1,9 @@
 """
 Physical parameter types, drift matrices (one, or stacked over a sweep), steady states, stability.
 
+Stability is read from the drift's quadrature form, a real matrix similar
+to the doubled-basis one, with a real (not complex) eigenvalue solve.
+
 All internal rates, detunings, and frequencies are expressed in units of
 the shared low-mode frequency (set to 1); absolute frequencies are kept
 separately and used only for thermal occupations. Mode ordering always
@@ -35,6 +38,7 @@ __all__ = [
     "build_drift_matrix",
     "coupled_modes",
     "input_coupling_matrix",
+    "quadrature_eigenvalues",
     "solve_steady_state",
     "check_stability",
     "require_stable",
@@ -165,6 +169,12 @@ class StabilityVerdict:
     stable: bool
     spectral_abscissa: float
     eigenvalues: tuple[complex, ...]
+
+
+#: x @ _QUADRATURE_BLOCK maps a 2x2 block B of M to R's block t^H B t / 2, t = [[1, i], [1, -i]],
+#: each given as the (real, imaginary) parts of its entries in row-major order.
+_QUADRATURE_BLOCK = (np.array([[1, 1], [-1j, 1j]]) @ np.eye(8).view(complex).reshape(8, 2, 2)
+                     @ np.array([[1, 1j], [1, -1j]]) / 2.0).reshape(8, 4).view(float)
 
 
 def conjugation_permutation(n_modes: int) -> NDArray[np.intp]:
@@ -344,9 +354,29 @@ def solve_steady_state(
     )
 
 
+def quadrature_eigenvalues(m) -> NDArray[np.complex128]:
+    """
+    Eigenvalues of a drift matrix, or (..., 2n) of a stack, from its real
+    quadrature form R = T^-1 M T, T = blockdiag([[1, i], [1, -i]] / sqrt 2),
+    i.e. a_i = (x_i + i p_i) / sqrt 2. An R with an imaginary part above
+    1e-12 max(|M|_1, 1) means M is not a doubled-basis drift: ValueError.
+    """
+    m = np.ascontiguousarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.shape[-1] % 2:
+        raise ValueError(f"expected a doubled-basis (2n, 2n) matrix or a stack, got {m.shape}")
+    stack, n = m.shape[:-2], m.shape[-1] // 2
+    x = m.view(float).reshape(*stack, n, 2, n, 4).swapaxes(-3, -2).reshape(*stack, n, n, 8)
+    r = (x @ _QUADRATURE_BLOCK).reshape(*stack, n, n, 2, 2, 2)
+    imag = np.abs(r[..., 1]).max(axis=(-4, -3, -2, -1))
+    if (imag > 1e-12).any():  # no bound is below 1e-12, so the norms are needed only here
+        if (imag > 1e-12 * np.maximum(np.linalg.norm(m, 1, axis=(-2, -1)), 1.0)).any():
+            raise ValueError("matrix is not a doubled-basis drift: its quadrature form is not real")
+    return numerics.eigenvalues(r[..., 0].swapaxes(-3, -2).reshape(m.shape)).astype(complex)
+
+
 def check_stability(m) -> StabilityVerdict:
     """Eigenvalue-based stability verdict: stable iff all Re(lambda) < -margin."""
-    eigs = numerics.eigenvalues(m)
+    eigs = quadrature_eigenvalues(m)
     abscissa = float(np.max(eigs.real))
     return StabilityVerdict(
         stable=abscissa < -STABILITY_MARGIN,

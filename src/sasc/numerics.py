@@ -1,11 +1,11 @@
 """
-Dense complex linear-algebra and fitting kernel.
+Dense linear-algebra and fitting kernel, and the numerical failure types.
 
-Solves and inverses of one matrix or a stack of them, and eigenvalues,
-are thin wrappers over LAPACK through numpy.linalg; a solve refuses a
-matrix whose reciprocal condition is below a fixed floor with
-SingularMatrixError. Also: ordinary least-squares line fitting and a
-streaming Welch power-spectral-density estimate.
+Solves and inverses of one complex matrix or a stack of them, and
+eigenvalues of a real or complex stack, are thin wrappers over LAPACK
+through numpy.linalg; a solve refuses a matrix whose reciprocal condition
+is below a fixed floor with SingularMatrixError. Also: least-squares line
+fitting and a streaming Welch power-spectral-density estimate.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from numpy.typing import NDArray
 __all__ = [
     "SingularMatrixError",
     "NonConvergenceError",
+    "IntegrationQualityError",
     "LineFit",
     "lu_solve",
     "invert",
@@ -50,6 +51,10 @@ class NonConvergenceError(Exception):
     """Raised when the LAPACK eigenvalue iteration fails to converge."""
 
 
+class IntegrationQualityError(Exception):
+    """Raised when the conjugate-pair structure of an integrated state drifts too far."""
+
+
 @dataclass(frozen=True)
 class LineFit:
     """Ordinary least-squares line y = slope*x + intercept with fit quality."""
@@ -59,9 +64,9 @@ class LineFit:
     r_squared: float
 
 
-def _square_stack(a) -> NDArray[np.complex128]:
-    """Coerce to a complex (..., n, n) array, rejecting other shapes and non-finite entries."""
-    a = np.asarray(a, dtype=complex)
+def _square_stack(a, dtype=complex) -> NDArray:
+    """Coerce to a (..., n, n) array of dtype, rejecting other shapes and non-finite entries."""
+    a = np.asarray(a, dtype=dtype)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -101,9 +106,12 @@ def invert(a) -> NDArray[np.complex128]:
     return lu_solve(a, np.eye(a.shape[-1], dtype=complex))
 
 
-def eigenvalues(a) -> NDArray[np.complex128]:
-    """All eigenvalues of a square complex matrix, or (..., n) of a (..., n, n) stack (LAPACK geev)."""
-    a = _square_stack(a)
+def eigenvalues(a) -> NDArray:
+    """
+    All eigenvalues of a square matrix, or (..., n) of a (..., n, n) stack (LAPACK
+    geev). A real stack stays real (dgeev), as numpy.linalg.eigvals would take it.
+    """
+    a = _square_stack(a, complex if np.iscomplexobj(a) else float)
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:

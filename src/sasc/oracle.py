@@ -36,11 +36,11 @@ from numpy.typing import NDArray
 
 from . import numerics
 from .model import SystemModel, build_drift_matrix, input_coupling_matrix, require_stable
+from .numerics import IntegrationQualityError
 from .spectra import SpectrumTable, occupations
 
 __all__ = [
     "IntegrationQualityError",
-    "OracleComparisonError",
     "OracleConfig",
     "OracleRun",
     "ComparisonReport",
@@ -52,14 +52,6 @@ _CHUNK = 4096
 #: Steps per block of the stepping recurrence; a full chunk makes _CHUNK / _BLOCK state carries.
 _BLOCK = 16
 _CONJUGATE_TOLERANCE = 1e-6
-
-
-class IntegrationQualityError(Exception):
-    """Raised when the conjugate-pair structure of the state drifts too far."""
-
-
-class OracleComparisonError(Exception):
-    """Raised by callers when predicted and simulated spectra disagree."""
 
 
 @dataclass(frozen=True)

@@ -392,6 +392,14 @@ class TestOracleTask:
         config["task"]["oracle"]["dt"] = 0.5
         assert run_cli(tmp_path, "oracle", config) == cli.EXIT_NUMERICAL
 
+    def test_integration_failure_is_a_numerical_failure(self, tmp_path, monkeypatch, caplog):
+        from sasc import oracle
+
+        monkeypatch.setattr(oracle, "_CONJUGATE_TOLERANCE", -1.0)  # every chunk fails the check
+        assert run_cli(tmp_path, "oracle", self.config(1)) == cli.EXIT_NUMERICAL
+        assert "conjugate-pair structure drifted" in caplog.text
+        assert not list(tmp_path.glob("oracle*.json"))
+
     def test_short_noisy_run_fails_comparison(self, tmp_path):
         # Deterministic: with this seed the short run leaves >1% of bins
         # outside three standard errors.
@@ -429,10 +437,35 @@ class TestFigures:
         assert [line.split("'")[1] for line in stub if "plot" in line] == names
 
 
+def run_python(code, *args):
+    """stdout of `python -c code args` in a fresh interpreter that imports this sasc."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    return run.stdout.strip()
+
+
 class TestRuntimeDependencies:
     def test_cli_import_loads_no_scipy(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
         code = "import sys, sasc.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert run.stdout.strip() == "[]"
+        assert run_python(code) == "[]"
+
+    def test_cli_import_loads_only_the_shared_pipeline(self):
+        code = "import sys, sasc.cli; print(sorted(m for m in sys.modules if m.startswith('sasc')))"
+        loaded = ["sasc", "sasc.cli", "sasc.model", "sasc.numerics", "sasc.spectra"]
+        assert run_python(code) == str(loaded)
+
+    def test_chain_command_loads_neither_metrics_nor_oracle(self, tmp_path):
+        config = {"system": du_system(), "task": {"kind": "chain", "chain": {
+            "n_values": [2, 3, 4], "coupling": {"magnitude": 0.05}, "detuning": -0.8,
+            "detuning_alt": 1.2, "kappa_high": 0.5, "kappa_low": 0.4}}}
+        path = write_config(tmp_path / "config.json", config)
+        code = ("import sys; from sasc import cli; code = cli.main(sys.argv[1:]); print(code,"
+                " *(m in sys.modules for m in ('sasc.chain', 'sasc.metrics', 'sasc.oracle')))")
+        out = run_python(code, "chain", "--config", path, "--out", str(tmp_path))
+        assert out == "0 True False False"
+
+    def test_oracle_reexports_the_integration_failure_type(self):
+        from sasc import numerics, oracle
+
+        assert oracle.IntegrationQualityError is numerics.IntegrationQualityError

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    OMEGA_HIGH, OMEGA_LOW, make_du, make_three, stable_chains, with_detunings, with_phases,
+    OMEGA_HIGH, OMEGA_LOW, TEMPERATURE, make_du, make_three, stable_chains, with_detunings,
+    with_phases,
 )
 from sasc.model import (
+    STABILITY_MARGIN,
     BareDriveParams,
     CouplingParams,
     InstabilityError,
@@ -18,9 +20,47 @@ from sasc.model import (
     check_stability,
     conjugation_permutation,
     input_coupling_matrix,
+    quadrature_eigenvalues,
     require_stable,
     solve_steady_state,
 )
+
+
+@st.composite
+def drift_models(draw):
+    """du, three-mode and chain models (2 to 12 modes), random rates and couplings, any verdict."""
+    topology = draw(st.sampled_from(Topology))
+    n_modes = {Topology.DU: 2, Topology.THREE_MODE: 3}.get(topology) or draw(st.integers(2, 12))
+    modes = tuple(
+        ModeParams(f"h{i}", OMEGA_HIGH, draw(st.floats(0.01, 2.0)), draw(st.floats(-2.0, 2.0)))
+        if i % 2 == 0 else ModeParams(f"l{i}", OMEGA_LOW, 10.0 ** draw(st.floats(-4.0, -0.5)), 1.0)
+        for i in range(n_modes)
+    )
+    couplings = tuple(
+        CouplingParams(draw(st.floats(0.0, 0.8)), draw(st.floats(0.0, 2.0 * np.pi)))
+        for _ in range(n_modes - 1)
+    )
+    return SystemModel(topology, modes, couplings, TEMPERATURE)
+
+
+def matched_distance(a, b):
+    """Largest |a_k - b_k| once each value of a is paired with the nearest unpaired value of b."""
+    unpaired = list(b)
+    worst = 0.0
+    for x in a:
+        k = int(np.argmin(np.abs(np.array(unpaired) - x)))
+        worst = max(worst, abs(unpaired.pop(k) - x))
+    return worst
+
+
+def eigenvalue_condition(m):
+    """Largest eigenvalue condition number |x| |y| / |y^H x| of m; inf for singular eigenvectors."""
+    _, vectors = np.linalg.eig(m)
+    try:
+        left = np.linalg.inv(vectors)  # rows y^H with y^H x = 1
+    except np.linalg.LinAlgError:
+        return np.inf
+    return float(np.max(np.linalg.norm(vectors, axis=0) * np.linalg.norm(left, axis=1)))
 
 
 def conjugation_matrix(n_modes):
@@ -143,6 +183,77 @@ class TestStability:
     def test_verdict_carries_all_eigenvalues(self):
         verdict = check_stability(build_drift_matrix(make_du()))
         assert len(verdict.eigenvalues) == 4
+
+
+class TestQuadratureForm:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(model=drift_models())
+    def test_spectrum_and_verdict_match_the_complex_drift(self, model):
+        m = build_drift_matrix(model)
+        reference = np.linalg.eigvals(m)
+        eigs = quadrature_eigenvalues(m)
+        tol = 1e-12 * max(1.0, np.abs(reference).max())
+        # Each value is an eigenvalue of M to working precision: M - lambda I is singular.
+        shifted = m - eigs[:, None, None] * np.eye(len(m))
+        assert np.linalg.svd(shifted, compute_uv=False)[:, -1].max() <= tol
+        # At a defective eigenvalue (an exceptional point, which the draws do reach) zgeev
+        # on M is itself off by ~sqrt(eps), so the spectra are matched where both are accurate.
+        if eigenvalue_condition(m) < 1e3:
+            assert matched_distance(eigs, reference) <= tol
+        abscissa = reference.real.max()
+        if abs(abscissa + STABILITY_MARGIN) > 1e-9:
+            assert check_stability(m).stable == (abscissa < -STABILITY_MARGIN)
+
+    def test_draws_are_stable_and_unstable_and_mostly_well_conditioned(self):
+        drawn = []
+
+        @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+        @given(model=drift_models())
+        def collect(model):
+            m = build_drift_matrix(model)
+            drawn.append((check_stability(m).stable, eigenvalue_condition(m) < 1e3))
+
+        collect()
+        stable, conditioned = np.array(drawn).T
+        assert 0 < stable.sum() < len(drawn)
+        assert conditioned.mean() > 0.5
+
+    def test_stack_matches_per_matrix_calls(self):
+        deltas = np.linspace(-1.0, 1.0, 5)
+        model = make_three(magnitude_m=0.4, phase_m=0.7, phase_c=2.1)
+        stack = build_drift_matrix(model, detunings=[(d, 1.0, -d) for d in deltas])
+        eigs = quadrature_eigenvalues(stack)
+        assert eigs.shape == (5, 6)
+        for point, drift in enumerate(stack):
+            assert np.array_equal(eigs[point], quadrature_eigenvalues(drift))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(model=drift_models(), data=st.data())
+    def test_matrix_without_conjugation_symmetry_is_refused(self, model, data):
+        m = build_drift_matrix(model)
+        size = m.shape[-1]
+        row, col = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        scale = max(np.linalg.norm(m, 1), 1.0) * data.draw(st.floats(1e-10, 1.0))
+        kick = scale * np.exp(1j * data.draw(st.floats(0.0, 2.0 * np.pi)))
+        symmetric = m.copy()
+        partner = conjugation_permutation(model.n_modes)
+        symmetric[row, col] += kick
+        symmetric[partner[row], partner[col]] += np.conj(kick)
+        check_stability(symmetric)  # P M* P = M still holds: a drift
+        broken = m.copy()
+        broken[row, col] += kick
+        with pytest.raises(ValueError, match="not a doubled-basis drift"):
+            check_stability(broken)
+        with pytest.raises(ValueError, match="not a doubled-basis drift"):
+            quadrature_eigenvalues(np.stack([m, broken]))
+
+    def test_generic_complex_matrix_and_odd_size_are_refused(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="not a doubled-basis drift"):
+            quadrature_eigenvalues(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        for shape in [(5, 5), (4, 6), (4,)]:
+            with pytest.raises(ValueError, match="doubled-basis"):
+                quadrature_eigenvalues(np.zeros(shape))
 
 
 class TestSteadyState:

@@ -148,6 +148,29 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             numerics.eigenvalues(np.zeros((2, 3, 4)))
 
+    def test_real_stack_stays_real_bit_for_bit(self):
+        # dgeev on the float array, not zgeev on a complex copy of it.
+        rng = np.random.default_rng(23)
+        stack = rng.standard_normal((4, 8, 8))
+        eigs = numerics.eigenvalues(stack)
+        reference = np.linalg.eigvals(stack)
+        assert eigs.dtype == reference.dtype
+        assert np.array_equal(eigs.view(np.float64), reference.view(np.float64))
+        symmetric = stack + stack.swapaxes(-2, -1)
+        assert numerics.eigenvalues(symmetric).dtype == np.float64
+        assert np.array_equal(numerics.eigenvalues(symmetric), np.linalg.eigvals(symmetric))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_real_and_complex_input_share_the_input_checks(self, dtype):
+        for shape in [(2, 3, 4), (4,), ()]:
+            with pytest.raises(ValueError, match="square"):
+                numerics.eigenvalues(np.zeros(shape, dtype=dtype))
+        for bad in (np.nan, np.inf):
+            a = np.eye(3, dtype=dtype)[None].repeat(2, axis=0)
+            a[1, 0, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                numerics.eigenvalues(a)
+
     def test_lapack_failure_is_nonconvergence(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
