@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import enum
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,51 +240,35 @@ def input_coupling_matrix(model: SystemModel) -> NDArray[np.float64]:
 
 def _cubic_roots(c3: float, c2: float, c1: float, c0: float) -> tuple[list[float], bool]:
     """
-    Real roots of c3 x^3 + c2 x^2 + c1 x + c0 (closed form, Cardano).
+    Real roots of c3 x^3 + c2 x^2 + c1 x + c0 (np.roots, then a Newton polish).
 
     Returns the sorted real roots and a near-degenerate-discriminant flag.
     """
     if c3 == 0.0:
-        if c2 == 0.0:
-            return ([-c0 / c1] if c1 != 0.0 else []), False
         disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0:
-            return [], False
-        s = math.sqrt(disc)
-        return sorted([(-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)]), abs(disc) < 1e-12
-    d0 = c2 * c2 - 3.0 * c3 * c1
-    d1 = 2.0 * c2**3 - 9.0 * c3 * c2 * c1 + 27.0 * c3 * c3 * c0
-    inner = d1 * d1 - 4.0 * d0**3
-    scale = max(abs(d1 * d1), abs(4.0 * d0**3), 1e-300)
-    degenerate = abs(inner) / scale < 1e-9
-    sqrt_inner = cmath.sqrt(inner)
-    cand = (d1 + sqrt_inner) / 2.0
-    if abs(cand) < abs((d1 - sqrt_inner) / 2.0):
-        cand = (d1 - sqrt_inner) / 2.0
-    if cand == 0:
-        return [float(-c2 / (3.0 * c3))], True
-    big_c = cand ** (1.0 / 3.0)
-    zeta = cmath.exp(2j * cmath.pi / 3.0)
-    roots = []
-    for k in range(3):
-        ck = big_c * zeta**k
-        roots.append(-(c2 + ck + d0 / ck) / (3.0 * c3))
-    mag = max(abs(r) for r in roots) + 1e-300
+        degenerate = c2 != 0.0 and 0.0 <= disc < 1e-12
+    else:
+        d0 = c2 * c2 - 3.0 * c3 * c1
+        d1 = 2.0 * c2**3 - 9.0 * c3 * c2 * c1 + 27.0 * c3 * c3 * c0
+        inner = d1 * d1 - 4.0 * d0**3
+        if d1 == 0.0 and inner == 0.0:  # a triple root
+            return [float(-c2 / (3.0 * c3))], True
+        degenerate = abs(inner) / max(abs(d1 * d1), abs(4.0 * d0**3), 1e-300) < 1e-9
+    roots = np.roots([c3, c2, c1, c0])
+    mag = np.max(np.abs(roots), initial=0.0) + 1e-300
     real_roots = []
-    for r in roots:
-        if abs(r.imag) <= 1e-7 * mag:
-            x = r.real
-            # Newton polish to push the closed-form root to full precision.
-            for _ in range(50):
-                f = ((c3 * x + c2) * x + c1) * x + c0
-                df = (3.0 * c3 * x + 2.0 * c2) * x + c1
-                if df == 0.0:
-                    break
-                step = f / df
-                x -= step
-                if abs(step) <= 1e-16 * max(abs(x), 1.0):
-                    break
-            real_roots.append(x)
+    for x in roots[np.abs(roots.imag) <= 1e-7 * mag].real.tolist():
+        # Newton polish to push the eigenvalue-based root to full precision.
+        for _ in range(50):
+            f = ((c3 * x + c2) * x + c1) * x + c0
+            df = (3.0 * c3 * x + 2.0 * c2) * x + c1
+            if df == 0.0:
+                break
+            step = f / df
+            x -= step
+            if abs(step) <= 1e-16 * max(abs(x), 1.0):
+                break
+        real_roots.append(x)
     deduped: list[float] = []
     for x in sorted(real_roots):
         if not deduped or abs(x - deduped[-1]) > 1e-8 * max(abs(x), 1.0):

@@ -10,6 +10,7 @@ fitting and a streaming Welch power-spectral-density estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -162,10 +163,14 @@ class WelchAccumulator:
     e^{-i omega0 t} appears at +omega0, matching the resolvent
     (-i omega I - M)^{-1} of predicted spectra. Segments start every
     round(segment_length * (1 - overlap)) samples, however the input is
-    chunked; only the samples after the last segment start (fewer than
-    segment_length) are kept between chunks. Each Hann-windowed periodogram
-    is folded into a per-bin mean and sum of squared deviations (Chan,
-    Golub & LeVeque, Am. Stat. 37, 242 (1983)) and dropped.
+    chunked. Segments are read in place from the caller's chunk (or from the
+    kept samples and the chunk, for one that starts in them) and
+    Hann-windowed in batches into one reused buffer, transformed in place.
+    Only the samples after the last segment start (fewer than
+    segment_length) are copied and kept between adds, so a chunk may be
+    overwritten once `add` returns. Each periodogram is folded into a
+    per-bin mean and sum of squared deviations (Chan, Golub & LeVeque, Am.
+    Stat. 37, 242 (1983)) and dropped.
     """
 
     def __init__(self, dt: float, segment_length: int, overlap: float = 0.5):
@@ -178,6 +183,8 @@ class WelchAccumulator:
         self._step = max(1, int(round(segment_length * (1.0 - overlap))))
         self._window = hann_window(segment_length)
         self._tail = None
+        self._work = np.empty(0, dtype=complex)
+        self._power = np.empty(0)
         self._count = 0
         self._mean = np.zeros(segment_length)
         self._m2 = np.zeros(segment_length)
@@ -185,21 +192,45 @@ class WelchAccumulator:
     def add(self, chunk) -> None:
         """Append samples (..., n_samples) of every series."""
         data = np.asarray(chunk, dtype=complex)
+        start = 0  # of the next segment, in data; negative while it starts in the tail
         if self._tail is not None:
-            data = np.concatenate([self._tail, data], axis=-1)
-        n_segments = max(0, (data.shape[-1] - self._length) // self._step + 1)
+            tail, start = self._tail, -self._tail.shape[-1]
+            # A segment that starts in the tail is windowed from its end and the chunk's start.
+            while start < 0 and start + self._length <= data.shape[-1]:
+                work = self._scratch(tail.shape[:-1] + (self._length,))
+                np.multiply(tail[..., start:], self._window[:-start], out=work[..., :-start])
+                np.multiply(data[..., : start + self._length], self._window[-start:], out=work[..., -start:])
+                self._transform(work)
+                start += self._step
+            if start < 0:  # the chunk is too short to end a segment that starts in the tail
+                self._tail = np.concatenate([tail[..., start:], data], axis=-1)
+                return
+        n_segments = max(0, (data.shape[-1] - start - self._length) // self._step + 1)
         if n_segments:
-            segments = np.lib.stride_tricks.sliding_window_view(data, self._length, axis=-1)
+            segments = np.lib.stride_tricks.sliding_window_view(data[..., start:], self._length, axis=-1)
             segments = segments[..., :: self._step, :]  # (..., n_segments, segment_length) view
-            # Bounded batches keep the windowed copy and its FFT small, whatever the overlap.
+            # Bounded batches keep the work buffer small, whatever the overlap.
             per_batch = max(1, _WELCH_BATCH_ENTRIES // (segments.size // n_segments))
             for first in range(0, n_segments, per_batch):
                 batch = segments[..., first : first + per_batch, :]
                 # Windowed into C order, so each FFT runs over contiguous samples.
-                windowed = np.multiply(batch, self._window, out=np.empty(batch.shape, complex))
-                spectrum = np.fft.fft(windowed)
-                self._merge((spectrum.real**2 + spectrum.imag**2).reshape(-1, self._length))
-        self._tail = data[..., n_segments * self._step :].copy()
+                self._transform(np.multiply(batch, self._window, out=self._scratch(batch.shape)))
+        self._tail = data[..., start + n_segments * self._step :].copy()
+
+    def _scratch(self, shape: tuple[int, ...]) -> NDArray[np.complex128]:
+        """The work buffer as a C-ordered array of `shape`, grown if too small."""
+        size = math.prod(shape)
+        if self._work.size < size:
+            self._work = np.empty(size, dtype=complex)
+            self._power = np.empty(size)
+        return self._work[:size].reshape(shape)
+
+    def _transform(self, work: NDArray[np.complex128]) -> None:
+        """Fold in the periodograms of windowed segments (..., segment_length), transformed in place."""
+        np.fft.fft(work, out=work)
+        power = np.abs(work, out=self._power[: work.size].reshape(work.shape))
+        power *= power
+        self._merge(power.reshape(-1, self._length))
 
     def _merge(self, power: NDArray[np.float64]) -> None:
         """Fold in a (count, segment_length) batch of periodograms, overwriting it."""

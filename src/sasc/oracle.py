@@ -23,7 +23,10 @@ advanced _BLOCK steps per block,
 so a chunk of steps costs one matrix product for every block's noise
 response, one small product per block to carry the state, and one more
 for the carried states' share of the recorded port. No eigenbasis is
-used, only matrix powers.
+used, only matrix powers. The products write into caller-owned buffers
+that simulate allocates once per run and every full chunk reuses; the
+carried states are stored time-major, (blocks + 1, ensemble, 2N), so each
+carry writes one contiguous row in place.
 """
 
 from __future__ import annotations
@@ -134,23 +137,34 @@ def _block_maps(
     return real_table, gain * powers[1:, port_row].T, powers[size].T
 
 
-def _advance(z, draws, maps):
+def _workspace(ensemble, n_blocks, maps):
+    """Buffers for _advance over (ensemble, n_blocks) blocks: (product, carried, ports)."""
+    table, homogeneous, power = maps
+    return (np.empty((ensemble * n_blocks, table.shape[1])),
+            np.empty((n_blocks + 1, ensemble, len(power)), dtype=complex),
+            np.empty((ensemble, n_blocks, homogeneous.shape[1]), dtype=complex))
+
+
+def _advance(z, draws, maps, work=None):
     """
     Advance row states z (ensemble, n2) through draws (ensemble, n_blocks,
     size * n_draws); return the end states and the recorded outputs
-    (ensemble, n_blocks * size) in step order.
+    (ensemble, n_blocks * size) in step order. Both are views into `work`
+    (from _workspace, fresh if omitted), which the next call overwrites.
     """
     table, homogeneous, power = maps
     ensemble, n_blocks, _ = draws.shape
     size = homogeneous.shape[1]
-    particular = (draws.reshape(-1, table.shape[0]) @ table).view(complex)
-    particular = particular.reshape(ensemble, n_blocks, size + len(power))
-    starts = np.empty((ensemble, n_blocks, len(power)), dtype=complex)
+    product, carried, ports = work or _workspace(ensemble, n_blocks, maps)
+    np.matmul(draws.reshape(-1, table.shape[0]), table, out=product)
+    particular = product.view(complex).reshape(ensemble, n_blocks, size + len(power))
+    carried[0] = z  # carried[b] is the state at the start of block b
     for b in range(n_blocks):
-        starts[:, b] = z
-        z = z @ power + particular[:, b, size:]
-    ports = particular[..., :size] + starts @ homogeneous
-    return z, ports.reshape(ensemble, n_blocks * size)
+        np.matmul(carried[b], power, out=carried[b + 1])
+        carried[b + 1] += particular[:, b, size:]
+    np.matmul(carried[:-1].transpose(1, 0, 2), homogeneous, out=ports)
+    ports += particular[..., :size]
+    return carried[-1], ports.reshape(ensemble, n_blocks * size)
 
 
 def simulate(cfg: OracleConfig) -> OracleRun:
@@ -198,6 +212,8 @@ def simulate(cfg: OracleConfig) -> OracleRun:
     # are identical to integrating the members one at a time.
     rngs = [np.random.default_rng([cfg.seed, member]) for member in range(cfg.ensemble)]
     z = np.zeros((cfg.ensemble, n2), dtype=complex)
+    # Reused by every full chunk; a shorter last chunk takes fresh buffers.
+    work = _workspace(cfg.ensemble, _CHUNK // _BLOCK, block_maps)
     done = 0
     while done < total_steps:
         chunk = min(_CHUNK, total_steps - done)
@@ -205,7 +221,8 @@ def simulate(cfg: OracleConfig) -> OracleRun:
             rng.standard_normal(out=noise[member, :chunk])
         full = chunk - chunk % _BLOCK
         z, ports = _advance(
-            z, noise[:, :full].reshape(cfg.ensemble, full // _BLOCK, _BLOCK * n2), block_maps
+            z, noise[:, :full].reshape(cfg.ensemble, full // _BLOCK, _BLOCK * n2), block_maps,
+            work if chunk == _CHUNK else None,
         )
         if full < chunk:  # the run ends in a partial block
             z, tail = _advance(z, noise[:, full:chunk].reshape(cfg.ensemble, 1, -1), maps(chunk - full))

@@ -6,6 +6,8 @@ numpy's companion-matrix solver), and matrices built by a unitary
 similarity from a known spectrum.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,57 @@ class TestWelchAccumulator:
             welch.add(chunk)
         reference = stored_periodogram_welch(x, 0.05, 256, overlap)
         assert_same_estimate(welch.result(), reference)
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.9])
+    def test_chunk_buffer_overwritten_after_each_add(self, overlap):
+        # The oracle refills one ports buffer per chunk: whatever the
+        # accumulator keeps between adds must be its own copy.
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((3, 3002)) + 1j * rng.standard_normal((3, 3002))
+        edges = np.cumsum(rng.integers(1, 400, size=30))
+        edges = edges[edges < x.shape[1]]
+        buffer = np.empty((3, 400), dtype=complex)
+        welch = numerics.WelchAccumulator(0.05, 256, overlap)
+        for chunk in np.split(x, edges, axis=1):
+            view = buffer[:, : chunk.shape[1]]
+            view[...] = chunk
+            welch.add(view)
+            buffer[...] = np.nan
+        assert_same_estimate(welch.result(), stored_periodogram_welch(x, 0.05, 256, overlap))
+
+    def test_chunk_sizes_and_leading_shapes_vary(self):
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((4, 4000)) + 1j * rng.standard_normal((4, 4000))
+        # A chunk larger than every earlier one, then a smaller one.
+        welch = numerics.WelchAccumulator(0.05, 128, 0.5)
+        for chunk in np.split(x, [300, 3500], axis=1):
+            welch.add(chunk)
+        assert_same_estimate(welch.result(), stored_periodogram_welch(x, 0.05, 128, 0.5))
+        # A fresh accumulator fed (2, 2) series.
+        welch = numerics.WelchAccumulator(0.05, 128, 0.5)
+        for chunk in np.split(x.reshape(2, 2, -1), [1000, 1100], axis=-1):
+            welch.add(chunk)
+        assert_same_estimate(welch.result(), stored_periodogram_welch(x, 0.05, 128, 0.5))
+
+    def test_chunk_one_sample_short_of_a_tail_segment(self):
+        # Step 1: after 9 samples the tail holds 7; a 6-sample chunk ends the
+        # segments that start at the tail's first 6 samples, not the one at its last.
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((2, 40)) + 1j * rng.standard_normal((2, 40))
+        welch = numerics.WelchAccumulator(0.1, 8, 0.875)
+        for chunk in np.split(x, [9, 15, 16], axis=1):
+            welch.add(chunk)
+        assert_same_estimate(welch.result(), stored_periodogram_welch(x, 0.1, 8, 0.875))
+
+    def test_one_shot_add_does_not_copy_input(self):
+        x = np.random.default_rng(24).standard_normal((32768, 128)).view(complex)  # 33.5 MB
+        tracemalloc.start()
+        try:
+            numerics.welch_psd(x, 0.002, 4096, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 2
 
     def test_all_zero_input_has_zero_stderr(self):
         welch = numerics.WelchAccumulator(0.1, 64)
