@@ -72,7 +72,7 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
             config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     for item in overrides or []:
         if "=" not in item:
@@ -153,6 +153,21 @@ def build_system(block: dict) -> SystemModel:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def chain_system(block: dict, n_modes: int, temperature: float) -> dict:
+    """
+    The 'system' block of the chain task's n-mode chain: modes h0, l0, h1, ...,
+    high-mode detunings alternating detuning, detuning_alt per unit, one coupling.
+    """
+    modes = [
+        {"label": f"h{i // 2}", "kappa": block["kappa_high"],
+         "detuning": block["detuning_alt"] if i % 4 else block["detuning"]}
+        if i % 2 == 0 else {"label": f"l{i // 2}", "kappa": block["kappa_low"]}
+        for i in range(n_modes)
+    ]
+    return {"topology": "chain", "modes": modes,
+            "couplings": [block["coupling"]] * (n_modes - 1), "temperature": temperature}
 
 
 def _metadata(config: dict, extra: dict | None = None) -> dict:
@@ -337,24 +352,11 @@ def run_chain(config: dict, outdir: Path, fmt: str) -> None:
     block = task.get("chain")
     if block is None:
         raise ConfigError("chain task requires a 'chain' block")
-    coupling = CouplingParams(
-        magnitude=block["coupling"]["magnitude"],
-        phase=block["coupling"].get("phase", 0.0),
-    )
-    specs = [
-        chain.ChainSpec(
-            n_modes=n,
-            coupling=coupling,
-            detuning=block["detuning"],
-            detuning_alt=block["detuning_alt"],
-            kappa_high=block["kappa_high"],
-            kappa_low=block["kappa_low"],
-            temperature=config["system"].get("temperature", 0.0) if "system" in config else 0.0,
-        )
-        for n in block["n_values"]
-    ]
+    temperature = config["system"].get("temperature", 0.0)
+    # A generator: each length is built as the fit reaches it and dropped after it.
+    models = (build_system(chain_system(block, n, temperature)) for n in block["n_values"])
     omega = block.get("omega", 0.3)
-    report = chain.scaling_fit(specs, omega)
+    report = chain.scaling_fit(models, omega)
     meta = _metadata(config, {"omega": omega})
     base = _basename(config, "chain")
     if fmt == "csv":
@@ -496,9 +498,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "figures":
             run_figures(args.which, outdir, args.format)
         else:
-            config = load_config(args.config, args.set)
-            if getattr(args, "seed", None) is not None:
-                config["seed"] = args.seed
+            seed = [] if args.seed is None else [f"seed={args.seed}"]
+            config = load_config(args.config, [*args.set, *seed])
             task_kind = config.get("task", {}).get("kind", args.command)
             if task_kind != args.command:
                 raise ConfigError(

@@ -4,11 +4,17 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, strategies as st
+from hypothesis import assume, settings, strategies as st
 
+from sasc.cli import build_system, chain_system
 from sasc.model import (
     CouplingParams, ModeParams, SystemModel, Topology, build_drift_matrix, check_stability,
 )
+
+# A failing property test prints an @reproduce_failure blob that replays its example;
+# the tests keep database=None, so the example is stored nowhere else.
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 OMEGA_LOW = 2.0 * np.pi * 10e6
 OMEGA_HIGH = 2.0 * np.pi * 10e9
@@ -55,6 +61,21 @@ def make_comparison_pair():
     ics = make_three(kappa_m=0.1, kappa_c=0.1, delta_m=1.0, delta_c=1.0,
                      magnitude_m=0.2, magnitude_c=0.1, phase_m=0.0, phase_c=0.0)
     return cs, ics
+
+
+#: The chain task's block at the chain operating point used throughout the chain tests.
+CHAIN_BLOCK = {
+    "coupling": {"magnitude": 0.05, "phase": 0.0},
+    "detuning": -0.8,
+    "detuning_alt": 1.2,
+    "kappa_high": 0.5,
+    "kappa_low": 0.4,
+}
+
+
+def make_chain(n_modes, temperature=0.0, **block):
+    """The n-mode chain of CHAIN_BLOCK, `block` keys overriding it, built as the chain task does."""
+    return build_system(chain_system({**CHAIN_BLOCK, **block}, n_modes, temperature))
 
 
 def with_phases(model, phases):

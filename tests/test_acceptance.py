@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     OMEGA_HIGH,
     OMEGA_LOW,
+    make_chain,
     make_comparison_pair,
     make_du,
     make_three,
@@ -21,7 +22,6 @@ from test_numerics import charpoly_coefficients
 from sasc import chain, cli, metrics, numerics, oracle, spectra
 from sasc.model import (
     BareDriveParams,
-    CouplingParams,
     ModeParams,
     build_drift_matrix,
     check_stability,
@@ -231,16 +231,10 @@ def test_criterion_6_oracle_equivalence(capsys):
 
 
 def test_criterion_7_chain_scaling(capsys):
-    coupling = CouplingParams(0.05, 0.0)
-    specs = [
-        chain.ChainSpec(n_modes=n, coupling=coupling, detuning=-0.8,
-                        detuning_alt=1.2, kappa_high=0.5, kappa_low=0.4)
-        for n in range(2, 7)
-    ]
-    fit_report = chain.scaling_fit(specs, omega=0.3)
-    gain3 = chain.end_to_end_gain(specs[1], 0.3)
-    model3 = chain.build_chain_model(specs[1])
-    tr = spectra.transfer_matrix(model3, 0.3)
+    models = [make_chain(n) for n in range(2, 7)]
+    fit_report = chain.scaling_fit(models, omega=0.3)
+    gain3 = chain.end_to_end_gain(models[1], 0.3)
+    tr = spectra.transfer_matrix(models[1], 0.3)
     c = spectra.quadrature_coefficients(tr, output_port=2)
     quadrature_gain = float(np.abs(c[0] + c[1]) ** 2)
     equality = abs(gain3 - quadrature_gain) <= 1e-10 * max(gain3, 1e-300)

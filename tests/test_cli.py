@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import pole_centred_range, with_phases
+from conftest import CHAIN_BLOCK, pole_centred_range, with_phases
 from sasc import cli, spectra
 
 
@@ -28,14 +28,10 @@ def du_system(kappa_a=1.0, delta_a=0.0, magnitude=0.1, phase=0.0):
 
 
 def chain_system(n_modes=5):
-    modes = [
-        {"label": f"h{i // 2}", "kappa": 0.5, "detuning": -0.8 if i % 4 == 0 else 1.2}
-        if i % 2 == 0 else {"label": f"l{i // 2}", "kappa": 0.4, "detuning": 1.0}
-        for i in range(n_modes)
-    ]
-    couplings = [{"magnitude": 0.05, "phase": 0.3 * i} for i in range(n_modes - 1)]
-    return {"topology": "chain", "modes": modes, "couplings": couplings,
-            "temperature": 0.01}
+    """The chain task's system block for CHAIN_BLOCK, with coupling i at phase 0.3 i."""
+    system = cli.chain_system(CHAIN_BLOCK, n_modes, 0.01)
+    system["couplings"] = [{**c, "phase": 0.3 * i} for i, c in enumerate(system["couplings"])]
+    return system
 
 
 def fmap_config(**task):
@@ -93,6 +89,27 @@ class TestConfigValidation:
         code = cli.main(["spectrum", "--config", str(tmp_path / "absent.json"),
                          "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, caplog):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps({"system": du_system()}).encode("utf-16-le"))
+        code = cli.main(["spectrum", "--config", str(path), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "config error" in caplog.text
+
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path, caplog):
+        config = {"system": du_system(), "task": {"kind": "spectrum"}}
+        assert run_cli(tmp_path, "spectrum", config, ("--seed", "-1")) == cli.EXIT_CONFIG
+        assert "config invalid at $.seed" in caplog.text
+
+    def test_seed_flag_wins_over_set_and_is_hashed(self, tmp_path):
+        config = {"system": du_system(), "task": {"kind": "spectrum"},
+                  "grid": {"min": -1.0, "max": 1.0, "points": 5}}
+        code = run_cli(tmp_path, "spectrum", config, ("--set", "seed=3", "--seed", "5"))
+        assert code == cli.EXIT_OK
+        meta = (tmp_path / "spectrum.csv").read_text().splitlines()
+        assert "# seed: 5" in meta
+        assert f"# config_hash: {cli.canonical_hash({**config, 'seed': 5})}" in meta
 
     def test_task_kind_must_match_subcommand(self, tmp_path):
         config = {"system": du_system(), "task": {"kind": "snr"}}

@@ -5,23 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    OMEGA_HIGH, OMEGA_LOW, make_comparison_pair, make_du, make_three, stable_chains, with_phases,
+    OMEGA_HIGH, OMEGA_LOW, make_chain, make_comparison_pair, make_du, make_three, stable_chains,
+    with_phases,
 )
 from sasc.model import (
-    CouplingParams,
     InstabilityError,
     build_drift_matrix,
     conjugation_permutation,
     input_coupling_matrix,
 )
-from sasc import chain, spectra
-
-
-def chain_model(n_modes):
-    return chain.build_chain_model(chain.ChainSpec(
-        n_modes=n_modes, coupling=CouplingParams(0.05, 0.0), detuning=-0.8,
-        detuning_alt=1.2, kappa_high=0.5, kappa_low=0.4,
-    ))
+from sasc import spectra
 
 
 class TestTransferMatrix:
@@ -52,7 +45,7 @@ class TestTransferMatrix:
 
 _IDENTITY_MODELS = pytest.mark.parametrize("model", [
     make_du(), make_three(phase_m=0.4, phase_c=1.9),
-    chain_model(4), chain_model(7), chain_model(12),
+    make_chain(4), make_chain(7), make_chain(12),
 ], ids=["du", "three", "chain4", "chain7", "chain12"])
 _IDENTITY_OMEGAS = pytest.mark.parametrize("omega", [-2.0, -0.3, 0.0, 0.6, 1.0 - 1e-6, 2.5])
 
