@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__, spectra
 from .model import (
+    ConfigError,
     CouplingParams,
     InstabilityError,
     ModeParams,
@@ -50,10 +51,6 @@ EXIT_ORACLE = 5
 
 _DEFAULT_HIGH_FREQUENCY = 2.0 * np.pi * 10e9
 _DEFAULT_LOW_FREQUENCY = 2.0 * np.pi * 10e6
-
-
-class ConfigError(Exception):
-    """Invalid configuration content or structure."""
 
 
 class OracleComparisonError(Exception):
@@ -144,15 +141,12 @@ def build_system(block: dict) -> SystemModel:
         CouplingParams(magnitude=c["magnitude"], phase=c.get("phase", 0.0))
         for c in block["couplings"]
     ]
-    try:
-        return SystemModel(
-            topology=topology,
-            modes=tuple(modes),
-            couplings=tuple(couplings),
-            temperature=block.get("temperature", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SystemModel(
+        topology=topology,
+        modes=tuple(modes),
+        couplings=tuple(couplings),
+        temperature=block.get("temperature", 0.0),
+    )
 
 
 def chain_system(block: dict, n_modes: int, temperature: float) -> dict:
@@ -205,15 +199,6 @@ def _write_table(outdir: Path, base: str, fmt: str, metadata: dict, columns: dic
     log.info("wrote %s", path)
 
 
-def _index(block: dict, key: str, count: int, default: int | None = None):
-    """block[key] (or default): an index, or a list of indices, of `count` ports or couplings."""
-    value = block.get(key, default)
-    for index in value if isinstance(value, list) else [value]:
-        if index is not None and not 0 <= index < count:
-            raise ConfigError(f"{key} {index} is out of range: the system has {count}")
-    return value
-
-
 def _grid(config: dict, default=(-3.0, 3.0, 1201)) -> np.ndarray:
     block = config.get("grid", {})
     lo = block.get("min", default[0])
@@ -242,29 +227,29 @@ def _port_pair_columns(gamma_stacks, transmissions: dict, asymmetries: dict) -> 
 def run_spectrum(config: dict, outdir: Path, fmt: str) -> None:
     model = build_system(config["system"])
     task = config.get("task", {})
-    port = _index(task, "include_output_port", model.n_modes)
+    port = task.get("include_output_port")
     omegas = _grid(config)
+    output = {} if port is None else spectra.output_spectrum(model, omegas, port).columns
     gammas = spectra.transfer_matrices(model, omegas)
     columns = {"omega": omegas, **_port_pair_columns(gammas, *spectra.port_columns(model))}
-    if port is not None:
-        columns.update(spectra.output_spectrum(model, omegas, port).columns)
+    columns.update(output)
     _write_table(outdir, _basename(config, "spectrum"), fmt, _metadata(config), columns)
 
 
 def run_asymmetry(config: dict, outdir: Path, fmt: str) -> None:
     model = build_system(config["system"])
     task = config.get("task", {})
-    coupling = _index(task, "coupling_index", len(model.couplings), 0)
+    coupling = task.get("coupling_index", 0)
     omega = task.get("omega", spectra.resonance_probe_frequency())
     thetas = _grid(config, (0.0, 2.0 * np.pi, 721))
+    swept = coupling if isinstance(coupling, list) else [coupling]
+    gammas = spectra.phase_grid(model, omega, dict.fromkeys(swept, thetas))
     if isinstance(coupling, list):
         axes = np.meshgrid(thetas, thetas, indexing="ij")
         names = [f"theta_{model.modes[coupled_modes(i)[0]].label}" for i in coupling]
         columns = {name: axis.ravel() for name, axis in zip(names, axes)}
-        phases = dict.fromkeys(coupling, thetas)
     else:
-        columns, phases = {"theta": thetas}, {coupling: thetas}
-    gammas = spectra.phase_grid(model, omega, phases)
+        columns = {"theta": thetas}
     columns.update(_port_pair_columns(gammas, {}, spectra.port_columns(model)[1]))
     meta = _metadata(config, {"omega": omega})
     _write_table(outdir, _basename(config, "asymmetry"), fmt, meta, columns)
@@ -273,10 +258,9 @@ def run_asymmetry(config: dict, outdir: Path, fmt: str) -> None:
 def run_snr(config: dict, outdir: Path, fmt: str) -> None:
     model = build_system(config["system"])
     task = config.get("task", {})
-    signal_port = _index(task, "signal_port", model.n_modes, 0)
-    readout_port = _index(task, "readout_port", model.n_modes)
     omegas = _grid(config)
-    table = spectra.snr_spectrum(model, omegas, signal_port, readout_port, task.get("psi", 0.0))
+    table = spectra.snr_spectrum(model, omegas, task.get("signal_port", 0),
+                                 task.get("readout_port"), task.get("psi", 0.0))
     columns = {"omega": omegas, **table.columns}
     _write_table(outdir, _basename(config, "snr"), fmt, _metadata(config), columns)
 
@@ -293,19 +277,12 @@ def _comparison_config(config: dict):
         raise ConfigError(
             f"fmap tunes the detunings of a three-mode system; this one has {cs_model.n_modes}"
         )
-    omega_range = tuple(task.get("omega_range", (-3.0, 3.0)))
-    if not omega_range[0] < omega_range[1]:
-        raise ConfigError(f"omega_range must be increasing, got {list(omega_range)}")
-    if metrics.excludes_whole_range(omega_range):
-        raise ConfigError(f"omega_range {list(omega_range)} lies inside a resonance band"
-                          " that the SNR search excludes: nothing to search")
-    n_modes = min(cs_model.n_modes, ics_model.n_modes)
     return metrics.ComparisonConfig(
         cs_model=cs_model,
         ics_model=ics_model,
-        omega_range=omega_range,
-        signal_port=_index(task, "signal_port", n_modes, 0),
-        readout_port=_index(task, "readout_port", n_modes),
+        omega_range=tuple(task.get("omega_range", (-3.0, 3.0))),
+        signal_port=task.get("signal_port", 0),
+        readout_port=task.get("readout_port"),
         psi=task.get("psi", 0.0),
     )
 
@@ -371,24 +348,20 @@ def run_oracle(config: dict, outdir: Path, fmt: str) -> None:
     model = build_system(config["system"])
     task = config.get("task", {})
     block = task.get("oracle", {})
-    port = _index(block, "port", model.n_modes, 0)
     seed = config.get("seed")
     if seed is None:
         raise ConfigError("oracle task requires a top-level seed")
-    try:
-        cfg = oracle.OracleConfig(
-            model=model,
-            dt=block.get("dt", 0.002),
-            n_steps=block.get("n_steps", 131072),
-            ensemble=block.get("ensemble", 64),
-            seed=seed,
-            port=port,
-            segment_length=block.get("segment_length", 4096),
-            overlap=block.get("overlap", 0.5),
-            burn_in=block.get("burn_in"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = oracle.OracleConfig(
+        model=model,
+        dt=block.get("dt", 0.002),
+        n_steps=block.get("n_steps", 131072),
+        ensemble=block.get("ensemble", 64),
+        seed=seed,
+        port=block.get("port", 0),
+        segment_length=block.get("segment_length", 4096),
+        overlap=block.get("overlap", 0.5),
+        burn_in=block.get("burn_in"),
+    )
     run = oracle.simulate(cfg)
     predicted = spectra.output_spectrum(model, run.omega, cfg.port)
     report = oracle.compare(run, predicted)
@@ -412,10 +385,6 @@ def run_optimize(config: dict, outdir: Path, fmt: str) -> None:
     model = build_system(config["system"])
     task = config.get("task", {})
     which = task.get("which", "mb")
-    try:
-        spectra.asymmetry_pair(model, which)
-    except ValueError as exc:
-        raise ConfigError(f"which: {exc}") from exc
     target = task.get("target", -1.0)
     omega = task.get("omega", spectra.resonance_probe_frequency())
     result = metrics.find_phase_for_target_R(model, target, which, omega)

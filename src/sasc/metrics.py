@@ -20,7 +20,8 @@ from numpy.typing import NDArray
 
 from . import numerics
 from .model import (
-    STABILITY_MARGIN, SystemModel, build_drift_matrix, quadrature_eigenvalues, require_stable,
+    STABILITY_MARGIN, ConfigError, SystemModel, build_drift_matrix, quadrature_eigenvalues,
+    require_stable,
 )
 from .spectra import (
     _BLOCK_ENTRIES,
@@ -115,14 +116,15 @@ def max_snr_over_omega(
 
     Frequencies within ``exclude_resonance_width`` of the low-mode
     resonances (omega = +/- 1 in low-mode units) are excluded from the
-    search domain (see RESONANCE_EXCLUSION_WIDTH); ValueError if nothing is
-    left. `detunings` replaces the model's (see build_drift_matrix). With
-    check=False the spectrum formula is evaluated without the stability gate.
+    search domain (see RESONANCE_EXCLUSION_WIDTH); ConfigError if omega_range
+    is not increasing or nothing is left. `detunings` replaces the model's (see
+    build_drift_matrix). With check=False the spectrum formula is evaluated
+    without the stability gate.
     """
     if n_scan < 401:
         raise ValueError("n_scan must be at least 401")
     if not omega_range[0] < omega_range[1]:
-        raise ValueError(f"omega_range must be increasing, got {tuple(omega_range)}")
+        raise ConfigError(f"omega_range must be increasing, got {tuple(omega_range)}")
     solver = SnrSolver(model, signal_port, readout_port, psi)
     drift = solver.drift if detunings is None else build_drift_matrix(model, detunings)
     if check:
@@ -181,8 +183,8 @@ def _search_snr(solver: SnrSolver, drifts, omega_range, n_scan: int, width: floa
     the number of exact-scan cells and the worst cond_1(V).
     """
     if excludes_whole_range(omega_range, width):
-        raise ValueError(f"omega_range {tuple(omega_range)} lies inside a resonance band"
-                         f" that the SNR search excludes (half-width {width}): nothing to search")
+        raise ConfigError(f"omega_range {tuple(omega_range)} lies inside a resonance band"
+                          f" that the SNR search excludes (half-width {width}): nothing to search")
     grid = np.linspace(omega_range[0], omega_range[1], n_scan)
     cells = len(drifts)
     best, trusted, cond = np.zeros(cells, dtype=int), np.zeros(cells, dtype=bool), np.zeros(cells)

@@ -33,9 +33,11 @@ __all__ = [
     "SteadyState",
     "StabilityVerdict",
     "InstabilityError",
+    "ConfigError",
     "conjugation_permutation",
     "build_drift_matrix",
     "coupled_modes",
+    "check_index",
     "input_coupling_matrix",
     "quadrature_eigenvalues",
     "solve_steady_state",
@@ -62,6 +64,16 @@ class InstabilityError(Exception):
         )
 
 
+class ConfigError(ValueError):
+    """Raised by every input check of the library: a parameter, index or range it cannot use."""
+
+
+def check_index(name: str, index: int, count: int, what: str) -> None:
+    """ConfigError unless 0 <= index < count, for `name` indexing one of `count` `what`."""
+    if not 0 <= index < count:
+        raise ConfigError(f"{name} {index} is out of range: the system has {count} {what}")
+
+
 @dataclass(frozen=True)
 class ModeParams:
     """
@@ -79,9 +91,9 @@ class ModeParams:
 
     def __post_init__(self):
         if self.kappa <= 0:
-            raise ValueError(f"mode {self.label!r}: kappa must be positive")
+            raise ConfigError(f"mode {self.label!r}: kappa must be positive")
         if self.absolute_frequency <= 0:
-            raise ValueError(f"mode {self.label!r}: absolute_frequency must be positive")
+            raise ConfigError(f"mode {self.label!r}: absolute_frequency must be positive")
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,7 @@ class CouplingParams:
 
     def __post_init__(self):
         if self.magnitude < 0:
-            raise ValueError("coupling magnitude must be non-negative")
+            raise ConfigError("coupling magnitude must be non-negative")
 
     @property
     def value(self) -> complex:
@@ -110,7 +122,7 @@ class BareDriveParams:
 
     def __post_init__(self):
         if self.drive_amplitude < 0:
-            raise ValueError("drive_amplitude must be non-negative")
+            raise ConfigError("drive_amplitude must be non-negative")
 
 
 _MODE_COUNTS = {Topology.DU: 2, Topology.THREE_MODE: 3}
@@ -131,19 +143,19 @@ class SystemModel:
         n = len(self.modes)
         expected = _MODE_COUNTS.get(self.topology)
         if expected is not None and n != expected:
-            raise ValueError(
+            raise ConfigError(
                 f"{self.topology.value} topology requires {expected} modes, got {n}"
             )
         if self.topology is Topology.CHAIN and n < 2:
-            raise ValueError("chain topology requires at least 2 modes")
+            raise ConfigError("chain topology requires at least 2 modes")
         if len({mode.label for mode in self.modes}) != n:
-            raise ValueError("mode labels must be unique: they name the output columns")
+            raise ConfigError("mode labels must be unique: they name the output columns")
         if len(self.couplings) != n - 1:
-            raise ValueError(
+            raise ConfigError(
                 f"expected {n - 1} couplings for {n} modes, got {len(self.couplings)}"
             )
         if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+            raise ConfigError("temperature must be non-negative")
 
     @property
     def n_modes(self) -> int:

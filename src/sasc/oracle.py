@@ -38,14 +38,16 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import numerics
-from .model import SystemModel, build_drift_matrix, input_coupling_matrix, require_stable
-from .numerics import IntegrationQualityError
+from .model import (
+    ConfigError, SystemModel, build_drift_matrix, check_index, input_coupling_matrix,
+    require_stable,
+)
+from .numerics import IntegrationQualityError, WelchEstimate
 from .spectra import SpectrumTable, occupations
 
 __all__ = [
     "IntegrationQualityError",
     "OracleConfig",
-    "OracleRun",
     "ComparisonReport",
     "simulate",
     "compare",
@@ -73,34 +75,22 @@ class OracleConfig:
 
     def __post_init__(self):
         if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            raise ConfigError("dt must be positive")
         if self.ensemble < 1:
-            raise ValueError("ensemble must be at least 1")
+            raise ConfigError("ensemble must be at least 1")
         if self.segment_length < 2:
-            raise ValueError("segment_length must be at least 2")
+            raise ConfigError("segment_length must be at least 2")
         if not 0.0 <= self.overlap < 1.0:
-            raise ValueError("overlap must be in [0, 1)")
+            raise ConfigError("overlap must be in [0, 1)")
         if self.burn_in is not None and self.burn_in < 0:
-            raise ValueError("burn_in must not be negative")
+            raise ConfigError("burn_in must not be negative")
         if self.n_steps < self.segment_length:
-            raise ValueError("n_steps must cover at least one Welch segment")
-        if not 0 <= self.port < self.model.n_modes:
-            raise ValueError("port out of range")
+            raise ConfigError("n_steps must cover at least one Welch segment")
+        check_index("port", self.port, self.model.n_modes, "modes")
 
     @property
     def effective_burn_in(self) -> int:
         return self.segment_length if self.burn_in is None else self.burn_in
-
-
-@dataclass
-class OracleRun:
-    """Welch PSD estimate of one output port with per-bin standard errors."""
-
-    omega: NDArray[np.float64]
-    psd: NDArray[np.float64]
-    stderr: NDArray[np.float64]
-    n_segments: int
-    config: OracleConfig = field(repr=False)
 
 
 def _block_maps(
@@ -167,7 +157,7 @@ def _advance(z, draws, maps, work=None):
     return carried[-1], ports.reshape(ensemble, n_blocks * size)
 
 
-def simulate(cfg: OracleConfig) -> OracleRun:
+def simulate(cfg: OracleConfig) -> WelchEstimate:
     """
     Integrate the Langevin system for the whole ensemble and Welch-estimate
     the output PSD of the configured port, each chunk's recorded outputs
@@ -239,7 +229,7 @@ def simulate(cfg: OracleConfig) -> OracleRun:
         welch.add(ports[:, first:])
         done += chunk
 
-    return OracleRun(*welch.result(), config=cfg)  # omega, psd, stderr, n_segments
+    return welch.result()
 
 
 @dataclass(frozen=True)
@@ -252,7 +242,7 @@ class ComparisonReport:
     z_scores: NDArray[np.float64] = field(repr=False, default=None)
 
 
-def compare(run: OracleRun, predicted: SpectrumTable, column: str | None = None) -> ComparisonReport:
+def compare(run: WelchEstimate, predicted: SpectrumTable, column: str | None = None) -> ComparisonReport:
     """
     Interpolate the predicted spectrum onto the Welch bins (linear) and
     report the fraction of bins whose |z| = |predicted - estimated| / SE

@@ -23,8 +23,10 @@ from numpy.typing import NDArray
 
 from . import numerics
 from .model import (
+    ConfigError,
     SystemModel,
     build_drift_matrix,
+    check_index,
     input_coupling_matrix,
     require_stable,
 )
@@ -62,9 +64,9 @@ __all__ = [
 RESONANCE_PROBE_OFFSET = 1e-6
 
 
-def resonance_probe_frequency(omega_low: float = 1.0) -> float:
-    """Probe frequency just inside the low-mode resonance (see module note)."""
-    return omega_low - RESONANCE_PROBE_OFFSET
+def resonance_probe_frequency() -> float:
+    """Probe frequency just inside the low-mode resonance omega = 1 (see module note)."""
+    return 1.0 - RESONANCE_PROBE_OFFSET
 
 
 class UndefinedAsymmetryError(Exception):
@@ -166,6 +168,8 @@ def phase_grid(
     gate checks the model as given; each block's drift matrices are one
     build_drift_matrix call on the swept values |G| exp(i theta).
     """
+    for index in phases:
+        check_index("coupling_index", index, len(model.couplings), "couplings")
     require_stable(build_drift_matrix(model))
     points = itertools.product(*phases.values())
     magnitudes = np.array([model.couplings[index].magnitude for index in phases])
@@ -258,10 +262,10 @@ def port_columns(model: SystemModel) -> tuple[dict[str, Leg], dict[str, tuple[Le
 
 
 def asymmetry_pair(model: SystemModel, which: str) -> tuple[Leg, Leg, int]:
-    """The pair behind the model's R_{which} column; ValueError if it has none."""
+    """The pair behind the model's R_{which} column; ConfigError if it has none."""
     pairs = port_columns(model)[1]
     if f"R_{which}" not in pairs:
-        raise ValueError(
+        raise ConfigError(
             f"asymmetry {which!r} is not defined for this {model.topology.value} system"
             f" (available: {', '.join(name[2:] for name in pairs)})"
         )
@@ -302,9 +306,7 @@ def quadrature_coefficients(
     x = (out^dag e^{i psi} + out e^{-i psi}) / sqrt(2) of the chosen port.
     """
     g = tr.gamma
-    n_modes = g.shape[0] // 2
-    if not 0 <= output_port < n_modes:
-        raise ValueError(f"output_port {output_port} out of range")
+    check_index("output_port", output_port, g.shape[0] // 2, "modes")
     row_a, row_c = g[2 * output_port], g[2 * output_port + 1]
     return (row_a * np.exp(-1j * psi) + row_c * np.exp(1j * psi)) / np.sqrt(2.0)
 
@@ -320,11 +322,10 @@ def output_spectrum(
     are cross contributions. This is the quantity a stationary time-domain
     simulation of the same system estimates via Welch averaging.
     """
+    check_index("port", port, model.n_modes, "modes")
     omegas = np.asarray(omegas, dtype=float)
     diagonals = np.multiply.outer(-1j * omegas, np.ones(2 * model.n_modes))
     gammas = _input_output(model, diagonals, check=True)
-    if not 0 <= port < model.n_modes:
-        raise ValueError(f"port {port} out of range")
     rows = np.concatenate([np.abs(g[:, 2 * port, :]) ** 2 for g in gammas])
     values = (rows[:, 0::2] + rows[:, 1::2]) @ (occupations(model) + 0.5)
     label = model.modes[port].label
@@ -352,9 +353,8 @@ class SnrSolver:
         psi: float = 0.0,
     ):
         self.readout_port = model.n_modes - 1 if readout_port is None else readout_port
-        for port in (signal_port, self.readout_port):
-            if not 0 <= port < model.n_modes:
-                raise ValueError(f"port {port} out of range")
+        for name, port in (("signal_port", signal_port), ("readout_port", self.readout_port)):
+            check_index(name, port, model.n_modes, "modes")
         self.signal_port = signal_port
         self.psi = psi
         self.drift = build_drift_matrix(model)

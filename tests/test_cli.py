@@ -130,6 +130,20 @@ class TestConfigValidation:
                   "grid": {"min": -1.0, "max": 1.0, "points": 5}, "seed": 1}
         assert run_cli(tmp_path, command, config) == cli.EXIT_CONFIG
         assert "config error" in caplog.text
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_task_port_is_not_a_task_key(self, tmp_path, caplog):
+        config = {"system": du_system(), "task": {"kind": "spectrum", "port": 7},
+                  "grid": {"min": -1.0, "max": 1.0, "points": 5}}
+        assert run_cli(tmp_path, "spectrum", config) == cli.EXIT_CONFIG
+        assert "config invalid at $.task" in caplog.text
+
+    @pytest.mark.parametrize("n_values", [[4, 4, 4], [4, 4, 6]])
+    def test_repeated_chain_lengths_are_config_errors(self, tmp_path, caplog, n_values):
+        config = {"system": du_system(),
+                  "task": {"kind": "chain", "chain": {**CHAIN_BLOCK, "n_values": n_values}}}
+        assert run_cli(tmp_path, "chain", config) == cli.EXIT_CONFIG
+        assert "config invalid at $.task.chain.n_values" in caplog.text
 
     def test_low_mode_detuning_is_fixed_at_one(self, tmp_path):
         system = du_system()
@@ -141,17 +155,19 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command, config", [
         ("fmap", fmap_config(delta_min=0.5, delta_max=-0.5)),
         ("fmap", {**fmap_config(), "system": du_system()}),
+        ("fmap", fmap_config(ics=du_system(), readout_port=2)),
         ("oracle", {"system": du_system(), "seed": 1, "task": {"kind": "oracle", "oracle": {
             "n_steps": 512, "ensemble": 4, "segment_length": 1024}}}),
         ("asymmetry", {"system": fmap_config()["system"],
                        "task": {"kind": "asymmetry", "coupling_index": [1, 1]}}),
         ("asymmetry", {"system": fmap_config()["system"],
                        "task": {"kind": "asymmetry", "coupling_index": [0, 2]}}),
-    ], ids=["fmap.delta_max", "fmap.two_mode_system", "oracle.n_steps",
-            "asymmetry.repeated_coupling", "asymmetry.coupling_out_of_range"])
+    ], ids=["fmap.delta_max", "fmap.two_mode_system", "fmap.readout_port_beyond_ics",
+            "oracle.n_steps", "asymmetry.repeated_coupling", "asymmetry.coupling_out_of_range"])
     def test_inconsistent_task_values_are_config_errors(self, tmp_path, caplog, command, config):
         assert run_cli(tmp_path, command, config) == cli.EXIT_CONFIG
         assert "config error" in caplog.text
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("path", [
         "system.modes.x.kappa", "system.modes.9.kappa", "system.modes.-1.kappa",
@@ -194,6 +210,51 @@ class TestConfigValidation:
         a = {"x": 1, "y": [1, 2]}
         b = {"y": [1, 2], "x": 1}
         assert cli.canonical_hash(a) == cli.canonical_hash(b)
+
+
+class _RecordedReads(dict):
+    """A task block that adds every key read from it to `read`."""
+
+    def __init__(self, block, read):
+        super().__init__(block)
+        self.read = read
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+def test_every_schema_task_key_is_read_by_a_runner(tmp_path, monkeypatch):
+    small = {"min": -1.0, "max": 1.0, "points": 5}
+    three = fmap_config()["system"]
+    chain = {**CHAIN_BLOCK, "n_values": [2, 3, 4]}
+    configs = [
+        {"system": du_system(), "task": {"kind": "spectrum"}, "grid": small},
+        {"system": du_system(), "task": {"kind": "asymmetry"}, "grid": small},
+        {"system": du_system(), "task": {"kind": "snr"}, "grid": small},
+        fmap_config(),
+        {"system": du_system(), "task": {"kind": "chain", "chain": chain}},
+        {"system": du_system(), "seed": 1, "task": {"kind": "oracle", "oracle": {
+            "n_steps": 8192, "ensemble": 4, "segment_length": 1024, "min_fraction": 0.5}}},
+        {"system": three, "task": {"kind": "optimize"}},
+    ]
+    read = set()
+    for config in configs:
+        cli.validate_config(config)
+        monkeypatch.setattr(cli, "load_config", lambda *_, config=config: {
+            **config, "task": _RecordedReads(config["task"], read)})
+        kind = config["task"]["kind"]
+        assert cli.main([kind, "--config", "unused", "--out", str(tmp_path)]) == cli.EXIT_OK
+    keys = cli._load_schema()["properties"]["task"]["properties"]
+    assert sorted(set(keys) - read) == []
 
 
 class TestStabilityGate:
