@@ -204,8 +204,8 @@ def _grid(config: dict, default=(-3.0, 3.0, 1201)) -> np.ndarray:
     lo = block.get("min", default[0])
     hi = block.get("max", default[1])
     points = block.get("points", default[2])
-    if hi <= lo or points < 2:
-        raise ConfigError("grid requires max > min and points >= 2")
+    if hi <= lo:
+        raise ConfigError("grid requires max > min")
     return np.linspace(lo, hi, points)
 
 
@@ -229,7 +229,10 @@ def run_spectrum(config: dict, outdir: Path, fmt: str) -> None:
     task = config.get("task", {})
     port = task.get("include_output_port")
     omegas = _grid(config)
-    output = {} if port is None else spectra.output_spectrum(model, omegas, port).columns
+    output = {}
+    if port is not None:  # output_spectrum checks the port before the label is read
+        values = spectra.output_spectrum(model, omegas, port)
+        output[f"S_out_{model.modes[port].label}"] = values
     gammas = spectra.transfer_matrices(model, omegas)
     columns = {"omega": omegas, **_port_pair_columns(gammas, *spectra.port_columns(model))}
     columns.update(output)
@@ -246,8 +249,13 @@ def run_asymmetry(config: dict, outdir: Path, fmt: str) -> None:
     gammas = spectra.phase_grid(model, omega, dict.fromkeys(swept, thetas))
     if isinstance(coupling, list):
         axes = np.meshgrid(thetas, thetas, indexing="ij")
-        names = [f"theta_{model.modes[coupled_modes(i)[0]].label}" for i in coupling]
-        columns = {name: axis.ravel() for name, axis in zip(names, axes)}
+        labels = [model.modes[coupled_modes(i)[0]].label for i in coupling]
+        if labels[0] == labels[1]:
+            raise ConfigError(
+                f"coupling_index {coupling}: both couplings join high mode {labels[0]},"
+                f" so both phase columns would be named theta_{labels[0]}"
+            )
+        columns = {f"theta_{label}": axis.ravel() for label, axis in zip(labels, axes)}
     else:
         columns = {"theta": thetas}
     columns.update(_port_pair_columns(gammas, {}, spectra.port_columns(model)[1]))
@@ -259,9 +267,9 @@ def run_snr(config: dict, outdir: Path, fmt: str) -> None:
     model = build_system(config["system"])
     task = config.get("task", {})
     omegas = _grid(config)
-    table = spectra.snr_spectrum(model, omegas, task.get("signal_port", 0),
-                                 task.get("readout_port"), task.get("psi", 0.0))
-    columns = {"omega": omegas, **table.columns}
+    s_ap, snr = spectra.snr_spectrum(model, omegas, task.get("signal_port", 0),
+                                     task.get("readout_port"), task.get("psi", 0.0))
+    columns = {"omega": omegas, "S_AP": s_ap, "S_SNR": snr}
     _write_table(outdir, _basename(config, "snr"), fmt, _metadata(config), columns)
 
 

@@ -171,7 +171,6 @@ class SteadyState:
     effective_detuning: float
     branch_count: int
     branch_index: int
-    degenerate: bool
     intensities: tuple[float, ...] = field(default=())
 
 
@@ -250,22 +249,14 @@ def input_coupling_matrix(model: SystemModel) -> NDArray[np.float64]:
     return np.diag(np.sqrt(rates))
 
 
-def _cubic_roots(c3: float, c2: float, c1: float, c0: float) -> tuple[list[float], bool]:
-    """
-    Real roots of c3 x^3 + c2 x^2 + c1 x + c0 (np.roots, then a Newton polish).
-
-    Returns the sorted real roots and a near-degenerate-discriminant flag.
-    """
-    if c3 == 0.0:
-        disc = c1 * c1 - 4.0 * c2 * c0
-        degenerate = c2 != 0.0 and 0.0 <= disc < 1e-12
-    else:
+def _cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
+    """Sorted real roots of c3 x^3 + c2 x^2 + c1 x + c0 (np.roots, then a Newton polish)."""
+    if c3 != 0.0:
         d0 = c2 * c2 - 3.0 * c3 * c1
         d1 = 2.0 * c2**3 - 9.0 * c3 * c2 * c1 + 27.0 * c3 * c3 * c0
-        inner = d1 * d1 - 4.0 * d0**3
-        if d1 == 0.0 and inner == 0.0:  # a triple root
-            return [float(-c2 / (3.0 * c3))], True
-        degenerate = abs(inner) / max(abs(d1 * d1), abs(4.0 * d0**3), 1e-300) < 1e-9
+        # A triple root, which np.roots splits into a real root and a complex pair.
+        if d1 == 0.0 and d1 * d1 - 4.0 * d0**3 == 0.0:
+            return [float(-c2 / (3.0 * c3))]
     roots = np.roots([c3, c2, c1, c0])
     mag = np.max(np.abs(roots), initial=0.0) + 1e-300
     real_roots = []
@@ -285,7 +276,7 @@ def _cubic_roots(c3: float, c2: float, c1: float, c0: float) -> tuple[list[float
     for x in sorted(real_roots):
         if not deduped or abs(x - deduped[-1]) > 1e-8 * max(abs(x), 1.0):
             deduped.append(x)
-    return deduped, degenerate
+    return deduped
 
 
 def solve_steady_state(
@@ -316,7 +307,6 @@ def solve_steady_state(
             effective_detuning=delta0,
             branch_count=1,
             branch_index=0,
-            degenerate=False,
             intensities=(0.0,),
         )
     # Low-mode back-action shifts the detuning linearly in I = |<a>|^2.
@@ -325,7 +315,7 @@ def solve_steady_state(
     c2 = -2.0 * delta0 * beta
     c1 = delta0 * delta0 + kappa_a * kappa_a / 4.0
     c0 = -eps * eps
-    roots, degenerate = _cubic_roots(c3, c2, c1, c0)
+    roots = _cubic_roots(c3, c2, c1, c0)
     intensities = tuple(r for r in roots if r > 0.0)
     if not intensities:
         raise ValueError("steady-state cubic produced no positive-intensity branch")
@@ -344,7 +334,6 @@ def solve_steady_state(
         effective_detuning=float(delta_eff),
         branch_count=len(intensities),
         branch_index=index,
-        degenerate=degenerate,
         intensities=intensities,
     )
 

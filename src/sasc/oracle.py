@@ -31,7 +31,7 @@ carry writes one contiguous row in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -43,7 +43,7 @@ from .model import (
     require_stable,
 )
 from .numerics import IntegrationQualityError, WelchEstimate
-from .spectra import SpectrumTable, occupations
+from .spectra import occupations
 
 __all__ = [
     "IntegrationQualityError",
@@ -239,36 +239,27 @@ class ComparisonReport:
     fraction_within: float
     n_bins: int
     max_abs_z: float
-    z_scores: NDArray[np.float64] = field(repr=False, default=None)
 
 
-def compare(run: WelchEstimate, predicted: SpectrumTable, column: str | None = None) -> ComparisonReport:
+def compare(run: WelchEstimate, predicted) -> ComparisonReport:
     """
-    Interpolate the predicted spectrum onto the Welch bins (linear) and
-    report the fraction of bins whose |z| = |predicted - estimated| / SE
-    is at most 3. Bins with zero standard error count as matching only on
-    exact equality.
+    Report the fraction of Welch bins whose |z| = |predicted - estimated| / SE
+    is at most 3, `predicted` holding one value per bin of run.omega. Bins
+    with zero standard error count as matching only on exact equality.
     """
-    if column is None:
-        if len(predicted.columns) != 1:
-            raise ValueError("column must be named when the table has several")
-        column = next(iter(predicted.columns))
-    pred_omega = predicted.omega
-    mask = (run.omega >= pred_omega[0]) & (run.omega <= pred_omega[-1])
-    if not np.any(mask):
-        raise ValueError("predicted table and Welch bins have disjoint frequency support")
-    omega = run.omega[mask]
-    estimated = run.psd[mask]
-    stderr = run.stderr[mask]
-    expected = np.interp(omega, pred_omega, predicted.columns[column])
-    diff = expected - estimated
+    predicted = np.asarray(predicted, dtype=float)
+    if predicted.shape != run.psd.shape:
+        raise ValueError(
+            f"predicted spectrum has shape {predicted.shape}; the Welch bins have {run.psd.shape}"
+        )
+    diff = predicted - run.psd
+    stderr = run.stderr
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(stderr > 0, diff / np.where(stderr > 0, stderr, 1.0),
                      np.where(diff == 0.0, 0.0, np.inf))
     fraction = float(np.mean(np.abs(z) <= 3.0))
     return ComparisonReport(
         fraction_within=fraction,
-        n_bins=int(mask.sum()),
+        n_bins=len(z),
         max_abs_z=float(np.max(np.abs(z))),
-        z_scores=z,
     )

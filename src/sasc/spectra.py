@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -35,8 +34,6 @@ __all__ = [
     "RESONANCE_PROBE_OFFSET",
     "resonance_probe_frequency",
     "UndefinedAsymmetryError",
-    "TransferResult",
-    "SpectrumTable",
     "ASYMMETRY_PAIRS",
     "transfer_matrix",
     "transfer_matrices",
@@ -73,39 +70,11 @@ class UndefinedAsymmetryError(Exception):
     """Raised when an asymmetry factor would be 0/0."""
 
 
-@dataclass(frozen=True)
-class TransferResult:
-    """Transfer matrix Gamma at one frequency."""
-
-    omega: float
-    gamma: NDArray[np.complex128]
-
-
-@dataclass
-class SpectrumTable:
-    """A frequency grid with named per-frequency scalar columns."""
-
-    omega: NDArray[np.float64]
-    columns: dict[str, NDArray[np.float64]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=float)
-        if self.omega.ndim != 1 or np.any(np.diff(self.omega) <= 0):
-            raise ValueError("frequency grid must be 1-D and strictly increasing")
-        for name, col in self.columns.items():
-            arr = np.asarray(col, dtype=float)
-            if arr.shape != self.omega.shape:
-                raise ValueError(f"column {name!r} length mismatch")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"column {name!r} contains non-finite values")
-            self.columns[name] = arr
-
-
 def _channel_signature(n_modes: int) -> NDArray[np.float64]:
     return np.tile([-1.0, 1.0], n_modes)
 
 
-def transfer_matrix(model: SystemModel, omega: float, check: bool = True) -> TransferResult:
+def transfer_matrix(model: SystemModel, omega: float, check: bool = True) -> NDArray[np.complex128]:
     """
     Input-output transfer matrix Gamma(w) = L (i w Lambda - M)^{-1} L - I.
 
@@ -114,8 +83,7 @@ def transfer_matrix(model: SystemModel, omega: float, check: bool = True) -> Tra
     gate, e.g. inside a frequency loop that has already verified it.
     """
     diagonals = 1j * omega * _channel_signature(model.n_modes)[None, :]
-    gamma = next(_input_output(model, diagonals, check))[0]
-    return TransferResult(omega=float(omega), gamma=gamma)
+    return next(_input_output(model, diagonals, check))[0]
 
 
 def transfer_matrices(model: SystemModel, omegas) -> Iterator[NDArray[np.complex128]]:
@@ -278,7 +246,7 @@ _K_B = 1.380649e-23
 
 
 def thermal_occupation(absolute_frequency: float, temperature: float) -> float:
-    """Bose-Einstein occupation 1 / (exp(hbar w / kB T) - 1); zero at T=0."""
+    """Bose-Einstein occupation 1/(exp(hbar w / kB T) - 1), 0 at T=0; ConfigError if infinite."""
     if absolute_frequency <= 0:
         raise ValueError("absolute_frequency must be positive")
     if temperature < 0:
@@ -288,7 +256,11 @@ def thermal_occupation(absolute_frequency: float, temperature: float) -> float:
     x = _HBAR * absolute_frequency / (_K_B * temperature)
     if x > 700.0:
         return 0.0
-    return float(1.0 / math.expm1(x))
+    occupation = 1.0 / math.expm1(x) if x > 0.0 else math.inf
+    if not math.isfinite(occupation):
+        raise ConfigError(f"thermal occupation is not finite at absolute_frequency"
+                          f" {absolute_frequency:g} and temperature {temperature:g}")
+    return occupation
 
 
 def occupations(model: SystemModel) -> NDArray[np.float64]:
@@ -298,24 +270,19 @@ def occupations(model: SystemModel) -> NDArray[np.float64]:
     )
 
 
-def quadrature_coefficients(
-    tr: TransferResult, output_port: int, psi: float = 0.0
-) -> NDArray[np.complex128]:
+def quadrature_coefficients(gamma, output_port: int, psi: float = 0.0) -> NDArray[np.complex128]:
     """
     Coefficients C_k of each input channel in the measured output quadrature
-    x = (out^dag e^{i psi} + out e^{-i psi}) / sqrt(2) of the chosen port.
+    x = (out^dag e^{i psi} + out e^{-i psi}) / sqrt(2) of the chosen port of Gamma.
     """
-    g = tr.gamma
-    check_index("output_port", output_port, g.shape[0] // 2, "modes")
-    row_a, row_c = g[2 * output_port], g[2 * output_port + 1]
+    check_index("output_port", output_port, gamma.shape[0] // 2, "modes")
+    row_a, row_c = gamma[2 * output_port], gamma[2 * output_port + 1]
     return (row_a * np.exp(-1j * psi) + row_c * np.exp(1j * psi)) / np.sqrt(2.0)
 
 
-def output_spectrum(
-    model: SystemModel, omegas, port: int
-) -> SpectrumTable:
+def output_spectrum(model: SystemModel, omegas, port: int) -> NDArray[np.float64]:
     """
-    Symmetrized output power spectrum of one port over a frequency grid.
+    Symmetrized output power spectrum S_out of one port at each frequency.
 
     S_out(w) sums |causal transfer element|^2 times (n_k + 1/2) over all
     input channels; the own-port term is the self contribution and the rest
@@ -327,9 +294,7 @@ def output_spectrum(
     diagonals = np.multiply.outer(-1j * omegas, np.ones(2 * model.n_modes))
     gammas = _input_output(model, diagonals, check=True)
     rows = np.concatenate([np.abs(g[:, 2 * port, :]) ** 2 for g in gammas])
-    values = (rows[:, 0::2] + rows[:, 1::2]) @ (occupations(model) + 0.5)
-    label = model.modes[port].label
-    return SpectrumTable(omega=omegas, columns={f"S_out_{label}": values})
+    return (rows[:, 0::2] + rows[:, 1::2]) @ (occupations(model) + 0.5)
 
 
 class SnrSolver:
@@ -388,9 +353,8 @@ def snr_spectrum(
     signal_port: int = 0,
     readout_port: int | None = None,
     psi: float = 0.0,
-) -> SpectrumTable:
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Amplification S_AP and signal-to-noise S_SNR spectra of a stable model."""
     solver = SnrSolver(model, signal_port, readout_port, psi)
     require_stable(solver.drift)
-    s_ap, snr = solver.solve(omegas)
-    return SpectrumTable(omega=omegas, columns={"S_AP": s_ap, "S_SNR": snr})
+    return solver.solve(omegas)

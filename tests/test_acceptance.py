@@ -76,8 +76,7 @@ def test_criterion_1_symmetry_suite(capsys):
         p = np.zeros((n2, n2))
         p[np.arange(n2), perm] = 1.0
         for omega in np.linspace(-2.0, 2.0, 21):
-            tr = spectra.transfer_matrix(model, omega, check=False)
-            gamma = tr.gamma
+            gamma = spectra.transfer_matrix(model, omega, check=False)
             scale = max(1.0, float(np.max(np.abs(gamma))))
             worst = max(
                 worst,
@@ -90,7 +89,7 @@ def test_criterion_1_symmetry_suite(capsys):
                      for src, dst in legs]
             for plus, minus in pairs:
                 worst = max(worst, abs(plus - minus) / max(plus, minus, 1.0))
-            c = spectra.quadrature_coefficients(tr, output_port=model.n_modes - 1)
+            c = spectra.quadrature_coefficients(gamma, output_port=model.n_modes - 1)
             c_scale = max(1.0, float(np.max(np.abs(c))))
             worst = max(
                 worst,
@@ -111,7 +110,7 @@ def test_criterion_2_linewidth_regimes(capsys):
         best = 0.0
         model = make_du(kappa_a=kappa_a)
         for omega in grid:
-            gamma = spectra.transfer_matrix(model, omega, check=False).gamma
+            gamma = spectra.transfer_matrix(model, omega, check=False)
             best = max(best, abs(spectra.pair_asymmetry(gamma, spectra.ASYMMETRY_PAIRS["ab"])))
         return best
 
@@ -121,7 +120,7 @@ def test_criterion_2_linewidth_regimes(capsys):
     thetas = np.linspace(0.0, 2.0 * np.pi, 721)
     values = [
         spectra.pair_asymmetry(
-            spectra.transfer_matrix(make_du(phase=theta), probe, check=False).gamma,
+            spectra.transfer_matrix(make_du(phase=theta), probe, check=False),
             spectra.ASYMMETRY_PAIRS["ab"],
         )
         for theta in thetas
@@ -234,8 +233,8 @@ def test_criterion_7_chain_scaling(capsys):
     models = [make_chain(n) for n in range(2, 7)]
     fit_report = chain.scaling_fit(models, omega=0.3)
     gain3 = chain.end_to_end_gain(models[1], 0.3)
-    tr = spectra.transfer_matrix(models[1], 0.3)
-    c = spectra.quadrature_coefficients(tr, output_port=2)
+    gamma = spectra.transfer_matrix(models[1], 0.3)
+    c = spectra.quadrature_coefficients(gamma, output_port=2)
     quadrature_gain = float(np.abs(c[0] + c[1]) ** 2)
     equality = abs(gain3 - quadrature_gain) <= 1e-10 * max(gain3, 1e-300)
     base_pinned = abs(fit_report.base - PINNED_SCALING_BASE) <= 1e-9 * PINNED_SCALING_BASE

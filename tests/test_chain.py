@@ -47,8 +47,8 @@ class TestGain:
     def test_three_mode_gain_equals_quadrature_transfer(self):
         model = make_chain(3)
         gain = chain.end_to_end_gain(model, 0.3)
-        tr = transfer_matrix(model, 0.3)
-        c = quadrature_coefficients(tr, output_port=2)
+        gamma = transfer_matrix(model, 0.3)
+        c = quadrature_coefficients(gamma, output_port=2)
         assert gain == pytest.approx(float(np.abs(c[0] + c[1]) ** 2), rel=1e-12)
 
     def test_gain_is_nonnegative(self):

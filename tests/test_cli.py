@@ -34,6 +34,17 @@ def chain_system(n_modes=5):
     return system
 
 
+def hot_low_mode_config(command, absolute_frequency, temperature):
+    """A config whose low mode's thermal occupation is not finite."""
+    system = du_system()
+    system["modes"][1]["absolute_frequency"] = absolute_frequency
+    system["temperature"] = temperature
+    task = {"snr": {}, "spectrum": {"include_output_port": 0}, "oracle": {"oracle": {
+        "n_steps": 8192, "ensemble": 4, "segment_length": 1024}}}[command]
+    return {"system": system, "seed": 1, "task": {"kind": command, **task},
+            "grid": {"min": -1.0, "max": 1.0, "points": 5}}
+
+
 def fmap_config(**task):
     """A 3x3 fmap task (tunable scheme against a fixed baseline); task keys override."""
     system = {
@@ -162,8 +173,15 @@ class TestConfigValidation:
                        "task": {"kind": "asymmetry", "coupling_index": [1, 1]}}),
         ("asymmetry", {"system": fmap_config()["system"],
                        "task": {"kind": "asymmetry", "coupling_index": [0, 2]}}),
+        ("asymmetry", {"system": chain_system(4), "grid": {"min": 0.0, "max": 6.0, "points": 5},
+                       "task": {"kind": "asymmetry", "coupling_index": [1, 2]}}),
+        *[(command, hot_low_mode_config(command, a, t)) for a, t in ((1e-300, 1e300), (1e-260, 1e40))
+          for command in ("snr", "spectrum", "oracle")],
     ], ids=["fmap.delta_max", "fmap.two_mode_system", "fmap.readout_port_beyond_ics",
-            "oracle.n_steps", "asymmetry.repeated_coupling", "asymmetry.coupling_out_of_range"])
+            "oracle.n_steps", "asymmetry.repeated_coupling", "asymmetry.coupling_out_of_range",
+            "asymmetry.shared_high_mode",
+            *[f"{command}.occupation_{kind}" for kind in ("underflow", "overflow")
+              for command in ("snr", "spectrum", "oracle")]])
     def test_inconsistent_task_values_are_config_errors(self, tmp_path, caplog, command, config):
         assert run_cli(tmp_path, command, config) == cli.EXIT_CONFIG
         assert "config error" in caplog.text
@@ -340,6 +358,17 @@ class TestSpectrumRuns:
         assert f"# config_hash: {cli.canonical_hash(config)}" not in text
         assert '"kappa": 2.0' in text
 
+    def test_output_port_column_is_last(self, tmp_path):
+        config = {"system": du_system(), "task": {"kind": "spectrum", "include_output_port": 1},
+                  "grid": {"min": -1.0, "max": 1.0, "points": 5}}
+        assert run_cli(tmp_path, "spectrum", config) == cli.EXIT_OK
+        lines = [l for l in (tmp_path / "spectrum.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        assert lines[0].split(",")[-1] == "S_out_b"
+        expected = spectra.output_spectrum(cli.build_system(config["system"]),
+                                           np.linspace(-1.0, 1.0, 5), 1)
+        assert [float(l.split(",")[-1]) for l in lines[1:]] == expected.tolist()
+
     def test_json_format(self, tmp_path):
         config = {"system": du_system(), "task": {"kind": "spectrum"},
                   "grid": {"min": -1.0, "max": 1.0, "points": 5}}
@@ -373,7 +402,7 @@ class TestOtherTasks:
         assert data["theta_m"] == [tm for _, tm in pairs]
         for k, (tc, tm) in enumerate(pairs):
             probe = with_phases(model, {1: tc, 0: tm})
-            gamma = spectra.transfer_matrix(probe, 0.999999).gamma
+            gamma = spectra.transfer_matrix(probe, 0.999999)
             for name, pair in spectra.port_columns(model)[1].items():
                 assert data[name][k] == spectra.pair_asymmetry(gamma, pair)
 

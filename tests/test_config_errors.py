@@ -56,6 +56,10 @@ CHECKS = {
     "quadrature_coefficients.output_port": (
         lambda: spectra.quadrature_coefficients(spectra.transfer_matrix(DU, 0.1), 2),
         "output_port 2 is out of range: the system has 2 modes"),
+    "thermal_occupation.underflow": (
+        lambda: spectra.thermal_occupation(1e-300, 1e300), "thermal occupation is not finite"),
+    "thermal_occupation.overflow": (
+        lambda: spectra.thermal_occupation(1e-260, 1e40), "thermal occupation is not finite"),
     "asymmetry_pair.which": (
         lambda: spectra.asymmetry_pair(DU, "mb"), "'mb' is not defined for this du system"),
     "max_snr_over_omega.omega_range": (

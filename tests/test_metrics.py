@@ -19,7 +19,7 @@ def dense_grid_max_snr(model, omega_range=(-3.0, 3.0), n=100_001):
         metrics.RESONANCE_EXCLUSION_WIDTH
     )
     grid = grid[keep]
-    values = spectra.snr_spectrum(model, grid).columns["S_SNR"]
+    values = spectra.snr_spectrum(model, grid)[1]
     best = int(np.argmax(values))
     return float(grid[best]), float(values[best])
 
@@ -103,7 +103,7 @@ class TestMaxSnr:
     def test_refinement_improves_on_coarse_scan(self):
         cs, _ = make_comparison_pair()
         grid = np.linspace(-3.0, 3.0, 401)
-        coarse = float(np.max(spectra.snr_spectrum(cs, grid).columns["S_SNR"]))
+        coarse = float(np.max(spectra.snr_spectrum(cs, grid)[1]))
         _, s = metrics.max_snr_over_omega(cs)
         assert s >= coarse
 

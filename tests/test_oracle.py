@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_comparison_pair, make_du
 from sasc.model import InstabilityError, build_drift_matrix, input_coupling_matrix
-from sasc.spectra import SpectrumTable, occupations, output_spectrum
+from sasc.spectra import occupations, output_spectrum
 from sasc import numerics, oracle
 
 
@@ -156,8 +156,7 @@ class TestSimulate:
 class TestCompare:
     def test_perfect_agreement(self):
         run = oracle.simulate(short_config(make_du(), seed=5))
-        table = SpectrumTable(omega=run.omega, columns={"psd": run.psd.copy()})
-        report = oracle.compare(run, table)
+        report = oracle.compare(run, run.psd)
         assert report.fraction_within == 1.0
         assert report.max_abs_z == 0.0
         assert report.n_bins == len(run.omega)
@@ -165,24 +164,11 @@ class TestCompare:
     def test_systematic_offset_detected(self):
         run = oracle.simulate(short_config(make_du(), seed=5))
         wrong = run.psd + 10.0 * np.maximum(run.stderr, 1e-12)
-        report = oracle.compare(run, SpectrumTable(omega=run.omega,
-                                                   columns={"psd": wrong}))
+        report = oracle.compare(run, wrong)
         assert report.fraction_within == 0.0
         assert report.max_abs_z >= 10.0
 
-    def test_column_must_be_named_when_ambiguous(self):
+    def test_prediction_must_have_one_value_per_bin(self):
         run = oracle.simulate(short_config(make_du(), seed=5))
-        table = SpectrumTable(omega=run.omega,
-                              columns={"a": run.psd, "b": run.psd})
-        with pytest.raises(ValueError):
-            oracle.compare(run, table)
-        report = oracle.compare(run, table, column="a")
-        assert report.fraction_within == 1.0
-
-    def test_disjoint_frequency_support_rejected(self):
-        run = oracle.simulate(short_config(make_du(), seed=5))
-        top = run.omega.max()
-        table = SpectrumTable(omega=np.array([top + 1.0, top + 2.0]),
-                              columns={"psd": np.array([1.0, 1.0])})
-        with pytest.raises(ValueError):
-            oracle.compare(run, table)
+        with pytest.raises(ValueError, match="the Welch bins have"):
+            oracle.compare(run, run.psd[:-1])

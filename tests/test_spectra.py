@@ -22,7 +22,7 @@ class TestTransferMatrix:
         kappa_a, delta_a = 0.8, 0.3
         model = make_du(kappa_a=kappa_a, delta_a=delta_a, magnitude=1e-300)
         for omega in (-1.2, 0.0, 0.7):
-            gamma = spectra.transfer_matrix(model, omega).gamma
+            gamma = spectra.transfer_matrix(model, omega)
             expected = kappa_a / (-1j * omega + 1j * delta_a + kappa_a / 2.0) - 1.0
             assert gamma[0, 0] == pytest.approx(expected, abs=1e-12)
             assert abs(gamma[0, 2]) < 1e-12
@@ -33,7 +33,7 @@ class TestTransferMatrix:
         p = np.zeros((6, 6))
         p[np.arange(6), perm] = 1.0
         for omega in (-0.4, 0.25, 1.7):
-            gamma = spectra.transfer_matrix(model, omega).gamma
+            gamma = spectra.transfer_matrix(model, omega)
             assert np.allclose(p @ np.conj(gamma) @ p, gamma, atol=1e-10)
 
     def test_unstable_model_is_rejected(self):
@@ -62,7 +62,7 @@ class TestBosonicIdentity:
     @_IDENTITY_MODELS
     @_IDENTITY_OMEGAS
     def test_gamma_preserves_commutators(self, model, omega):
-        gamma = spectra.transfer_matrix(model, omega).gamma
+        gamma = spectra.transfer_matrix(model, omega)
         assert self.scaled_residual(gamma, model.n_modes) <= 1e-12
 
     @_IDENTITY_MODELS
@@ -98,7 +98,7 @@ class TestStackedTransferMatrices:
             a = 1j * omega * lam - drift
             bound = max(1e-12, 32 * np.finfo(float).eps * np.linalg.cond(a, 1))
             scale = max(1.0, float(np.max(np.abs(gamma))))
-            pointwise = spectra.transfer_matrix(model, omega).gamma
+            pointwise = spectra.transfer_matrix(model, omega)
             reference = ell @ np.linalg.solve(a, ell) - np.eye(len(drift))
             assert np.max(np.abs(gamma - pointwise)) <= bound * scale
             assert np.max(np.abs(gamma - reference)) <= bound * scale
@@ -113,7 +113,7 @@ class TestPhaseGrid:
         # 21 phase pairs span two solve blocks; coupling 1 (the first key) varies slowest.
         gammas = np.concatenate(list(spectra.phase_grid(model, omega, {1: slow, 0: fast})))
         reference = [
-            spectra.transfer_matrix(with_phases(model, {1: t1, 0: t0}), omega, check=False).gamma
+            spectra.transfer_matrix(with_phases(model, {1: t1, 0: t0}), omega, check=False)
             for t1 in slow for t0 in fast
         ]
         assert np.array_equal(gammas, np.array(reference))
@@ -146,7 +146,7 @@ class TestConjugationIdentities:
     @given(model=stable_chains(), omega=st.floats(-3.0, 3.0))
     def test_gamma_is_conjugation_symmetric(self, model, omega):
         # P Gamma(w)* P = Gamma(w)
-        gamma = spectra.transfer_matrix(model, omega).gamma
+        gamma = spectra.transfer_matrix(model, omega)
         p = self.swap(model.n_modes)
         lam = np.diag(np.tile([-1.0, 1.0], model.n_modes))
         bound = self.bound(1j * omega * lam - build_drift_matrix(model))
@@ -172,20 +172,20 @@ class TestTransmission:
     def test_sideband_pair_members_are_equal(self):
         model = make_du(phase=1.1)
         for omega in (-1.5, 0.2, 0.97):
-            gamma = spectra.transfer_matrix(model, omega).gamma
+            gamma = spectra.transfer_matrix(model, omega)
             for src, dst in ((1, 0), (0, 1)):
                 assert spectra.transmission(gamma, src, dst, "+") == pytest.approx(
                     spectra.transmission(gamma, src, dst, "-"), rel=1e-10)
 
     def test_three_mode_pair_members_are_equal(self):
         model = make_three(phase_m=0.4, phase_c=1.9)
-        gamma = spectra.transfer_matrix(model, 0.6).gamma
+        gamma = spectra.transfer_matrix(model, 0.6)
         for src, dst in ((1, 0), (0, 1), (2, 1), (1, 2)):
             assert spectra.transmission(gamma, src, dst, "+") == pytest.approx(
                 spectra.transmission(gamma, src, dst, "-"), rel=1e-10)
 
     def test_transmissions_are_nonnegative(self):
-        gamma = spectra.transfer_matrix(make_du(), 0.5).gamma
+        gamma = spectra.transfer_matrix(make_du(), 0.5)
         legs = ((0, 0, "+"), (1, 1, "+"), (1, 0, "+"), (0, 1, "-"))
         assert min(spectra.transmission(gamma, *leg) for leg in legs) >= 0.0
 
@@ -209,7 +209,7 @@ class TestAsymmetry:
         omega = spectra.resonance_probe_frequency()
         values = []
         for theta in np.linspace(0.0, 2.0 * np.pi, 721):
-            gamma = spectra.transfer_matrix(make_du(phase=theta), omega, check=False).gamma
+            gamma = spectra.transfer_matrix(make_du(phase=theta), omega, check=False)
             values.append(spectra.pair_asymmetry(gamma, spectra.ASYMMETRY_PAIRS["ab"]))
         assert min(values) < -0.9
         assert max(values) > 0.9
@@ -235,15 +235,15 @@ class TestThermal:
 class TestQuadratures:
     def test_coefficient_pairs_are_conjugate(self):
         model = make_three(phase_m=0.8, phase_c=2.3)
-        tr = spectra.transfer_matrix(model, 0.55)
+        gamma = spectra.transfer_matrix(model, 0.55)
         for psi in (0.0, 0.4):
-            c = spectra.quadrature_coefficients(tr, output_port=2, psi=psi)
+            c = spectra.quadrature_coefficients(gamma, output_port=2, psi=psi)
             assert np.allclose(c[1::2], np.conj(c[0::2]), atol=1e-10)
 
     def test_output_port_validation(self):
-        tr = spectra.transfer_matrix(make_du(), 0.1)
+        gamma = spectra.transfer_matrix(make_du(), 0.1)
         with pytest.raises(ValueError):
-            spectra.quadrature_coefficients(tr, output_port=2)
+            spectra.quadrature_coefficients(gamma, output_port=2)
 
 
 class TestOutputSpectrum:
@@ -252,14 +252,14 @@ class TestOutputSpectrum:
         model = make_du(kappa_a=kappa_a, delta_a=delta_a, magnitude=1e-300,
                         temperature=0.0)
         omegas = np.linspace(-2.0, 2.0, 41)
-        table = spectra.output_spectrum(model, omegas, port=0)
+        values = spectra.output_spectrum(model, omegas, port=0)
         response = kappa_a / (-1j * omegas + 1j * delta_a + kappa_a / 2.0) - 1.0
         expected = 0.5 * np.abs(response) ** 2
-        assert np.allclose(table.columns["S_out_a"], expected, atol=1e-10)
+        assert np.allclose(values, expected, atol=1e-10)
 
     def test_values_are_nonnegative(self):
-        table = spectra.output_spectrum(make_three(), np.linspace(-2, 2, 21), port=2)
-        assert np.all(table.columns["S_out_c"] >= 0.0)
+        values = spectra.output_spectrum(make_three(), np.linspace(-2, 2, 21), port=2)
+        assert np.all(values >= 0.0)
 
 
 class TestSnrSpectra:
@@ -267,28 +267,15 @@ class TestSnrSpectra:
         model = make_three(kappa_c=0.1, magnitude_m=0.2,
                            phase_m=np.pi / 3, phase_c=2 * np.pi / 3)
         omegas = np.linspace(0.5, 2.0, 31)
-        table = spectra.snr_spectrum(model, omegas)
-        assert np.all(table.columns["S_AP"] >= 0.0)
-        assert np.all(table.columns["S_SNR"] >= 0.0)
-        assert np.max(table.columns["S_SNR"]) > 1.0
+        s_ap, snr = spectra.snr_spectrum(model, omegas)
+        assert np.all(s_ap >= 0.0)
+        assert np.all(snr >= 0.0)
+        assert np.max(snr) > 1.0
 
     def test_homodyne_angle_changes_the_spectrum(self):
         model = make_three(kappa_c=0.1, magnitude_m=0.2, phase_m=np.pi / 3)
         omegas = np.linspace(0.9, 1.4, 11)
-        base = spectra.snr_spectrum(model, omegas, psi=0.0).columns["S_SNR"]
-        turned = spectra.snr_spectrum(model, omegas, psi=1.0).columns["S_SNR"]
+        base = spectra.snr_spectrum(model, omegas, psi=0.0)[1]
+        turned = spectra.snr_spectrum(model, omegas, psi=1.0)[1]
         assert not np.allclose(base, turned)
 
-
-class TestSpectrumTable:
-    def test_grid_must_increase(self):
-        with pytest.raises(ValueError):
-            spectra.SpectrumTable(omega=np.array([0.0, 0.0, 1.0]))
-
-    def test_column_length_and_finiteness(self):
-        with pytest.raises(ValueError):
-            spectra.SpectrumTable(omega=np.array([0.0, 1.0]),
-                                  columns={"x": np.array([1.0])})
-        with pytest.raises(ValueError):
-            spectra.SpectrumTable(omega=np.array([0.0, 1.0]),
-                                  columns={"x": np.array([1.0, np.inf])})
