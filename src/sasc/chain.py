@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import InstabilityError, SystemModel, require_stable
-from .numerics import LineFit, fit_line
+from .numerics import LineFit, NumericalError, fit_line
 from .spectra import SnrSolver
 
 __all__ = ["ScalingReport", "end_to_end_gain", "scaling_fit"]
@@ -65,9 +65,9 @@ def scaling_fit(models: Iterable[SystemModel], omega: float) -> ScalingReport:
         except InstabilityError:
             excluded.append(model.n_modes)
     if len(kept_n) < 3:
-        raise ValueError("scaling_fit needs at least 3 stable chain lengths")
+        raise NumericalError("scaling_fit needs at least 3 stable chain lengths")
     if min(gains) <= 0.0:
-        raise ValueError("scaling_fit requires strictly positive gains")
+        raise NumericalError("scaling_fit requires strictly positive gains")
     fit = fit_line(kept_n, np.log(gains))
     return ScalingReport(
         n_values=tuple(kept_n),

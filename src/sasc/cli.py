@@ -39,8 +39,7 @@ from .model import (
     Topology,
     coupled_modes,
 )
-from .numerics import IntegrationQualityError, NonConvergenceError, SingularMatrixError
-from .spectra import UndefinedAsymmetryError
+from .numerics import NumericalError
 log = logging.getLogger("sasc")
 
 EXIT_OK = 0
@@ -490,8 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     except InstabilityError as exc:
         log.error("instability: %s", exc)
         return EXIT_INSTABILITY
-    except (SingularMatrixError, NonConvergenceError, IntegrationQualityError,
-            UndefinedAsymmetryError, FloatingPointError, ValueError) as exc:
+    except NumericalError as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERICAL
     except OracleComparisonError as exc:

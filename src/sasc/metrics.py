@@ -26,7 +26,6 @@ from .model import (
 from .spectra import (
     _BLOCK_ENTRIES,
     SnrSolver,
-    UndefinedAsymmetryError,
     asymmetry_pair,
     pair_asymmetry,
     phase_grid,
@@ -48,6 +47,9 @@ __all__ = [
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+#: Coarse-grid points of an SNR search over omega_range, and of a phase search over [0, 2 pi].
+_SNR_SCAN_POINTS = 401
+_PHASE_GRID_POINTS = 181
 
 
 def golden_section_max(fun, lo, hi, rel_tol: float = 1e-6):
@@ -102,7 +104,6 @@ def excludes_whole_range(omega_range, width: float = RESONANCE_EXCLUSION_WIDTH) 
 def max_snr_over_omega(
     model: SystemModel,
     omega_range: tuple[float, float] = (-3.0, 3.0),
-    n_scan: int = 401,
     signal_port: int = 0,
     readout_port: int | None = None,
     psi: float = 0.0,
@@ -111,7 +112,7 @@ def max_snr_over_omega(
     detunings=None,
 ) -> tuple[float, float]:
     """
-    (omega*, S*) maximizing the SNR spectrum: coarse scan (>= 401 points)
+    (omega*, S*) maximizing the SNR spectrum: coarse scan (401 points)
     followed by golden-section refinement on the best bracket.
 
     Frequencies within ``exclude_resonance_width`` of the low-mode
@@ -121,15 +122,13 @@ def max_snr_over_omega(
     build_drift_matrix). With check=False the spectrum formula is evaluated
     without the stability gate.
     """
-    if n_scan < 401:
-        raise ValueError("n_scan must be at least 401")
     if not omega_range[0] < omega_range[1]:
         raise ConfigError(f"omega_range must be increasing, got {tuple(omega_range)}")
     solver = SnrSolver(model, signal_port, readout_port, psi)
     drift = solver.drift if detunings is None else build_drift_matrix(model, detunings)
     if check:
         require_stable(drift)
-    w, s, _ = _search_snr(solver, drift[None], omega_range, n_scan, exclude_resonance_width)
+    w, s, _ = _search_snr(solver, drift[None], omega_range, exclude_resonance_width)
     return float(w[0]), float(s[0])
 
 
@@ -173,11 +172,11 @@ def _pole_residue_snr(solver: SnrSolver, drifts, grid):
         return solver.from_coefficients(c)[1], trusted, cond
 
 
-def _search_snr(solver: SnrSolver, drifts, omega_range, n_scan: int, width: float):
+def _search_snr(solver: SnrSolver, drifts, omega_range, width: float):
     """
     (omega*, S*, scan) of a stack of drift matrices, whose models differ from the
     solver's only in M. Each cell's coarse argmax comes from _pole_residue_snr over
-    blocks of _BLOCK_ENTRIES entries (cells x n_scan x n), or from the exact scan if
+    blocks of _BLOCK_ENTRIES entries (cells x _SNR_SCAN_POINTS x n), or from the exact scan if
     untrusted; its value is one stacked exact solve, as is each golden-section step
     over the live brackets. SNR reads 0 within `width` of omega = +/- 1. `scan` holds
     the number of exact-scan cells and the worst cond_1(V).
@@ -185,10 +184,10 @@ def _search_snr(solver: SnrSolver, drifts, omega_range, n_scan: int, width: floa
     if excludes_whole_range(omega_range, width):
         raise ConfigError(f"omega_range {tuple(omega_range)} lies inside a resonance band"
                           f" that the SNR search excludes (half-width {width}): nothing to search")
-    grid = np.linspace(omega_range[0], omega_range[1], n_scan)
+    grid = np.linspace(omega_range[0], omega_range[1], _SNR_SCAN_POINTS)
     cells = len(drifts)
     best, trusted, cond = np.zeros(cells, dtype=int), np.zeros(cells, dtype=bool), np.zeros(cells)
-    step = max(1, _BLOCK_ENTRIES // (n_scan * drifts.shape[-1]))
+    step = max(1, _BLOCK_ENTRIES // (len(grid) * drifts.shape[-1]))
     for block in (slice(start, start + step) for start in range(0, cells, step)):
         values, trusted[block], cond[block] = _pole_residue_snr(solver, drifts[block], grid)
         for k in np.flatnonzero(~trusted[block]):
@@ -203,7 +202,7 @@ def _search_snr(solver: SnrSolver, drifts, omega_range, n_scan: int, width: floa
         return values
 
     coarse = snr(grid[best])
-    lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, n_scan - 1)]
+    lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, len(grid) - 1)]
     w_star, s_star = golden_section_max(snr, lo, hi)
     on_grid = coarse > s_star
     scan = {"fallback_cells": int(np.count_nonzero(~trusted)), "max_eigvec_cond": float(cond.max())}
@@ -235,7 +234,7 @@ def _baseline_max(cfg: ComparisonConfig, ics_max: float | None = None) -> float:
     if ics_max is None:
         ics_max = _max_snr(cfg, cfg.ics_model)
     if ics_max <= 0.0:
-        raise ValueError(
+        raise numerics.NumericalError(
             f"baseline maximum SNR is {ics_max} over omega_range {tuple(cfg.omega_range)}:"
             " f is undefined"
         )
@@ -279,7 +278,7 @@ class MapResult:
         if self.values.shape != (len(self.delta_m), len(self.delta_c)):
             raise ValueError("values shape must be (len(delta_m), len(delta_c))")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("map contains non-finite values")
+            raise numerics.NumericalError("map contains non-finite values")
 
 
 def f_map(cfg: ComparisonConfig, delta_c_grid, delta_m_grid) -> MapResult:
@@ -300,7 +299,7 @@ def f_map(cfg: ComparisonConfig, delta_c_grid, delta_m_grid) -> MapResult:
     abscissae = quadrature_eigenvalues(drifts).real.max(axis=-1)
     unstable = [cell for cell, abscissa in zip(cells, abscissae) if not abscissa < -STABILITY_MARGIN]
     solver = SnrSolver(cfg.cs_model, cfg.signal_port, cfg.readout_port, cfg.psi)
-    _, s_star, scan = _search_snr(solver, drifts, cfg.omega_range, 401, RESONANCE_EXCLUSION_WIDTH)
+    _, s_star, scan = _search_snr(solver, drifts, cfg.omega_range, RESONANCE_EXCLUSION_WIDTH)
     values = s_star.reshape(len(delta_m_grid), len(delta_c_grid)) / ics_max
     return MapResult(
         delta_c=delta_c_grid,
@@ -329,7 +328,6 @@ def find_phase_for_target_R(
     target: float,
     which: str,
     omega: float,
-    n_grid: int = 181,
 ) -> PhaseSearchResult:
     """
     Coupling phase theta* minimizing |R(theta) - target| for the selected
@@ -338,18 +336,18 @@ def find_phase_for_target_R(
     target only counts as attained when the residual is below 1e-3.
     """
     if not -1.0 <= target <= 1.0:
-        raise ValueError("target asymmetry must lie in [-1, 1]")
+        raise ConfigError("target asymmetry must lie in [-1, 1]")
     pair = asymmetry_pair(model, which)
 
     def asymmetries(thetas) -> NDArray[np.float64]:
         gammas = phase_grid(model, omega, {pair[2]: thetas})
         return np.concatenate([pair_asymmetry(g, pair) for g in gammas])
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_grid)
+    thetas = np.linspace(0.0, 2.0 * np.pi, _PHASE_GRID_POINTS)
     scores = -np.abs(asymmetries(thetas) - target)
     best = int(np.argmax(scores))
     lo = thetas[max(best - 1, 0)]
-    hi = thetas[min(best + 1, n_grid - 1)]
+    hi = thetas[min(best + 1, len(thetas) - 1)]
     theta_star, neg_res = golden_section_max(
         lambda theta: -np.abs(asymmetries(theta) - target), lo, hi, rel_tol=1e-9
     )
@@ -366,7 +364,7 @@ def _cell_asymmetries(gammas, pair: tuple) -> NDArray[np.float64]:
     """pair_asymmetry of each Gamma of a stack, NaN where it is 0/0."""
     try:
         return pair_asymmetry(gammas, pair)
-    except UndefinedAsymmetryError:
+    except numerics.NumericalError:  # only the 0/0 check of spectra.asymmetry raises it here
         if len(gammas) == 1:
             return np.array([np.nan])
         return np.concatenate([_cell_asymmetries(g[None], pair) for g in gammas])

@@ -318,10 +318,10 @@ def solve_steady_state(
     roots = _cubic_roots(c3, c2, c1, c0)
     intensities = tuple(r for r in roots if r > 0.0)
     if not intensities:
-        raise ValueError("steady-state cubic produced no positive-intensity branch")
+        raise numerics.NumericalError("steady-state cubic produced no positive-intensity branch")
     index = 0 if branch_index is None else branch_index
     if not 0 <= index < len(intensities):
-        raise ValueError(
+        raise ConfigError(
             f"branch_index {index} out of range for {len(intensities)} branches"
         )
     intensity = intensities[index]

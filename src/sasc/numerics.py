@@ -4,8 +4,9 @@ Dense linear-algebra and fitting kernel, and the numerical failure types.
 Solves and inverses of one complex matrix or a stack of them, and
 eigenvalues of a real or complex stack, are thin wrappers over LAPACK
 through numpy.linalg; a solve refuses a matrix whose reciprocal condition
-is below a fixed floor with SingularMatrixError. Also: least-squares line
-fitting and a streaming Welch power-spectral-density estimate.
+is below a fixed floor with SingularMatrixError, a NumericalError. Also:
+least-squares line fitting and a streaming Welch power-spectral-density
+estimate.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 __all__ = [
+    "NumericalError",
     "SingularMatrixError",
-    "NonConvergenceError",
-    "IntegrationQualityError",
     "LineFit",
     "lu_solve",
     "invert",
@@ -37,7 +37,11 @@ _RCOND_FLOOR = 1e-13
 _WELCH_BATCH_ENTRIES = 1 << 18
 
 
-class SingularMatrixError(Exception):
+class NumericalError(ValueError):
+    """Raised when a computation on a usable input fails: the library's one numerical failure type."""
+
+
+class SingularMatrixError(NumericalError):
     """
     Raised when a matrix is singular to working precision: LAPACK met an
     exact zero pivot (rcond 0), or its reciprocal condition is <= 1e-13.
@@ -46,14 +50,6 @@ class SingularMatrixError(Exception):
     def __init__(self, rcond: float):
         self.rcond = rcond
         super().__init__(f"matrix singular to working precision (rcond {rcond:.1e})")
-
-
-class NonConvergenceError(Exception):
-    """Raised when the LAPACK eigenvalue iteration fails to converge."""
-
-
-class IntegrationQualityError(Exception):
-    """Raised when the conjugate-pair structure of an integrated state drifts too far."""
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,7 @@ def _square_stack(a, dtype=complex) -> NDArray:
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
+        raise NumericalError("matrix contains non-finite entries")
     return a
 
 
@@ -116,7 +112,7 @@ def eigenvalues(a) -> NDArray:
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
+        raise NumericalError(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
 def fit_line(xs, ys) -> LineFit:

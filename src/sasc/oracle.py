@@ -42,11 +42,10 @@ from .model import (
     ConfigError, SystemModel, build_drift_matrix, check_index, input_coupling_matrix,
     require_stable,
 )
-from .numerics import IntegrationQualityError, WelchEstimate
+from .numerics import NumericalError, WelchEstimate
 from .spectra import occupations
 
 __all__ = [
-    "IntegrationQualityError",
     "OracleConfig",
     "ComparisonReport",
     "simulate",
@@ -173,7 +172,7 @@ def simulate(cfg: OracleConfig) -> WelchEstimate:
     verdict = require_stable(drift)
     max_rate = max(max(abs(ev) for ev in verdict.eigenvalues), 1.0)
     if cfg.dt > 0.01 / max_rate:
-        raise ValueError(
+        raise NumericalError(
             f"dt={cfg.dt} too large for spectral radius {max_rate:.3g}"
             f" (needs dt <= {0.01 / max_rate:.3g})"
         )
@@ -220,11 +219,11 @@ def simulate(cfg: OracleConfig) -> WelchEstimate:
         scale = np.max(np.abs(z)) + 1e-300
         deviation = float(np.max(np.abs(z[:, 1::2] - np.conj(z[:, 0::2]))) / scale)
         if deviation > _CONJUGATE_TOLERANCE:
-            raise IntegrationQualityError(
+            raise NumericalError(
                 f"conjugate-pair structure drifted to {deviation:.3e}"
             )
         if not np.all(np.isfinite(z.view(float))):
-            raise IntegrationQualityError("trajectory diverged (non-finite state)")
+            raise NumericalError("trajectory diverged (non-finite state)")
         first = min(max(burn_in - done, 0), chunk)  # burn-in steps in this chunk
         welch.add(ports[:, first:])
         done += chunk

@@ -33,7 +33,6 @@ from .model import (
 __all__ = [
     "RESONANCE_PROBE_OFFSET",
     "resonance_probe_frequency",
-    "UndefinedAsymmetryError",
     "ASYMMETRY_PAIRS",
     "transfer_matrix",
     "transfer_matrices",
@@ -64,10 +63,6 @@ RESONANCE_PROBE_OFFSET = 1e-6
 def resonance_probe_frequency() -> float:
     """Probe frequency just inside the low-mode resonance omega = 1 (see module note)."""
     return 1.0 - RESONANCE_PROBE_OFFSET
-
-
-class UndefinedAsymmetryError(Exception):
-    """Raised when an asymmetry factor would be 0/0."""
 
 
 def _channel_signature(n_modes: int) -> NDArray[np.float64]:
@@ -167,12 +162,12 @@ def transmission(gamma, src: int, dst: int, sideband: str = "+") -> NDArray[np.f
 
 
 def asymmetry(t_forward, t_backward) -> float | NDArray[np.float64]:
-    """Normalized transmission asymmetry (T_f - T_b) / (T_f + T_b) in [-1, 1], elementwise."""
+    """Transmission asymmetry (T_f - T_b) / (T_f + T_b) in [-1, 1], elementwise; NumericalError if 0/0."""
     t_f, t_b = np.asarray(t_forward, dtype=float), np.asarray(t_backward, dtype=float)
     if np.any(t_f < 0) or np.any(t_b < 0):
         raise ValueError("transmission coefficients must be non-negative")
     if np.any((t_f < 1e-300) & (t_b < 1e-300)):
-        raise UndefinedAsymmetryError("both transmission coefficients vanish (0/0)")
+        raise numerics.NumericalError("both transmission coefficients vanish (0/0)")
     return (t_f - t_b) / (t_f + t_b)
 
 
@@ -246,11 +241,11 @@ _K_B = 1.380649e-23
 
 
 def thermal_occupation(absolute_frequency: float, temperature: float) -> float:
-    """Bose-Einstein occupation 1/(exp(hbar w / kB T) - 1), 0 at T=0; ConfigError if infinite."""
+    """Bose-Einstein occupation 1/(exp(hbar w / kB T) - 1), 0 at T=0; ConfigError if unusable or infinite."""
     if absolute_frequency <= 0:
-        raise ValueError("absolute_frequency must be positive")
+        raise ConfigError("absolute_frequency must be positive")
     if temperature < 0:
-        raise ValueError("temperature must be non-negative")
+        raise ConfigError("temperature must be non-negative")
     if temperature == 0.0:
         return 0.0
     x = _HBAR * absolute_frequency / (_K_B * temperature)
@@ -273,10 +268,11 @@ def occupations(model: SystemModel) -> NDArray[np.float64]:
 def quadrature_coefficients(gamma, output_port: int, psi: float = 0.0) -> NDArray[np.complex128]:
     """
     Coefficients C_k of each input channel in the measured output quadrature
-    x = (out^dag e^{i psi} + out e^{-i psi}) / sqrt(2) of the chosen port of Gamma.
+    x = (out^dag e^{i psi} + out e^{-i psi}) / sqrt(2) of the chosen port of Gamma,
+    or of each Gamma of a (..., 2n, 2n) stack.
     """
-    check_index("output_port", output_port, gamma.shape[0] // 2, "modes")
-    row_a, row_c = gamma[2 * output_port], gamma[2 * output_port + 1]
+    check_index("output_port", output_port, gamma.shape[-1] // 2, "modes")
+    row_a, row_c = gamma[..., 2 * output_port, :], gamma[..., 2 * output_port + 1, :]
     return (row_a * np.exp(-1j * psi) + row_c * np.exp(1j * psi)) / np.sqrt(2.0)
 
 

@@ -1,7 +1,9 @@
 """Command-line interface: configs, exit codes, artifacts, determinism."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import CHAIN_BLOCK, pole_centred_range, with_phases
+import sasc
 from sasc import cli, spectra
 
 
@@ -295,6 +298,53 @@ class TestStabilityGate:
         assert run_cli(tmp_path, "spectrum", config) == cli.EXIT_NUMERICAL
 
 
+class TestExitCodes:
+    SPECTRUM = {"system": du_system(), "task": {"kind": "spectrum"},
+                "grid": {"min": -1.0, "max": 1.0, "points": 5}}
+    EXITS = {cli.ConfigError: cli.EXIT_CONFIG, cli.InstabilityError: cli.EXIT_INSTABILITY,
+             cli.NumericalError: cli.EXIT_NUMERICAL, cli.OracleComparisonError: cli.EXIT_ORACLE}
+
+    @staticmethod
+    def failing_runner(exc):
+        def run(config, outdir, fmt):
+            raise exc
+
+        return run
+
+    def test_a_plain_value_error_is_not_a_numerical_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli._TASK_RUNNERS, "spectrum", self.failing_runner(ValueError("bug")))
+        with pytest.raises(ValueError, match="bug"):
+            run_cli(tmp_path, "spectrum", self.SPECTRUM)
+
+    def test_every_failure_type_has_one_exit_code(self, tmp_path, monkeypatch):
+        modules = [importlib.import_module(f"sasc.{info.name}")
+                   for info in pkgutil.iter_modules(sasc.__path__)]
+        defined = {cls for module in modules for cls in vars(module).values()
+                   if isinstance(cls, type) and issubclass(cls, BaseException)
+                   and cls.__module__ == module.__name__}
+        assert set(self.EXITS) < defined  # the numerics.SingularMatrixError subclass too
+        for cls in defined:
+            roots = [root for root in self.EXITS if issubclass(cls, root)]
+            assert len(roots) == 1, cls
+            monkeypatch.setitem(cli._TASK_RUNNERS, "spectrum", self.failing_runner(cls(1.0)))
+            assert run_cli(tmp_path, "spectrum", self.SPECTRUM) == self.EXITS[roots[0]], cls
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("spectrum", {"system": du_system(), "task": {"kind": "spectrum"},
+                      "grid": {"min": -1e300, "max": 1e300, "points": 5}}, "0/0"),
+        ("chain", {"system": du_system(), "task": {"kind": "chain", "chain": {
+            "n_values": [2, 3, 4], "coupling": {"magnitude": 0.0}, "detuning": 0.0,
+            "detuning_alt": 0.0, "kappa_high": 1.0, "kappa_low": 1e-4}}}, "strictly positive gains"),
+        ("chain", {"system": du_system(), "task": {"kind": "chain", "chain": {
+            "n_values": [2, 3, 4], "coupling": {"magnitude": 5.0}, "detuning": -1.0,
+            "detuning_alt": -1.0, "kappa_high": 0.1, "kappa_low": 1e-4}}}, "at least 3 stable"),
+    ], ids=["spectrum.zero_over_zero", "chain.zero_gain", "chain.unstable_lengths"])
+    def test_failed_computations_exit_4(self, tmp_path, caplog, command, config, message):
+        assert run_cli(tmp_path, command, config) == cli.EXIT_NUMERICAL
+        assert "numerical failure: " in caplog.text and message in caplog.text
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 class TestFmapOmegaRange:
     @pytest.mark.parametrize("omega_range", [[3.0, -3.0], [1.0, 1.0]], ids=["reversed", "empty"])
     def test_non_increasing_range_is_a_config_error(self, tmp_path, omega_range):
@@ -571,8 +621,3 @@ class TestRuntimeDependencies:
                 " *(m in sys.modules for m in ('sasc.chain', 'sasc.metrics', 'sasc.oracle')))")
         out = run_python(code, "chain", "--config", path, "--out", str(tmp_path))
         assert out == "0 True False False"
-
-    def test_oracle_reexports_the_integration_failure_type(self):
-        from sasc import numerics, oracle
-
-        assert oracle.IntegrationQualityError is numerics.IntegrationQualityError

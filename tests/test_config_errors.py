@@ -1,16 +1,21 @@
-"""Every input check of the library raises model.ConfigError, a ValueError."""
+"""Every input check of the library raises model.ConfigError, and every failed
+computation on a usable input raises numerics.NumericalError; both are ValueErrors."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from conftest import OMEGA_HIGH, make_du
-from sasc import cli, metrics, oracle, spectra
+from conftest import OMEGA_HIGH, OMEGA_LOW, make_chain, make_comparison_pair, make_du
+from sasc import chain, cli, metrics, numerics, oracle, spectra
 from sasc.model import (
     BareDriveParams, ConfigError, CouplingParams, ModeParams, SystemModel, Topology,
+    solve_steady_state,
 )
+from sasc.numerics import NumericalError
 
 DU = make_du()
+HIGH, LOW = ModeParams("a", OMEGA_HIGH, 0.2, 0.0), ModeParams("b", OMEGA_LOW, 0.01, 1.0)
 
 
 def oracle_config(**kwargs):
@@ -56,12 +61,22 @@ CHECKS = {
     "quadrature_coefficients.output_port": (
         lambda: spectra.quadrature_coefficients(spectra.transfer_matrix(DU, 0.1), 2),
         "output_port 2 is out of range: the system has 2 modes"),
+    "thermal_occupation.absolute_frequency": (
+        lambda: spectra.thermal_occupation(0.0, 1.0), "absolute_frequency must be positive"),
+    "thermal_occupation.temperature": (
+        lambda: spectra.thermal_occupation(OMEGA_HIGH, -1.0), "temperature must be non-negative"),
     "thermal_occupation.underflow": (
         lambda: spectra.thermal_occupation(1e-300, 1e300), "thermal occupation is not finite"),
     "thermal_occupation.overflow": (
         lambda: spectra.thermal_occupation(1e-260, 1e40), "thermal occupation is not finite"),
     "asymmetry_pair.which": (
         lambda: spectra.asymmetry_pair(DU, "mb"), "'mb' is not defined for this du system"),
+    "find_phase_for_target_R.target": (
+        lambda: metrics.find_phase_for_target_R(DU, 1.5, "ab", 0.0), r"must lie in \[-1, 1\]"),
+    "solve_steady_state.branch_index": (
+        lambda: solve_steady_state(BareDriveParams(0.1 * OMEGA_LOW, 0.2 * OMEGA_LOW,
+                                                   OMEGA_HIGH - OMEGA_LOW), (HIGH, LOW), 2),
+        "branch_index 2 out of range for 1 branches"),
     "max_snr_over_omega.omega_range": (
         lambda: metrics.max_snr_over_omega(DU, (3.0, -3.0)), "must be increasing"),
     "search_snr.nothing_to_search": (
@@ -84,3 +99,48 @@ def test_input_checks_raise_config_error(call, message):
 
 def test_cli_uses_the_library_error_type():
     assert cli.ConfigError is ConfigError
+    assert cli.NumericalError is NumericalError
+
+
+def chains(**block):
+    """The 2-, 3- and 4-mode chains of CHAIN_BLOCK, `block` keys overriding it."""
+    return [make_chain(n, kappa_low=1e-4, **block) for n in (2, 3, 4)]
+
+
+CS, ICS = make_comparison_pair()
+
+#: (call, message pattern) of each numerical failure that needs no patched library.
+FAILURES = {
+    "lu_solve.non_finite": (
+        lambda: numerics.lu_solve(np.array([[1.0, np.nan], [0.0, 1.0]]), [1.0, 1.0]),
+        "non-finite entries"),
+    "lu_solve.singular": (
+        lambda: numerics.lu_solve(np.ones((2, 2)), [1.0, 1.0]), "singular to working precision"),
+    "asymmetry.zero_over_zero": (lambda: spectra.asymmetry(0.0, 0.0), "0/0"),
+    "f_factor.baseline_max": (
+        lambda: metrics.f_factor(metrics.ComparisonConfig(CS, ICS), ics_max=0.0),
+        "baseline maximum SNR is 0.0"),
+    "MapResult.values": (
+        lambda: metrics.MapResult([0.0], [0.0], [[np.nan]]), "map contains non-finite values"),
+    "scaling_fit.gains": (
+        lambda: chain.scaling_fit(chains(coupling={"magnitude": 0.0}, detuning=0.0,
+                                         detuning_alt=0.0, kappa_high=1.0), 0.3),
+        "strictly positive gains"),
+    "scaling_fit.stable_lengths": (
+        lambda: chain.scaling_fit(chains(coupling={"magnitude": 5.0}, detuning=-1.0,
+                                         detuning_alt=-1.0, kappa_high=0.1), 0.3),
+        "at least 3 stable chain lengths"),
+    "simulate.dt": (lambda: oracle.simulate(oracle_config(dt=0.5)), "too large for spectral radius"),
+    "solve_steady_state.no_branch": (
+        # kappa_a^2 / 4 underflows, so with no detuning or coupling the cubic has no root.
+        lambda: solve_steady_state(BareDriveParams(0.0, OMEGA_LOW, OMEGA_HIGH),
+                                   (dataclasses.replace(HIGH, kappa=1e-200), LOW)),
+        "no positive-intensity branch"),
+}
+
+
+@pytest.mark.parametrize("call, message", FAILURES.values(), ids=FAILURES.keys())
+def test_failed_computations_raise_numerical_error(call, message):
+    with pytest.raises(NumericalError, match=message) as err:
+        call()
+    assert isinstance(err.value, ValueError) and not isinstance(err.value, ConfigError)

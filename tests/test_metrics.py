@@ -107,11 +107,6 @@ class TestMaxSnr:
         _, s = metrics.max_snr_over_omega(cs)
         assert s >= coarse
 
-    def test_minimum_scan_density_enforced(self):
-        cs, _ = make_comparison_pair()
-        with pytest.raises(ValueError):
-            metrics.max_snr_over_omega(cs, n_scan=100)
-
     @pytest.mark.parametrize("omega_range", [(3.0, -3.0), (1.0, 1.0)])
     def test_omega_range_must_increase(self, omega_range):
         cs, _ = make_comparison_pair()
@@ -314,10 +309,10 @@ class TestPoleResidueScan:
         drifts = np.stack([solver.drift, defective])
         _, trusted, cond = metrics._pole_residue_snr(solver, drifts, self.GRID)
         assert trusted.tolist() == [True, False] and cond[1] >= 1e4
-        w, s, scan = metrics._search_snr(solver, drifts, (-3.0, 3.0), 401, 1e-3)
+        w, s, scan = metrics._search_snr(solver, drifts, (-3.0, 3.0), 1e-3)
         assert scan == {"fallback_cells": 1, "max_eigvec_cond": cond[1]}
         monkeypatch.setattr(metrics, "_EIGVEC_COND_LIMIT", 0.0)
-        exact_w, exact_s, _ = metrics._search_snr(solver, drifts, (-3.0, 3.0), 401, 1e-3)
+        exact_w, exact_s, _ = metrics._search_snr(solver, drifts, (-3.0, 3.0), 1e-3)
         assert np.array_equal(w, exact_w) and np.array_equal(s, exact_s)
 
     def test_pole_on_a_grid_frequency_is_refused(self):

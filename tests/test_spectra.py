@@ -14,7 +14,7 @@ from sasc.model import (
     conjugation_permutation,
     input_coupling_matrix,
 )
-from sasc import spectra
+from sasc import numerics, spectra
 
 
 class TestTransferMatrix:
@@ -197,7 +197,7 @@ class TestAsymmetry:
         assert spectra.asymmetry(1.0, 0.0) == 1.0
 
     def test_vanishing_coefficients_are_undefined(self):
-        with pytest.raises(spectra.UndefinedAsymmetryError):
+        with pytest.raises(numerics.NumericalError, match="0/0"):
             spectra.asymmetry(0.0, 0.0)
 
     def test_resonance_probe_offset(self):
@@ -239,6 +239,15 @@ class TestQuadratures:
         for psi in (0.0, 0.4):
             c = spectra.quadrature_coefficients(gamma, output_port=2, psi=psi)
             assert np.allclose(c[1::2], np.conj(c[0::2]), atol=1e-10)
+
+    def test_stack_matches_per_point_coefficients(self):
+        model = make_three(phase_m=0.8, phase_c=2.3)
+        gammas = np.stack([spectra.transfer_matrix(model, w) for w in np.linspace(0.1, 0.9, 7)])
+        for stack in (gammas, gammas[:3], gammas.reshape(7, 1, 6, 6)):
+            c = spectra.quadrature_coefficients(stack, output_port=2, psi=0.4)
+            expected = [spectra.quadrature_coefficients(g, output_port=2, psi=0.4)
+                        for g in stack.reshape(-1, 6, 6)]
+            assert np.array_equal(c.reshape(-1, 6), expected)
 
     def test_output_port_validation(self):
         gamma = spectra.transfer_matrix(make_du(), 0.1)
