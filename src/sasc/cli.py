@@ -353,22 +353,13 @@ def run_chain(config: dict, outdir: Path, fmt: str) -> None:
 def run_oracle(config: dict, outdir: Path, fmt: str) -> None:
     from . import oracle
     model = build_system(config["system"])
-    task = config.get("task", {})
-    block = task.get("oracle", {})
+    # The schema's other task.oracle keys are OracleConfig fields, which own their defaults.
+    block = dict(config.get("task", {}).get("oracle", {}))
+    threshold = block.pop("min_fraction", 0.99)
     seed = config.get("seed")
     if seed is None:
         raise ConfigError("oracle task requires a top-level seed")
-    cfg = oracle.OracleConfig(
-        model=model,
-        dt=block.get("dt", 0.002),
-        n_steps=block.get("n_steps", 131072),
-        ensemble=block.get("ensemble", 64),
-        seed=seed,
-        port=block.get("port", 0),
-        segment_length=block.get("segment_length", 4096),
-        overlap=block.get("overlap", 0.5),
-        burn_in=block.get("burn_in"),
-    )
+    cfg = oracle.OracleConfig(model=model, seed=seed, **block)
     run = oracle.simulate(cfg)
     predicted = spectra.output_spectrum(model, run.omega, cfg.port)
     report = oracle.compare(run, predicted)
@@ -379,7 +370,6 @@ def run_oracle(config: dict, outdir: Path, fmt: str) -> None:
         "n_bins": report.n_bins,
         "max_abs_z": report.max_abs_z,
     })
-    threshold = block.get("min_fraction", 0.99)
     if report.fraction_within < threshold:
         raise OracleComparisonError(
             f"only {report.fraction_within:.4f} of bins within 3 standard errors"

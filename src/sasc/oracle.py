@@ -24,15 +24,16 @@ so a chunk of steps costs one matrix product for every block's noise
 response, one small product per block to carry the state, and one more
 for the carried states' share of the recorded port. No eigenbasis is
 used, only matrix powers. The products write into caller-owned buffers
-that simulate allocates once per run and every full chunk reuses; the
-carried states are stored time-major, (blocks + 1, ensemble, 2N), so each
-carry writes one contiguous row in place.
+that simulate allocates once per run and every chunk reuses; the carried
+states are stored time-major, (blocks + 1, ensemble, 2N), so each carry
+writes one contiguous row in place. Every chunk is a whole one: the steps
+of the last chunk past burn_in + n_steps are drawn and advanced but never
+recorded, so a run takes at most _CHUNK - 1 extra steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -53,7 +54,7 @@ __all__ = [
 ]
 
 _CHUNK = 4096
-#: Steps per block of the stepping recurrence; a full chunk makes _CHUNK / _BLOCK state carries.
+#: Steps per block of the stepping recurrence; a chunk makes _CHUNK / _BLOCK state carries.
 _BLOCK = 16
 _CONJUGATE_TOLERANCE = 1e-6
 
@@ -63,10 +64,10 @@ class OracleConfig:
     """Time-domain run configuration; the seed is mandatory for reproducibility."""
 
     model: SystemModel
-    dt: float
-    n_steps: int
-    ensemble: int
     seed: int
+    dt: float = 0.002
+    n_steps: int = 131072
+    ensemble: int = 64
     port: int = 0
     segment_length: int = 4096
     overlap: float = 0.5
@@ -98,62 +99,53 @@ def _block_maps(
     port_noise: NDArray[np.complex128],
     gain: float,
     port_row: int,
-    size: int,
 ) -> tuple[NDArray[np.float64], NDArray[np.complex128], NDArray[np.complex128]]:
     """
-    Linear maps of `size` steps z <- A z + W d, with W d = B xi for real draws d.
+    Linear maps of _BLOCK steps z <- A z + W d, with W d = B xi for real draws d.
 
     Returns (table, homogeneous, power). `table` takes a block's draws
-    d_0..d_{size-1}, flattened, to the draws' share of its `size` recorded
+    d_0..d_{_BLOCK-1}, flattened, to the draws' share of its _BLOCK recorded
     outputs gain * z[port_row] - xi[port_row] followed by its end state,
     as interleaved (real, imaginary) columns so that real draws meet a real
-    matrix. `homogeneous` (n2, size) and `power` = (A^size)^T take the row
+    matrix. `homogeneous` (n2, _BLOCK) and `power` = (A^_BLOCK)^T take the row
     state at the block start to the rest of the outputs and the end state.
     """
     n2, n_draws = noise_map.shape
     powers = [np.eye(n2, dtype=complex)]
-    for _ in range(size):
+    for _ in range(_BLOCK):
         powers.append(step_matrix @ powers[-1])
     powers = np.array(powers)
-    response = powers[:size] @ noise_map  # A^m W, m = 0 .. size-1
-    table = np.zeros((size, n_draws, size + n2), dtype=complex)
-    for i in range(size):
-        # Step i's draws reach output j >= i through A^{j-i} W, the end state through A^{size-1-i} W.
-        table[i, :, i:size] = gain * response[: size - i, port_row].T
+    response = powers[:_BLOCK] @ noise_map  # A^m W, m = 0 .. _BLOCK-1
+    table = np.zeros((_BLOCK, n_draws, _BLOCK + n2), dtype=complex)
+    for i in range(_BLOCK):
+        # Step i's draws reach output j >= i through A^{j-i} W and the end state
+        # through A^{_BLOCK-1-i} W.
+        table[i, :, i:_BLOCK] = gain * response[: _BLOCK - i, port_row].T
         table[i, :, i] -= port_noise
-        table[i, :, size:] = response[size - 1 - i].T
-    real_table = np.stack([table.real, table.imag], axis=-1).reshape(size * n_draws, -1)
-    return real_table, gain * powers[1:, port_row].T, powers[size].T
+        table[i, :, _BLOCK:] = response[_BLOCK - 1 - i].T
+    real_table = np.stack([table.real, table.imag], axis=-1).reshape(_BLOCK * n_draws, -1)
+    return real_table, gain * powers[1:, port_row].T, powers[_BLOCK].T
 
 
-def _workspace(ensemble, n_blocks, maps):
-    """Buffers for _advance over (ensemble, n_blocks) blocks: (product, carried, ports)."""
-    table, homogeneous, power = maps
-    return (np.empty((ensemble * n_blocks, table.shape[1])),
-            np.empty((n_blocks + 1, ensemble, len(power)), dtype=complex),
-            np.empty((ensemble, n_blocks, homogeneous.shape[1]), dtype=complex))
-
-
-def _advance(z, draws, maps, work=None):
+def _advance(z, draws, maps, work):
     """
     Advance row states z (ensemble, n2) through draws (ensemble, n_blocks,
-    size * n_draws); return the end states and the recorded outputs
-    (ensemble, n_blocks * size) in step order. Both are views into `work`
-    (from _workspace, fresh if omitted), which the next call overwrites.
+    _BLOCK * n_draws); return the end states and the recorded outputs
+    (ensemble, n_blocks * _BLOCK) in step order. Both are views into the
+    buffers `work` = (product, carried, ports), which the next call overwrites.
     """
     table, homogeneous, power = maps
     ensemble, n_blocks, _ = draws.shape
-    size = homogeneous.shape[1]
-    product, carried, ports = work or _workspace(ensemble, n_blocks, maps)
+    product, carried, ports = work
     np.matmul(draws.reshape(-1, table.shape[0]), table, out=product)
-    particular = product.view(complex).reshape(ensemble, n_blocks, size + len(power))
+    particular = product.view(complex).reshape(ensemble, n_blocks, _BLOCK + len(power))
     carried[0] = z  # carried[b] is the state at the start of block b
     for b in range(n_blocks):
         np.matmul(carried[b], power, out=carried[b + 1])
-        carried[b + 1] += particular[:, b, size:]
+        carried[b + 1] += particular[:, b, _BLOCK:]
     np.matmul(carried[:-1].transpose(1, 0, 2), homogeneous, out=ports)
-    ports += particular[..., :size]
-    return carried[-1], ports.reshape(ensemble, n_blocks * size)
+    ports += particular[..., :_BLOCK]
+    return carried[-1], ports.reshape(ensemble, n_blocks * _BLOCK)
 
 
 def simulate(cfg: OracleConfig) -> WelchEstimate:
@@ -188,9 +180,8 @@ def simulate(cfg: OracleConfig) -> WelchEstimate:
     draws_to_noise = np.kron(np.diag(amplitudes), [[1.0, 1.0j], [1.0, -1.0j]])
     port_row = 2 * cfg.port
     gain = float(np.sqrt(model.modes[cfg.port].kappa))
-    maps = partial(_block_maps, step_matrix, input_matrix @ draws_to_noise,
-                   draws_to_noise[port_row], gain, port_row)
-    block_maps = maps(_BLOCK)
+    maps = _block_maps(step_matrix, input_matrix @ draws_to_noise, draws_to_noise[port_row],
+                       gain, port_row)
 
     burn_in = cfg.effective_burn_in
     total_steps = burn_in + cfg.n_steps
@@ -201,21 +192,16 @@ def simulate(cfg: OracleConfig) -> WelchEstimate:
     # are identical to integrating the members one at a time.
     rngs = [np.random.default_rng([cfg.seed, member]) for member in range(cfg.ensemble)]
     z = np.zeros((cfg.ensemble, n2), dtype=complex)
-    # Reused by every full chunk; a shorter last chunk takes fresh buffers.
-    work = _workspace(cfg.ensemble, _CHUNK // _BLOCK, block_maps)
-    done = 0
-    while done < total_steps:
-        chunk = min(_CHUNK, total_steps - done)
+    # _advance's buffers, reused by every chunk: (product, carried, ports).
+    n_blocks = _CHUNK // _BLOCK
+    work = (np.empty((cfg.ensemble * n_blocks, maps[0].shape[1])),
+            np.empty((n_blocks + 1, cfg.ensemble, n2), dtype=complex),
+            np.empty((cfg.ensemble, n_blocks, _BLOCK), dtype=complex))
+    draws = noise.reshape(cfg.ensemble, n_blocks, _BLOCK * n2)
+    for done in range(0, total_steps, _CHUNK):
         for member, rng in enumerate(rngs):
-            rng.standard_normal(out=noise[member, :chunk])
-        full = chunk - chunk % _BLOCK
-        z, ports = _advance(
-            z, noise[:, :full].reshape(cfg.ensemble, full // _BLOCK, _BLOCK * n2), block_maps,
-            work if chunk == _CHUNK else None,
-        )
-        if full < chunk:  # the run ends in a partial block
-            z, tail = _advance(z, noise[:, full:chunk].reshape(cfg.ensemble, 1, -1), maps(chunk - full))
-            ports = np.concatenate([ports, tail], axis=1)
+            rng.standard_normal(out=noise[member])
+        z, ports = _advance(z, draws, maps, work)
         scale = np.max(np.abs(z)) + 1e-300
         deviation = float(np.max(np.abs(z[:, 1::2] - np.conj(z[:, 0::2]))) / scale)
         if deviation > _CONJUGATE_TOLERANCE:
@@ -224,9 +210,8 @@ def simulate(cfg: OracleConfig) -> WelchEstimate:
             )
         if not np.all(np.isfinite(z.view(float))):
             raise NumericalError("trajectory diverged (non-finite state)")
-        first = min(max(burn_in - done, 0), chunk)  # burn-in steps in this chunk
-        welch.add(ports[:, first:])
-        done += chunk
+        # Neither burn-in steps nor the steps past total_steps are recorded.
+        welch.add(ports[:, max(burn_in - done, 0):total_steps - done])
 
     return welch.result()
 

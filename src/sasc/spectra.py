@@ -87,11 +87,9 @@ def transfer_matrices(model: SystemModel, omegas) -> Iterator[NDArray[np.complex
     return _input_output(model, diagonals, check=True)
 
 
-def causal_transfer_matrix(
-    model: SystemModel, omega: float, check: bool = True
-) -> NDArray[np.complex128]:
-    """Causal input-output matrix L (-i w I - M)^{-1} L - I (time-domain convention)."""
-    return next(_input_output(model, np.full((1, 2 * model.n_modes), -1j * omega), check))[0]
+def causal_transfer_matrix(model: SystemModel, omega: float) -> NDArray[np.complex128]:
+    """Gated causal input-output matrix L (-i w I - M)^{-1} L - I (time-domain convention)."""
+    return next(_input_output(model, np.full((1, 2 * model.n_modes), -1j * omega), check=True))[0]
 
 
 def _input_output(model: SystemModel, diagonals, check: bool) -> Iterator[NDArray[np.complex128]]:

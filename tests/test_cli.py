@@ -557,6 +557,30 @@ class TestOracleTask:
         assert "conjugate-pair structure drifted" in caplog.text
         assert not list(tmp_path.glob("oracle*.json"))
 
+    def test_schema_keys_are_oracle_config_fields(self):
+        # So a config that passes the closed schema never meets a TypeError.
+        from dataclasses import fields
+        from sasc import oracle
+
+        keys = cli._load_schema()["properties"]["task"]["properties"]["oracle"]["properties"]
+        assert set(keys) - {"min_fraction"} <= {f.name for f in fields(oracle.OracleConfig)}
+
+    def test_unset_keys_take_the_oracle_config_defaults(self, tmp_path, monkeypatch):
+        from sasc import numerics, oracle
+
+        seen = []
+
+        def simulate(cfg):
+            seen.append(cfg)
+            raise numerics.NumericalError("not integrated")
+
+        monkeypatch.setattr(oracle, "simulate", simulate)
+        config = {"system": du_system(), "seed": 1,
+                  "task": {"kind": "oracle", "oracle": {"n_steps": 8192}}}
+        assert run_cli(tmp_path, "oracle", config) == cli.EXIT_NUMERICAL
+        [cfg] = seen
+        assert cfg == oracle.OracleConfig(model=cfg.model, seed=1, n_steps=8192)
+
     def test_short_noisy_run_fails_comparison(self, tmp_path):
         # Deterministic: with this seed the short run leaves >1% of bins
         # outside three standard errors.

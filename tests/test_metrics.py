@@ -411,6 +411,19 @@ class TestIndependence:
         assert report.r_mb_cross_variation < 1e-9
         assert report.r_bc_cross_variation < 1e-9
 
+    def test_uncoupled_asymmetry_is_undefined(self):
+        # With no m-b coupling R_mb is 0/0 at every phase; R_bc stays defined.
+        from sasc.spectra import resonance_probe_frequency
+
+        report = metrics.independence_check(
+            make_three(magnitude_m=0.0),
+            np.linspace(0.0, 2.0 * np.pi, 5),
+            np.linspace(0.0, 2.0 * np.pi, 5),
+            resonance_probe_frequency(),
+        )
+        assert report.r_mb_cross_variation is None and not report.r_mb_defined
+        assert report.r_bc_defined and report.r_bc_cross_variation is not None
+
     def test_requires_three_mode_topology(self):
         with pytest.raises(ValueError):
             metrics.independence_check(make_du(), [0.0], [0.0], 0.5)

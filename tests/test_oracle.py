@@ -40,6 +40,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             short_config(make_du(), **bad)
 
+    def test_documented_defaults(self):
+        cfg = oracle.OracleConfig(model=make_du(), seed=1)
+        assert (cfg.dt, cfg.n_steps, cfg.ensemble, cfg.port) == (0.002, 131072, 64, 0)
+        assert (cfg.segment_length, cfg.overlap, cfg.effective_burn_in) == (4096, 0.5, 4096)
+
     def test_burn_in_defaults_to_segment_length(self):
         cfg = short_config(make_du())
         assert cfg.effective_burn_in == 2048
@@ -79,12 +84,14 @@ def stepwise_simulate(cfg):
 class TestSimulate:
     @pytest.mark.parametrize("model,port", [(make_du(), 0), (make_comparison_pair()[0], 2)],
                              ids=["du-port0", "three-port2"])
-    @pytest.mark.parametrize("burn_in,n_steps", [(37, 5120), (5, 4096)],
-                             ids=["last-chunk-1061", "last-chunk-5"])
+    @pytest.mark.parametrize("burn_in,n_steps", [(37, 5120), (5, 4096), (4100, 4092), (1, 4096)],
+                             ids=["last-chunk-1061", "last-chunk-5", "burn-in-past-chunk",
+                                  "last-chunk-1"])
     def test_matches_stepwise_reference(self, model, port, burn_in, n_steps):
-        # burn_in + n_steps is a multiple of neither the block nor the chunk
-        # length: the last chunk has 1061 steps (66 blocks and 5 more) or only
-        # 5, and the last Welch segment ends on the last step.
+        # Every chunk advances whole: the last one records only the steps up to
+        # burn_in + n_steps (1061, 5 or 1 of them, or all 4096 when the total is
+        # two chunks), and the last Welch segment ends on the last step. A
+        # burn-in of 4100 also skips the whole first chunk and 4 steps of the next.
         cfg = short_config(model, port=port, ensemble=3, segment_length=1024,
                            burn_in=burn_in, n_steps=n_steps)
         run = oracle.simulate(cfg)
