@@ -39,6 +39,7 @@ __all__ = [
     "coupled_modes",
     "check_index",
     "input_coupling_matrix",
+    "quadrature_form",
     "quadrature_eigenvalues",
     "solve_steady_state",
     "check_stability",
@@ -338,12 +339,12 @@ def solve_steady_state(
     )
 
 
-def quadrature_eigenvalues(m) -> NDArray[np.complex128]:
+def quadrature_form(m) -> NDArray[np.float64]:
     """
-    Eigenvalues of a drift matrix, or (..., 2n) of a stack, from its real
-    quadrature form R = T^-1 M T, T = blockdiag([[1, i], [1, -i]] / sqrt 2),
-    i.e. a_i = (x_i + i p_i) / sqrt 2. An R with an imaginary part above
-    1e-12 max(|M|_1, 1) means M is not a doubled-basis drift: ValueError.
+    The real quadrature form R = T^-1 M T of a drift matrix, or of a stack,
+    T = blockdiag([[1, i], [1, -i]] / sqrt 2), i.e. a_i = (x_i + i p_i) / sqrt 2.
+    An R with an imaginary part above 1e-12 max(|M|_1, 1) means M is not a
+    doubled-basis drift: ValueError.
     """
     m = np.ascontiguousarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.shape[-1] % 2:
@@ -355,7 +356,12 @@ def quadrature_eigenvalues(m) -> NDArray[np.complex128]:
     if (imag > 1e-12).any():  # no bound is below 1e-12, so the norms are needed only here
         if (imag > 1e-12 * np.maximum(np.linalg.norm(m, 1, axis=(-2, -1)), 1.0)).any():
             raise ValueError("matrix is not a doubled-basis drift: its quadrature form is not real")
-    return numerics.eigenvalues(r[..., 0].swapaxes(-3, -2).reshape(m.shape)).astype(complex)
+    return r[..., 0].swapaxes(-3, -2).reshape(m.shape)
+
+
+def quadrature_eigenvalues(m) -> NDArray[np.complex128]:
+    """Eigenvalues of a drift matrix, or (..., 2n) of a stack, from its real quadrature_form."""
+    return numerics.eigenvalues(quadrature_form(m)).astype(complex)
 
 
 def check_stability(m) -> StabilityVerdict:

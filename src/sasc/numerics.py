@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 _RCOND_FLOOR = 1e-13
-#: Complex entries per windowed batch of Welch segments (4 MB), or one segment of every series if larger.
-_WELCH_BATCH_ENTRIES = 1 << 18
+#: Complex entries per windowed batch of Welch segments (2 MB), or one segment if larger.
+_WELCH_BATCH_ENTRIES = 1 << 17
 
 
 class NumericalError(ValueError):
@@ -155,18 +155,18 @@ class WelchEstimate(NamedTuple):
 class WelchAccumulator:
     """
     Two-sided Welch PSD of complex series, fed chunk by chunk with time on
-    the last axis (leading axes index independent series). A component
-    e^{-i omega0 t} appears at +omega0, matching the resolvent
-    (-i omega I - M)^{-1} of predicted spectra. Segments start every
-    round(segment_length * (1 - overlap)) samples, however the input is
-    chunked. Segments are read in place from the caller's chunk (or from the
-    kept samples and the chunk, for one that starts in them) and
-    Hann-windowed in batches into one reused buffer, transformed in place.
-    Only the samples after the last segment start (fewer than
-    segment_length) are copied and kept between adds, so a chunk may be
-    overwritten once `add` returns. Each periodogram is folded into a
-    per-bin mean and sum of squared deviations (Chan, Golub & LeVeque, Am.
-    Stat. 37, 242 (1983)) and dropped.
+    the last axis (leading axes index independent series, the same at every
+    add). A component e^{-i omega0 t} appears at +omega0, matching the
+    resolvent (-i omega I - M)^{-1} of predicted spectra. Segments start
+    every round(segment_length * (1 - overlap)) samples, however the input
+    is chunked. A segment inside one chunk is read from it in place; one
+    that starts in an earlier chunk, from the pending buffer (a ring of the
+    last segment_length samples of every series, allocated by the first
+    add) and the chunk's start, so a chunk may be overwritten once `add`
+    returns. Segments are Hann-windowed into one reused buffer, batched over
+    series and segments, and transformed in place. Each periodogram is
+    folded into a per-bin mean and sum of squared deviations (Chan, Golub &
+    LeVeque, Am. Stat. 37, 242 (1983)) and dropped.
     """
 
     def __init__(self, dt: float, segment_length: int, overlap: float = 0.5):
@@ -178,7 +178,9 @@ class WelchAccumulator:
         self._length = segment_length
         self._step = max(1, int(round(segment_length * (1.0 - overlap))))
         self._window = hann_window(segment_length)
-        self._tail = None
+        self._pending = None
+        self._seen = 0  # samples added so far, per series
+        self._next = 0  # the next segment's first sample
         self._work = np.empty(0, dtype=complex)
         self._power = np.empty(0)
         self._count = 0
@@ -188,30 +190,50 @@ class WelchAccumulator:
     def add(self, chunk) -> None:
         """Append samples (..., n_samples) of every series."""
         data = np.asarray(chunk, dtype=complex)
-        start = 0  # of the next segment, in data; negative while it starts in the tail
-        if self._tail is not None:
-            tail, start = self._tail, -self._tail.shape[-1]
-            # A segment that starts in the tail is windowed from its end and the chunk's start.
-            while start < 0 and start + self._length <= data.shape[-1]:
-                work = self._scratch(tail.shape[:-1] + (self._length,))
-                np.multiply(tail[..., start:], self._window[:-start], out=work[..., :-start])
-                np.multiply(data[..., : start + self._length], self._window[-start:], out=work[..., -start:])
-                self._transform(work)
-                start += self._step
-            if start < 0:  # the chunk is too short to end a segment that starts in the tail
-                self._tail = np.concatenate([tail[..., start:], data], axis=-1)
-                return
-        n_segments = max(0, (data.shape[-1] - start - self._length) // self._step + 1)
+        length, seen, n = self._length, self._seen, data.shape[-1]
+        data = data.reshape(math.prod(data.shape[:-1]), n)
+        if self._pending is None:
+            self._pending = np.empty((len(data), length), dtype=complex)
+        elif len(data) != len(self._pending):
+            raise ValueError(f"expected {len(self._pending)} series, got {len(data)}")
+        ring = self._pending
+        while self._next < seen and self._next + length <= seen + n:
+            # Ring slots [first, last) hold the segment's samples before the chunk.
+            first, last = self._next % length, seen % length
+            held = [ring[:, first:last]] if first < last else [ring[:, first:], ring[:, :last]]
+            self._fold([*(piece[:, None] for piece in held), data[:, None, : self._next + length - seen]])
+            self._next += self._step
+        start = self._next - seen  # negative while the chunk is too short to end a segment
+        n_segments = max(0, (n - start - length) // self._step + 1)
         if n_segments:
-            segments = np.lib.stride_tricks.sliding_window_view(data[..., start:], self._length, axis=-1)
-            segments = segments[..., :: self._step, :]  # (..., n_segments, segment_length) view
-            # Bounded batches keep the work buffer small, whatever the overlap.
-            per_batch = max(1, _WELCH_BATCH_ENTRIES // (segments.size // n_segments))
-            for first in range(0, n_segments, per_batch):
-                batch = segments[..., first : first + per_batch, :]
-                # Windowed into C order, so each FFT runs over contiguous samples.
-                self._transform(np.multiply(batch, self._window, out=self._scratch(batch.shape)))
-        self._tail = data[..., start + n_segments * self._step :].copy()
+            segments = np.lib.stride_tricks.sliding_window_view(data[:, start:], length, axis=-1)
+            self._fold([segments[:, :: self._step]])
+            self._next += n_segments * self._step
+        # Keep the chunk's last samples in the ring, slot = sample index % segment_length.
+        kept = min(n, length)
+        first = (seen + n - kept) % length
+        split = min(kept, length - first)
+        ring[:, first : first + split] = data[:, n - kept : n - kept + split]
+        ring[:, : kept - split] = data[:, n - kept + split :]
+        self._seen = seen + n
+
+    def _fold(self, pieces: list[NDArray[np.complex128]]) -> None:
+        """Window and fold in segments (series, count, segment_length), given as consecutive
+        pieces in time, _WELCH_BATCH_ENTRIES entries (or one segment) at a time."""
+        n_series, count = pieces[0].shape[:2]
+        rows = max(1, _WELCH_BATCH_ENTRIES // self._length)
+        series, segments = max(1, rows // count), min(count, rows)
+        for s in range(0, n_series, series):
+            for k in range(0, count, segments):
+                batch = [piece[s : s + series, k : k + segments] for piece in pieces]
+                work = self._scratch(batch[0].shape[:2] + (self._length,))
+                offset = 0
+                for piece in batch:
+                    width = piece.shape[-1]
+                    np.multiply(piece, self._window[offset : offset + width],
+                                out=work[..., offset : offset + width])
+                    offset += width
+                self._transform(work)
 
     def _scratch(self, shape: tuple[int, ...]) -> NDArray[np.complex128]:
         """The work buffer as a C-ordered array of `shape`, grown if too small."""

@@ -4,16 +4,17 @@ Independent time-domain validation path.
 Integrates the linearized Langevin system dz = M z dt + L dW with
 synthesized Gaussian noise and estimates the output power spectrum of one
 port via Welch averaging, for cross-checking the frequency-domain
-pipeline. The Welch estimate is accumulated chunk by chunk as the port is
-recorded, so no output record is kept: memory is O(ensemble x (chunk +
-segment_length)), whatever n_steps and overlap. The noise is a classical
-complex circular surrogate whose symmetrized second moments match the
-quantum input correlators; this is exact for every quantity computed here
-(all are symmetrized second moments of a linear system) but is not a full
-quantum simulation.
+pipeline. The state is real: the quadratures (x, p) of every mode, a =
+(x + i p) / sqrt 2, under M's real quadrature form R. The Welch estimate is
+accumulated chunk by chunk as the port is recorded, so no output record is
+kept: memory is O(ensemble x (chunk x 2N + segment_length)), whatever
+n_steps and overlap. The noise is a classical circular surrogate whose
+symmetrized second moments match the quantum input correlators; this is
+exact for every quantity computed here (all are symmetrized second
+moments of a linear system) but is not a full quantum simulation.
 
 The integrator is the drift-implicit Euler-Maruyama step
-z_{k+1} = A z_k + B xi_k with A = (I - dt M)^{-1} and B = A L dt; the
+z_{k+1} = A z_k + B xi_k with A = (I - dt R)^{-1} and B = A L dt; the
 explicit variant is unstable over the long horizons required by the
 narrow low-mode linewidths used throughout. The same discrete map is
 advanced _BLOCK steps per block,
@@ -22,13 +23,12 @@ advanced _BLOCK steps per block,
 
 so a chunk of steps costs one matrix product for every block's noise
 response, one small product per block to carry the state, and one more
-for the carried states' share of the recorded port. No eigenbasis is
-used, only matrix powers. The products write into caller-owned buffers
-that simulate allocates once per run and every chunk reuses; the carried
-states are stored time-major, (blocks + 1, ensemble, 2N), so each carry
-writes one contiguous row in place. Every chunk is a whole one: the steps
-of the last chunk past burn_in + n_steps are drawn and advanced but never
-recorded, so a run takes at most _CHUNK - 1 extra steps.
+for the carried states' share of the recorded port. The products write
+into buffers that simulate allocates once per run and every chunk reuses;
+the carried states are stored time-major, (blocks + 1, ensemble, 2N), so
+each carry writes one contiguous row in place. Every chunk is a whole
+_CHUNK steps: those past burn_in + n_steps are drawn and advanced but
+never recorded.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from numpy.typing import NDArray
 from . import numerics
 from .model import (
     ConfigError, SystemModel, build_drift_matrix, check_index, input_coupling_matrix,
-    require_stable,
+    quadrature_form, require_stable,
 )
 from .numerics import NumericalError, WelchEstimate
 from .spectra import occupations
@@ -53,10 +53,9 @@ __all__ = [
     "compare",
 ]
 
-_CHUNK = 4096
+_CHUNK = 512
 #: Steps per block of the stepping recurrence; a chunk makes _CHUNK / _BLOCK state carries.
 _BLOCK = 16
-_CONJUGATE_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -94,43 +93,46 @@ class OracleConfig:
 
 
 def _block_maps(
-    step_matrix: NDArray[np.complex128],
-    noise_map: NDArray[np.complex128],
-    port_noise: NDArray[np.complex128],
+    step_matrix: NDArray[np.float64],
+    noise_map: NDArray[np.float64],
+    port_noise: float,
     gain: float,
     port_row: int,
-) -> tuple[NDArray[np.float64], NDArray[np.complex128], NDArray[np.complex128]]:
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
     """
-    Linear maps of _BLOCK steps z <- A z + W d, with W d = B xi for real draws d.
+    Linear maps of _BLOCK steps z <- A z + W d of the quadratures, for real draws d.
 
     Returns (table, homogeneous, power). `table` takes a block's draws
     d_0..d_{_BLOCK-1}, flattened, to the draws' share of its _BLOCK recorded
-    outputs gain * z[port_row] - xi[port_row] followed by its end state,
-    as interleaved (real, imaginary) columns so that real draws meet a real
-    matrix. `homogeneous` (n2, _BLOCK) and `power` = (A^_BLOCK)^T take the row
-    state at the block start to the rest of the outputs and the end state.
+    outputs gain * z[port] - port_noise * d[port], port = (x, p) rows
+    port_row and port_row + 1, each an interleaved (re, im) pair of
+    columns, followed by its end state. `homogeneous` (n2, 2 _BLOCK) and
+    `power` = (A^_BLOCK)^T take the row state at the block start to the
+    rest of the outputs and the end state.
     """
-    n2, n_draws = noise_map.shape
-    powers = [np.eye(n2, dtype=complex)]
+    n2 = len(step_matrix)
+    port = slice(port_row, port_row + 2)
+    powers = [np.eye(n2)]
     for _ in range(_BLOCK):
         powers.append(step_matrix @ powers[-1])
     powers = np.array(powers)
     response = powers[:_BLOCK] @ noise_map  # A^m W, m = 0 .. _BLOCK-1
-    table = np.zeros((_BLOCK, n_draws, _BLOCK + n2), dtype=complex)
+    table = np.zeros((_BLOCK, n2, 2 * _BLOCK + n2))
+    outputs = table[..., : 2 * _BLOCK].reshape(_BLOCK, n2, _BLOCK, 2)
     for i in range(_BLOCK):
         # Step i's draws reach output j >= i through A^{j-i} W and the end state
         # through A^{_BLOCK-1-i} W.
-        table[i, :, i:_BLOCK] = gain * response[: _BLOCK - i, port_row].T
-        table[i, :, i] -= port_noise
-        table[i, :, _BLOCK:] = response[_BLOCK - 1 - i].T
-    real_table = np.stack([table.real, table.imag], axis=-1).reshape(_BLOCK * n_draws, -1)
-    return real_table, gain * powers[1:, port_row].T, powers[_BLOCK].T
+        outputs[i, :, i:] = gain * response[: _BLOCK - i, port].transpose(2, 0, 1)
+        outputs[i, port, i] -= port_noise * np.eye(2)
+        table[i, :, 2 * _BLOCK :] = response[_BLOCK - 1 - i].T
+    homogeneous = gain * powers[1:, port].transpose(2, 0, 1).reshape(n2, 2 * _BLOCK)
+    return table.reshape(_BLOCK * n2, -1), homogeneous, powers[_BLOCK].T
 
 
 def _advance(z, draws, maps, work):
     """
     Advance row states z (ensemble, n2) through draws (ensemble, n_blocks,
-    _BLOCK * n_draws); return the end states and the recorded outputs
+    _BLOCK * n2); return the end states and the recorded outputs as complex
     (ensemble, n_blocks * _BLOCK) in step order. Both are views into the
     buffers `work` = (product, carried, ports), which the next call overwrites.
     """
@@ -138,14 +140,14 @@ def _advance(z, draws, maps, work):
     ensemble, n_blocks, _ = draws.shape
     product, carried, ports = work
     np.matmul(draws.reshape(-1, table.shape[0]), table, out=product)
-    particular = product.view(complex).reshape(ensemble, n_blocks, _BLOCK + len(power))
+    particular = product.reshape(ensemble, n_blocks, -1)
     carried[0] = z  # carried[b] is the state at the start of block b
     for b in range(n_blocks):
         np.matmul(carried[b], power, out=carried[b + 1])
-        carried[b + 1] += particular[:, b, _BLOCK:]
+        carried[b + 1] += particular[:, b, 2 * _BLOCK :]
     np.matmul(carried[:-1].transpose(1, 0, 2), homogeneous, out=ports)
-    ports += particular[..., :_BLOCK]
-    return carried[-1], ports.reshape(ensemble, n_blocks * _BLOCK)
+    ports += particular[..., : 2 * _BLOCK]
+    return carried[-1], ports.reshape(ensemble, -1).view(complex)
 
 
 def simulate(cfg: OracleConfig) -> WelchEstimate:
@@ -156,8 +158,7 @@ def simulate(cfg: OracleConfig) -> WelchEstimate:
 
     Every ensemble member draws its noise from a seed derived as
     (seed, member_index), so results are independent of evaluation order.
-    The doubled-basis state keeps creation channels as exact conjugates of
-    their annihilation partners; drift beyond tolerance aborts the run.
+    A non-finite state aborts the run.
     """
     model = cfg.model
     drift = build_drift_matrix(model)
@@ -169,46 +170,37 @@ def simulate(cfg: OracleConfig) -> WelchEstimate:
             f" (needs dt <= {0.01 / max_rate:.3g})"
         )
     n2 = 2 * model.n_modes
-    ell = input_coupling_matrix(model)
-    # Drift-implicit step: z <- A z + B xi, with the input fed through L dt.
-    step_matrix = numerics.invert(np.eye(n2) - cfg.dt * drift)
-    input_matrix = step_matrix @ ell * cfg.dt
-    # Each step draws (re, im) per mode, d[2m] and d[2m + 1]. Circular noise
-    # of two-sided input PSD n + 1/2 per mode is xi = E d, with
-    # xi[2m] = a_m (d[2m] + i d[2m + 1]) and its creation partner conj(xi[2m]).
-    amplitudes = np.sqrt((occupations(model) + 0.5) / cfg.dt) / np.sqrt(2.0)
-    draws_to_noise = np.kron(np.diag(amplitudes), [[1.0, 1.0j], [1.0, -1.0j]])
+    # Drift-implicit step of the quadratures, z <- A z + A L dt xi; L is the
+    # same on x and p, so it is unchanged by the quadrature transform.
+    step_matrix = numerics.invert(np.eye(n2) - cfg.dt * quadrature_form(drift)).real
+    # Each step draws (x, p) per mode, d[2m] and d[2m + 1]. Circular noise of
+    # two-sided input PSD n + 1/2 per mode is xi = sqrt((n + 1/2) / dt) d on
+    # both quadratures; the port records a = (x + i p) / sqrt 2 and its noise.
+    noise = np.repeat(np.sqrt((occupations(model) + 0.5) / cfg.dt), 2)
+    noise_map = step_matrix @ input_coupling_matrix(model) * (cfg.dt * noise)
     port_row = 2 * cfg.port
-    gain = float(np.sqrt(model.modes[cfg.port].kappa))
-    maps = _block_maps(step_matrix, input_matrix @ draws_to_noise, draws_to_noise[port_row],
-                       gain, port_row)
+    gain = float(np.sqrt(model.modes[cfg.port].kappa / 2.0))
+    maps = _block_maps(step_matrix, noise_map, noise[port_row] / np.sqrt(2.0), gain, port_row)
 
     burn_in = cfg.effective_burn_in
     total_steps = burn_in + cfg.n_steps
     welch = numerics.WelchAccumulator(cfg.dt, cfg.segment_length, cfg.overlap)
-    noise = np.empty((cfg.ensemble, _CHUNK, n2))
+    draws = np.empty((cfg.ensemble, _CHUNK, n2))
     # All members advance in lockstep (state rows), but every member's
     # noise stream comes from its own (seed, member) generator, so results
     # are identical to integrating the members one at a time.
     rngs = [np.random.default_rng([cfg.seed, member]) for member in range(cfg.ensemble)]
-    z = np.zeros((cfg.ensemble, n2), dtype=complex)
+    z = np.zeros((cfg.ensemble, n2))
     # _advance's buffers, reused by every chunk: (product, carried, ports).
     n_blocks = _CHUNK // _BLOCK
     work = (np.empty((cfg.ensemble * n_blocks, maps[0].shape[1])),
-            np.empty((n_blocks + 1, cfg.ensemble, n2), dtype=complex),
-            np.empty((cfg.ensemble, n_blocks, _BLOCK), dtype=complex))
-    draws = noise.reshape(cfg.ensemble, n_blocks, _BLOCK * n2)
+            np.empty((n_blocks + 1, cfg.ensemble, n2)),
+            np.empty((cfg.ensemble, n_blocks, 2 * _BLOCK)))
     for done in range(0, total_steps, _CHUNK):
         for member, rng in enumerate(rngs):
-            rng.standard_normal(out=noise[member])
-        z, ports = _advance(z, draws, maps, work)
-        scale = np.max(np.abs(z)) + 1e-300
-        deviation = float(np.max(np.abs(z[:, 1::2] - np.conj(z[:, 0::2]))) / scale)
-        if deviation > _CONJUGATE_TOLERANCE:
-            raise NumericalError(
-                f"conjugate-pair structure drifted to {deviation:.3e}"
-            )
-        if not np.all(np.isfinite(z.view(float))):
+            rng.standard_normal(out=draws[member])
+        z, ports = _advance(z, draws.reshape(cfg.ensemble, n_blocks, -1), maps, work)
+        if not np.all(np.isfinite(z)):
             raise NumericalError("trajectory diverged (non-finite state)")
         # Neither burn-in steps nor the steps past total_steps are recorded.
         welch.add(ports[:, max(burn_in - done, 0):total_steps - done])

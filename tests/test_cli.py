@@ -190,6 +190,31 @@ class TestConfigValidation:
         assert "config error" in caplog.text
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("points", [10**15, 10**20], ids=["1e15", "1e20"])
+    def test_oversized_grid_is_a_config_error(self, tmp_path, caplog, points):
+        # Refused before np.linspace runs out of memory or refuses the size.
+        config = {"system": du_system(), "task": {"kind": "spectrum"},
+                  "grid": {"min": -1.0, "max": 1.0, "points": points}}
+        assert run_cli(tmp_path, "spectrum", config) == cli.EXIT_CONFIG
+        assert "config invalid at $.grid.points" in caplog.text
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("command, setting", [
+        ("spectrum", "grid.points=10000001"), ("fmap", "task.delta_points=1001"),
+        ("oracle", "task.oracle.ensemble=10001"),
+    ])
+    def test_sizes_past_their_maximum_are_config_errors(
+        self, tmp_path, caplog, monkeypatch, command, setting
+    ):
+        def oversized_run(config, outdir, fmt):
+            raise AssertionError("an oversized config reached its task")
+
+        monkeypatch.setitem(cli._TASK_RUNNERS, command, oversized_run)
+        config = fmap_config() if command == "fmap" else {
+            "system": du_system(), "task": {"kind": command}, "seed": 1}
+        assert run_cli(tmp_path, command, config, ("--set", setting)) == cli.EXIT_CONFIG
+        assert f"config invalid at $.{setting.partition('=')[0]}" in caplog.text
+
     @pytest.mark.parametrize("path", [
         "system.modes.x.kappa", "system.modes.9.kappa", "system.modes.-1.kappa",
         "system.topology.x", "system.couplings.0.magnitude.x", "system.couplings.-1",
@@ -552,9 +577,15 @@ class TestOracleTask:
     def test_integration_failure_is_a_numerical_failure(self, tmp_path, monkeypatch, caplog):
         from sasc import oracle
 
-        monkeypatch.setattr(oracle, "_CONJUGATE_TOLERANCE", -1.0)  # every chunk fails the check
+        block_maps = oracle._block_maps
+
+        def diverging_maps(*args):
+            table, homogeneous, power = block_maps(*args)
+            return table, homogeneous, np.full_like(power, np.nan)  # the first carry is NaN
+
+        monkeypatch.setattr(oracle, "_block_maps", diverging_maps)
         assert run_cli(tmp_path, "oracle", self.config(1)) == cli.EXIT_NUMERICAL
-        assert "conjugate-pair structure drifted" in caplog.text
+        assert "trajectory diverged (non-finite state)" in caplog.text
         assert not list(tmp_path.glob("oracle*.json"))
 
     def test_schema_keys_are_oracle_config_fields(self):

@@ -21,6 +21,7 @@ from sasc.model import (
     conjugation_permutation,
     input_coupling_matrix,
     quadrature_eigenvalues,
+    quadrature_form,
     require_stable,
     solve_steady_state,
 )
@@ -217,6 +218,17 @@ class TestQuadratureForm:
         stable, conditioned = np.array(drawn).T
         assert 0 < stable.sum() < len(drawn)
         assert conditioned.mean() > 0.5
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(model=drift_models())
+    def test_form_is_the_similarity_transform(self, model):
+        # R = T^-1 M T with a = (x + i p) / sqrt 2, from a dense complex product.
+        m = build_drift_matrix(model)
+        t = np.kron(np.eye(model.n_modes), np.array([[1, 1j], [1, -1j]]) / np.sqrt(2.0))
+        r = quadrature_form(m)
+        assert r.dtype == np.float64
+        np.testing.assert_allclose(r, np.linalg.inv(t) @ m @ t, rtol=0,
+                                   atol=1e-14 * max(np.abs(m).max(), 1.0))
 
     def test_stack_matches_per_matrix_calls(self):
         deltas = np.linspace(-1.0, 1.0, 5)

@@ -344,6 +344,22 @@ class TestWelchAccumulator:
             tracemalloc.stop()
         assert peak < x.nbytes / 2
 
+    def test_adds_after_the_first_allocate_nothing(self):
+        # Short chunks go into the pending ring allocated by the first add, with no
+        # concatenate or copy of what is pending (41 kB of samples per add).
+        x = np.random.default_rng(26).standard_normal((64, 2 * 4040)).view(complex)
+        welch = numerics.WelchAccumulator(0.1, 4096, 0.5)
+        welch.add(x[:, :40])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for first in range(40, 4040, 40):
+                welch.add(x[:, first : first + 40])
+            growth = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert growth < 4096
+
     def test_all_zero_input_has_zero_stderr(self):
         welch = numerics.WelchAccumulator(0.1, 64)
         for _ in range(5):

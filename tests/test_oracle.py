@@ -81,17 +81,27 @@ def stepwise_simulate(cfg):
     return estimate.psd, estimate.stderr
 
 
+#: Whole chunks that span at least one 1024-step Welch segment.
+SPAN = oracle._CHUNK * -(-1024 // oracle._CHUNK)
+#: (burn_in, n_steps) around the chunk edges, by the steps that the last chunk records.
+STEPWISE_CASES = {
+    "last-chunk-137": (37, SPAN + 100),
+    "last-chunk-5": (5, SPAN),
+    "burn-in-past-chunk": (oracle._CHUNK + 4, SPAN + oracle._CHUNK - 4),
+    "last-chunk-1": (1, SPAN),
+}
+
+
 class TestSimulate:
     @pytest.mark.parametrize("model,port", [(make_du(), 0), (make_comparison_pair()[0], 2)],
                              ids=["du-port0", "three-port2"])
-    @pytest.mark.parametrize("burn_in,n_steps", [(37, 5120), (5, 4096), (4100, 4092), (1, 4096)],
-                             ids=["last-chunk-1061", "last-chunk-5", "burn-in-past-chunk",
-                                  "last-chunk-1"])
+    @pytest.mark.parametrize("burn_in,n_steps", list(STEPWISE_CASES.values()),
+                             ids=list(STEPWISE_CASES))
     def test_matches_stepwise_reference(self, model, port, burn_in, n_steps):
         # Every chunk advances whole: the last one records only the steps up to
-        # burn_in + n_steps (1061, 5 or 1 of them, or all 4096 when the total is
-        # two chunks), and the last Welch segment ends on the last step. A
-        # burn-in of 4100 also skips the whole first chunk and 4 steps of the next.
+        # burn_in + n_steps (137, 5 or 1 of them, or all _CHUNK when the total is
+        # whole chunks), and the last Welch segment ends on the last step. A
+        # burn-in of _CHUNK + 4 also skips the whole first chunk and 4 steps of the next.
         cfg = short_config(model, port=port, ensemble=3, segment_length=1024,
                            burn_in=burn_in, n_steps=n_steps)
         run = oracle.simulate(cfg)
@@ -120,6 +130,20 @@ class TestSimulate:
                 tracemalloc.stop()
 
         assert peak_bytes(65536) <= peak_bytes(16384) + 0.5e6
+
+    @pytest.mark.parametrize("model,port", [(make_du(), 0), (make_comparison_pair()[0], 2)],
+                             ids=["du", "three"])
+    def test_working_set_is_a_few_megabytes(self, model, port):
+        # Draws, block products and ports of one chunk, the Welch ring of one
+        # segment per member and one windowed batch: about 10 MB.
+        cfg = short_config(model, port=port, ensemble=64, segment_length=4096, n_steps=16384)
+        tracemalloc.start()
+        try:
+            oracle.simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
 
     def test_deterministic_for_fixed_seed(self):
         model = make_du()
@@ -158,6 +182,42 @@ class TestSimulate:
         predicted = output_spectrum(model, run.omega, port=0)
         report = oracle.compare(run, predicted)
         assert report.fraction_within >= 0.97
+
+
+def quadrature_step(model, dt, port):
+    """
+    The one-step map (A, W) of the quadratures, z <- A z + W d, from the complex
+    implicit Euler step by T^-1 A T, and the block maps that simulate builds from it.
+    """
+    n2 = 2 * model.n_modes
+    t = np.kron(np.eye(model.n_modes), np.array([[1, 1j], [1, -1j]]) / np.sqrt(2.0))
+    a = np.linalg.inv(t) @ np.linalg.inv(np.eye(n2) - dt * build_drift_matrix(model)) @ t
+    assert np.abs(a.imag).max() <= 1e-14
+    noise = np.repeat(np.sqrt((occupations(model) + 0.5) / dt), 2)
+    w = a.real @ input_coupling_matrix(model) * (dt * noise)
+    maps = oracle._block_maps(a.real, w, noise[2 * port] / np.sqrt(2.0),
+                              np.sqrt(model.modes[port].kappa / 2.0), 2 * port)
+    return a.real, w, maps
+
+
+def discrete_stationary_covariance(a, q):
+    """Sigma = A Sigma A^T + Q, solved as (I - A kron A) vec Sigma = vec Q."""
+    n = len(a)
+    return np.linalg.solve(np.eye(n * n) - np.kron(a, a), q.ravel()).reshape(n, n)
+
+
+class TestBlockMaps:
+    @pytest.mark.parametrize("model,port", [(make_du(), 0), (make_comparison_pair()[0], 2)],
+                             ids=["du", "three"])
+    def test_block_map_keeps_the_one_step_stationary_covariance(self, model, port):
+        # No noise draws: the _BLOCK-step map z <- P z + G^T d of the end state
+        # (P = power^T, G the table's end-state columns) has the stationary
+        # covariance of the one-step map it composes.
+        a, w, (table, _, power) = quadrature_step(model, 0.002, port)
+        one_step = discrete_stationary_covariance(a, w @ w.T)
+        end_state = table[:, 2 * oracle._BLOCK :]
+        block = discrete_stationary_covariance(power.T, end_state.T @ end_state)
+        np.testing.assert_allclose(block, one_step, rtol=0, atol=1e-10 * np.abs(one_step).max())
 
 
 class TestCompare:
