@@ -323,6 +323,11 @@ class TestWelchAccumulator:
         for chunk in np.split(x.reshape(2, 2, -1), [1000, 1100], axis=-1):
             welch.add(chunk)
         assert_same_estimate(welch.result(), stored_periodogram_welch(x, 0.05, 128, 0.5))
+        # A later chunk with fewer series than the first is refused.
+        welch = numerics.WelchAccumulator(0.05, 128, 0.5)
+        welch.add(x[:, :300])
+        with pytest.raises(ValueError, match="expected 4 series"):
+            welch.add(x[:3, 300:600])
 
     def test_chunk_one_sample_short_of_a_tail_segment(self):
         # Step 1: after 9 samples the tail holds 7; a 6-sample chunk ends the

@@ -81,8 +81,9 @@ def stepwise_simulate(cfg):
     return estimate.psd, estimate.stderr
 
 
-#: Whole chunks that span at least one 1024-step Welch segment.
-SPAN = oracle._CHUNK * -(-1024 // oracle._CHUNK)
+#: Whole chunks that span at least 4096 steps: seven 1024-step Welch segments per
+#: member, three of which wrap the accumulator's ring of pending samples.
+SPAN = oracle._CHUNK * -(-4096 // oracle._CHUNK)
 #: (burn_in, n_steps) around the chunk edges, by the steps that the last chunk records.
 STEPWISE_CASES = {
     "last-chunk-137": (37, SPAN + 100),
