@@ -37,6 +37,7 @@ from .model import (
     ModeParams,
     SystemModel,
     Topology,
+    check_range,
     coupled_modes,
 )
 from .numerics import NumericalError
@@ -203,8 +204,7 @@ def _grid(config: dict, default=(-3.0, 3.0, 1201)) -> np.ndarray:
     lo = block.get("min", default[0])
     hi = block.get("max", default[1])
     points = block.get("points", default[2])
-    if hi <= lo:
-        raise ConfigError("grid requires max > min")
+    check_range("grid min, max", lo, hi)
     return np.linspace(lo, hi, points)
 
 
@@ -301,8 +301,7 @@ def run_fmap(config: dict, outdir: Path, fmt: str) -> None:
     lo = task.get("delta_min", -2.0)
     hi = task.get("delta_max", 2.0)
     points = task.get("delta_points", 41)
-    if hi <= lo:
-        raise ConfigError("fmap requires delta_max > delta_min")
+    check_range("delta_min, delta_max", lo, hi)
     deltas = np.linspace(lo, hi, points)
     result = metrics.f_map(cfg, deltas, deltas)
     log.debug("fmap coarse scans: %d of %d cells exact, worst cond_1(V) %.3g",

@@ -3,12 +3,15 @@ Figures of merit and deterministic searches: SNR maximization over
 frequency, scheme-comparison factor f, detuning maps, phase searches for
 target asymmetry, and the phase-independence check of the two asymmetry
 factors. All optimizers are deterministic (fixed grids plus golden-section
-refinement); no stochastic search. The detuning map builds all cells' drift
-matrices in one call and runs their SNR searches in lockstep. Each cell's
-coarse argmax is ranked from the poles of Lambda M (one stacked eig per block
-of cells), or by the exact scan where a proven guard does not trust that; the
-value at the argmax and each golden-section step are one stacked exact solve
-over all cells, each bracket stopping on its own.
+refinement); no stochastic search. Every SNR search is one _search_snr call,
+which skips the fixed resonance bands. max_snr_over_omega and f_factor gate
+their model; the detuning map also evaluates unstable cells, and lists them.
+It builds all cells' drift matrices in one call and runs their SNR searches
+in lockstep. Each cell's coarse argmax is ranked from the poles of Lambda M
+(one stacked eig per block of cells), or by the exact scan where a proven
+guard does not trust that; the value at the argmax and each golden-section
+step are one stacked exact solve over all cells, each bracket stopping on
+its own.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from numpy.typing import NDArray
 
 from . import numerics
 from .model import (
-    STABILITY_MARGIN, ConfigError, SystemModel, build_drift_matrix, quadrature_eigenvalues,
-    require_stable,
+    STABILITY_MARGIN, ConfigError, SystemModel, build_drift_matrix, check_range,
+    quadrature_eigenvalues, require_stable,
 )
 from .spectra import (
     _BLOCK_ENTRIES,
@@ -81,24 +84,24 @@ def golden_section_max(fun, lo, hi, rel_tol: float = 1e-6):
     return (x[0], f[0]) if np.ndim(lo) == np.ndim(hi) == 0 else (x, f)
 
 
-#: Default half-width of the excluded bands around the low-mode resonances
-#: (ten low-mode linewidths for the reference kappa_b = 1e-4). Exactly at
+#: Half-width of the excluded bands around the low-mode resonances (ten
+#: low-mode linewidths for the reference kappa_b = 1e-4). Exactly at
 #: omega = +/- omega_b the two low-mode quadrature responses cancel and the
 #: SNR spectrum carries sub-linewidth artifact spikes next to an exact zero;
-#: the search domain skips these degenerate bands. Pass 0 to search them.
+#: every SNR search skips these degenerate bands.
 RESONANCE_EXCLUSION_WIDTH = 1e-3
 
 
-def _excluded(omegas, width: float) -> NDArray[np.bool_]:
-    """Whether each frequency lies within `width` of a low-mode resonance omega = +/- 1."""
-    return np.minimum(np.abs(omegas - 1.0), np.abs(omegas + 1.0)) < width
+def _excluded(omegas) -> NDArray[np.bool_]:
+    """Whether each frequency lies within RESONANCE_EXCLUSION_WIDTH of a resonance omega = +/- 1."""
+    return np.minimum(np.abs(omegas - 1.0), np.abs(omegas + 1.0)) < RESONANCE_EXCLUSION_WIDTH
 
 
-def excludes_whole_range(omega_range, width: float = RESONANCE_EXCLUSION_WIDTH) -> bool:
+def excludes_whole_range(omega_range) -> bool:
     """Whether no frequency of [lo, hi] is left for an SNR search to search."""
     lo, hi = omega_range
     # The distance to the nearest resonance peaks at an end of the range or at omega = 0.
-    return bool(np.all(_excluded(np.array([lo, hi, min(max(0.0, lo), hi)]), width)))
+    return bool(np.all(_excluded(np.array([lo, hi, min(max(0.0, lo), hi)]))))
 
 
 def max_snr_over_omega(
@@ -107,28 +110,15 @@ def max_snr_over_omega(
     signal_port: int = 0,
     readout_port: int | None = None,
     psi: float = 0.0,
-    exclude_resonance_width: float = RESONANCE_EXCLUSION_WIDTH,
-    check: bool = True,
-    detunings=None,
 ) -> tuple[float, float]:
     """
-    (omega*, S*) maximizing the SNR spectrum: coarse scan (401 points)
-    followed by golden-section refinement on the best bracket.
-
-    Frequencies within ``exclude_resonance_width`` of the low-mode
-    resonances (omega = +/- 1 in low-mode units) are excluded from the
-    search domain (see RESONANCE_EXCLUSION_WIDTH); ConfigError if omega_range
-    is not increasing or nothing is left. `detunings` replaces the model's (see
-    build_drift_matrix). With check=False the spectrum formula is evaluated
-    without the stability gate.
+    (omega*, S*) maximizing the SNR spectrum of a stable model (see _search_snr):
+    coarse scan (401 points) followed by golden-section refinement on the best
+    bracket, outside the resonance bands (see RESONANCE_EXCLUSION_WIDTH).
     """
-    if not omega_range[0] < omega_range[1]:
-        raise ConfigError(f"omega_range must be increasing, got {tuple(omega_range)}")
     solver = SnrSolver(model, signal_port, readout_port, psi)
-    drift = solver.drift if detunings is None else build_drift_matrix(model, detunings)
-    if check:
-        require_stable(drift)
-    w, s, _ = _search_snr(solver, drift[None], omega_range, exclude_resonance_width)
+    require_stable(solver.drift)
+    w, s, _ = _search_snr(solver, solver.drift[None], omega_range)
     return float(w[0]), float(s[0])
 
 
@@ -172,18 +162,21 @@ def _pole_residue_snr(solver: SnrSolver, drifts, grid):
         return solver.from_coefficients(c)[1], trusted, cond
 
 
-def _search_snr(solver: SnrSolver, drifts, omega_range, width: float):
+def _search_snr(solver: SnrSolver, drifts, omega_range):
     """
     (omega*, S*, scan) of a stack of drift matrices, whose models differ from the
     solver's only in M. Each cell's coarse argmax comes from _pole_residue_snr over
     blocks of _BLOCK_ENTRIES entries (cells x _SNR_SCAN_POINTS x n), or from the exact scan if
     untrusted; its value is one stacked exact solve, as is each golden-section step
-    over the live brackets. SNR reads 0 within `width` of omega = +/- 1. `scan` holds
-    the number of exact-scan cells and the worst cond_1(V).
+    over the live brackets. SNR reads 0 in the resonance bands. `scan` holds the
+    number of exact-scan cells and the worst cond_1(V). ConfigError if omega_range
+    is not increasing, spans more than a float, or lies inside the bands.
     """
-    if excludes_whole_range(omega_range, width):
+    check_range("omega_range", *omega_range)
+    if excludes_whole_range(omega_range):
         raise ConfigError(f"omega_range {tuple(omega_range)} lies inside a resonance band"
-                          f" that the SNR search excludes (half-width {width}): nothing to search")
+                          " that the SNR search excludes (half-width"
+                          f" {RESONANCE_EXCLUSION_WIDTH}): nothing to search")
     grid = np.linspace(omega_range[0], omega_range[1], _SNR_SCAN_POINTS)
     cells = len(drifts)
     best, trusted, cond = np.zeros(cells, dtype=int), np.zeros(cells, dtype=bool), np.zeros(cells)
@@ -192,11 +185,11 @@ def _search_snr(solver: SnrSolver, drifts, omega_range, width: float):
         values, trusted[block], cond[block] = _pole_residue_snr(solver, drifts[block], grid)
         for k in np.flatnonzero(~trusted[block]):
             values[k] = solver.solve(grid, drifts[block][k])[1]
-        best[block] = np.argmax(np.where(_excluded(grid, width), 0.0, values), axis=-1)
+        best[block] = np.argmax(np.where(_excluded(grid), 0.0, values), axis=-1)
 
     def snr(omegas: NDArray[np.float64]) -> NDArray[np.float64]:
         values = np.zeros(len(omegas))
-        solve = ~(np.isnan(omegas) | _excluded(omegas, width))
+        solve = ~(np.isnan(omegas) | _excluded(omegas))
         if solve.any():
             values[solve] = solver.solve(omegas[solve], drifts[solve])[1]
         return values
@@ -221,18 +214,12 @@ class ComparisonConfig:
     psi: float = 0.0
 
 
-def _max_snr(cfg: ComparisonConfig, model: SystemModel, detunings=None) -> float:
-    """S* of one scheme, its detunings optionally replaced, over the comparison's frequencies."""
-    return max_snr_over_omega(
-        model, cfg.omega_range, signal_port=cfg.signal_port,
-        readout_port=cfg.readout_port, psi=cfg.psi, detunings=detunings,
-    )[1]
-
-
 def _baseline_max(cfg: ComparisonConfig, ics_max: float | None = None) -> float:
     """The baseline scheme's maximal SNR (computed unless given), the denominator of f."""
     if ics_max is None:
-        ics_max = _max_snr(cfg, cfg.ics_model)
+        ics_max = max_snr_over_omega(
+            cfg.ics_model, cfg.omega_range, cfg.signal_port, cfg.readout_port, cfg.psi
+        )[1]
     if ics_max <= 0.0:
         raise numerics.NumericalError(
             f"baseline maximum SNR is {ics_max} over omega_range {tuple(cfg.omega_range)}:"
@@ -251,11 +238,16 @@ def f_factor(
     Ratio f = S*_tunable / S*_baseline of the maximal SNRs of the two schemes.
 
     Optional delta_c/delta_m override the high-mode detunings of the tunable
-    three-mode scheme; ics_max short-circuits recomputation of the baseline.
+    three-mode scheme, which must be stable with them; ics_max short-circuits
+    recomputation of the baseline, which comes first.
     """
+    ics_max = _baseline_max(cfg, ics_max)
+    solver = SnrSolver(cfg.cs_model, cfg.signal_port, cfg.readout_port, cfg.psi)
     m, b, c = (mode.detuning for mode in cfg.cs_model.modes)
     detunings = (m if delta_m is None else delta_m, b, c if delta_c is None else delta_c)
-    return _max_snr(cfg, cfg.cs_model, detunings) / _baseline_max(cfg, ics_max)
+    drift = build_drift_matrix(cfg.cs_model, detunings)
+    require_stable(drift)
+    return float(_search_snr(solver, drift[None], cfg.omega_range)[1][0]) / ics_max
 
 
 @dataclass
@@ -299,7 +291,7 @@ def f_map(cfg: ComparisonConfig, delta_c_grid, delta_m_grid) -> MapResult:
     abscissae = quadrature_eigenvalues(drifts).real.max(axis=-1)
     unstable = [cell for cell, abscissa in zip(cells, abscissae) if not abscissa < -STABILITY_MARGIN]
     solver = SnrSolver(cfg.cs_model, cfg.signal_port, cfg.readout_port, cfg.psi)
-    _, s_star, scan = _search_snr(solver, drifts, cfg.omega_range, RESONANCE_EXCLUSION_WIDTH)
+    _, s_star, scan = _search_snr(solver, drifts, cfg.omega_range)
     values = s_star.reshape(len(delta_m_grid), len(delta_c_grid)) / ics_max
     return MapResult(
         delta_c=delta_c_grid,

@@ -38,6 +38,7 @@ __all__ = [
     "build_drift_matrix",
     "coupled_modes",
     "check_index",
+    "check_range",
     "input_coupling_matrix",
     "quadrature_form",
     "quadrature_eigenvalues",
@@ -73,6 +74,12 @@ def check_index(name: str, index: int, count: int, what: str) -> None:
     """ConfigError unless 0 <= index < count, for `name` indexing one of `count` `what`."""
     if not 0 <= index < count:
         raise ConfigError(f"{name} {index} is out of range: the system has {count} {what}")
+
+
+def check_range(name: str, lo: float, hi: float) -> None:
+    """ConfigError unless lo < hi with a span hi - lo that a float holds."""
+    if not (lo < hi and float(hi) - float(lo) < float("inf")):
+        raise ConfigError(f"{name} must be increasing with a finite span, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ asymmetries, quadrature coefficients) use the doubled-basis transfer
 matrix Gamma(w) = L (i w Lambda - M)^{-1} L - I with Lambda alternating
 -1, +1 per channel. Measured output power spectra use the causal
 resolvent (-i w I - M)^{-1}, which is what a time-domain simulation of
-the same Langevin system produces.
+the same Langevin system produces. Every public function here gates the
+model (model.require_stable) before it solves; SnrSolver leaves that to its callers.
 """
 
 from __future__ import annotations
@@ -69,34 +70,32 @@ def _channel_signature(n_modes: int) -> NDArray[np.float64]:
     return np.tile([-1.0, 1.0], n_modes)
 
 
-def transfer_matrix(model: SystemModel, omega: float, check: bool = True) -> NDArray[np.complex128]:
+def transfer_matrix(model: SystemModel, omega: float) -> NDArray[np.complex128]:
     """
-    Input-output transfer matrix Gamma(w) = L (i w Lambda - M)^{-1} L - I.
+    Gated input-output transfer matrix Gamma(w) = L (i w Lambda - M)^{-1} L - I.
 
     Lambda alternates -1, +1 over the doubled channels; L carries sqrt(kappa)
-    per channel. Set check=False to skip the (eigenvalue-based) stability
-    gate, e.g. inside a frequency loop that has already verified it.
+    per channel.
     """
     diagonals = 1j * omega * _channel_signature(model.n_modes)[None, :]
-    return next(_input_output(model, diagonals, check))[0]
+    return next(_input_output(model, diagonals))[0]
 
 
 def transfer_matrices(model: SystemModel, omegas) -> Iterator[NDArray[np.complex128]]:
     """Gated Gamma(w) over a grid, as consecutive stacks of frequencies (see _BLOCK_ENTRIES)."""
     diagonals = 1j * np.multiply.outer(omegas, _channel_signature(model.n_modes))
-    return _input_output(model, diagonals, check=True)
+    return _input_output(model, diagonals)
 
 
 def causal_transfer_matrix(model: SystemModel, omega: float) -> NDArray[np.complex128]:
     """Gated causal input-output matrix L (-i w I - M)^{-1} L - I (time-domain convention)."""
-    return next(_input_output(model, np.full((1, 2 * model.n_modes), -1j * omega), check=True))[0]
+    return next(_input_output(model, np.full((1, 2 * model.n_modes), -1j * omega)))[0]
 
 
-def _input_output(model: SystemModel, diagonals, check: bool) -> Iterator[NDArray[np.complex128]]:
-    """The model's Gamma stacks of _resolvent_blocks, optionally behind the stability gate."""
+def _input_output(model: SystemModel, diagonals) -> Iterator[NDArray[np.complex128]]:
+    """The model's Gamma stacks of _resolvent_blocks, behind the stability gate."""
     m = build_drift_matrix(model)
-    if check:
-        require_stable(m)
+    require_stable(m)
     return _resolvent_blocks(m, input_coupling_matrix(model), diagonals)
 
 
@@ -267,7 +266,8 @@ def quadrature_coefficients(gamma, output_port: int, psi: float = 0.0) -> NDArra
     """
     Coefficients C_k of each input channel in the measured output quadrature
     x = (out^dag e^{i psi} + out e^{-i psi}) / sqrt(2) of the chosen port of Gamma,
-    or of each Gamma of a (..., 2n, 2n) stack.
+    or of each Gamma of a (..., 2n, 2n) stack. A (..., 2, 2n) stack of one port's
+    two rows is read as port 0.
     """
     check_index("output_port", output_port, gamma.shape[-1] // 2, "modes")
     row_a, row_c = gamma[..., 2 * output_port, :], gamma[..., 2 * output_port + 1, :]
@@ -286,7 +286,7 @@ def output_spectrum(model: SystemModel, omegas, port: int) -> NDArray[np.float64
     check_index("port", port, model.n_modes, "modes")
     omegas = np.asarray(omegas, dtype=float)
     diagonals = np.multiply.outer(-1j * omegas, np.ones(2 * model.n_modes))
-    gammas = _input_output(model, diagonals, check=True)
+    gammas = _input_output(model, diagonals)
     rows = np.concatenate([np.abs(g[:, 2 * port, :]) ** 2 for g in gammas])
     return (rows[:, 0::2] + rows[:, 1::2]) @ (occupations(model) + 0.5)
 
@@ -297,10 +297,10 @@ class SnrSolver:
 
     Builds the drift matrix, input couplings and occupations once; a grid
     goes through the stacked resolvent path of transfer_matrix, which
-    forms only the two readout-port rows, giving the homodyne
-    coefficients C. S_AP = |C_s + C_s*|^2 is the quadrature amplification of
-    a unit Hermitian signal entering at signal_port; the SNR divides it by
-    the thermally weighted homodyne noise
+    forms only the two readout-port rows, and quadrature_coefficients reads
+    the homodyne coefficients C from them. S_AP = |C_s + C_s*|^2 is the
+    quadrature amplification of a unit Hermitian signal entering at
+    signal_port; the SNR divides it by the thermally weighted homodyne noise
     sum_j (|C_{j,+}|^2 + |C_{j,-}|^2)(n_j + 1/2).
     """
 
@@ -327,10 +327,7 @@ class SnrSolver:
         r = slice(2 * self.readout_port, 2 * self.readout_port + 2)
         m = self.drift if drift is None else drift
         rows = np.concatenate(list(_resolvent_blocks(m, self.ell, diagonals, r)))
-        c = (
-            rows[:, 0, :] * np.exp(-1j * self.psi) + rows[:, 1, :] * np.exp(1j * self.psi)
-        ) / np.sqrt(2.0)
-        return self.from_coefficients(c)
+        return self.from_coefficients(quadrature_coefficients(rows, 0, self.psi))
 
     def from_coefficients(self, c) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         """(S_AP, SNR) of homodyne coefficients C, input channels on the last axis."""

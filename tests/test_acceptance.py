@@ -75,8 +75,8 @@ def test_criterion_1_symmetry_suite(capsys):
         perm = conjugation_permutation(model.n_modes)
         p = np.zeros((n2, n2))
         p[np.arange(n2), perm] = 1.0
-        for omega in np.linspace(-2.0, 2.0, 21):
-            gamma = spectra.transfer_matrix(model, omega, check=False)
+        gammas = np.concatenate(list(spectra.transfer_matrices(model, np.linspace(-2.0, 2.0, 21))))
+        for gamma in gammas:
             scale = max(1.0, float(np.max(np.abs(gamma))))
             worst = max(
                 worst,
@@ -107,12 +107,8 @@ def test_criterion_2_linewidth_regimes(capsys):
     grid = np.linspace(-2.0, 2.0, 80)
 
     def max_asymmetry(kappa_a):
-        best = 0.0
-        model = make_du(kappa_a=kappa_a)
-        for omega in grid:
-            gamma = spectra.transfer_matrix(model, omega, check=False)
-            best = max(best, abs(spectra.pair_asymmetry(gamma, spectra.ASYMMETRY_PAIRS["ab"])))
-        return best
+        gammas = np.concatenate(list(spectra.transfer_matrices(make_du(kappa_a=kappa_a), grid)))
+        return float(np.max(np.abs(spectra.pair_asymmetry(gammas, spectra.ASYMMETRY_PAIRS["ab"]))))
 
     narrow = max_asymmetry(1e-2)
     wide = max_asymmetry(1e2)
@@ -120,7 +116,7 @@ def test_criterion_2_linewidth_regimes(capsys):
     thetas = np.linspace(0.0, 2.0 * np.pi, 721)
     values = [
         spectra.pair_asymmetry(
-            spectra.transfer_matrix(make_du(phase=theta), probe, check=False),
+            spectra.transfer_matrix(make_du(phase=theta), probe),
             spectra.ASYMMETRY_PAIRS["ab"],
         )
         for theta in thetas

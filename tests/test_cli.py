@@ -207,6 +207,20 @@ class TestConfigValidation:
         assert run_cli(tmp_path, command, config, ("--set", setting)) == cli.EXIT_CONFIG
         assert f"config invalid at $.{setting.partition('=')[0]}" in caplog.text
 
+    @pytest.mark.parametrize("command, config, name", [
+        ("spectrum", {"system": du_system(), "task": {"kind": "spectrum"},
+                      "grid": {"min": -1e308, "max": 1e308, "points": 5}}, "grid min, max"),
+        ("fmap", fmap_config(delta_min=-1e308, delta_max=1e308), "delta_min, delta_max"),
+        ("fmap", fmap_config(omega_range=[-1e308, 1e308]), "omega_range"),
+    ], ids=["spectrum.grid", "fmap.delta_range", "fmap.omega_range"])
+    def test_spans_past_the_float_limit_are_config_errors(
+        self, tmp_path, caplog, command, config, name
+    ):
+        # Each bound is finite, but max - min overflows to inf.
+        assert run_cli(tmp_path, command, config) == cli.EXIT_CONFIG
+        assert f"{name} must be increasing with a finite span" in caplog.text
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("path", [
         "system.modes.x.kappa", "system.modes.9.kappa", "system.modes.-1.kappa",
         "system.topology.x", "system.couplings.0.magnitude.x", "system.couplings.-1",

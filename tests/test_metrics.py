@@ -107,28 +107,23 @@ class TestMaxSnr:
         _, s = metrics.max_snr_over_omega(cs)
         assert s >= coarse
 
-    @pytest.mark.parametrize("omega_range", [(3.0, -3.0), (1.0, 1.0)])
+    @pytest.mark.parametrize("omega_range", [(3.0, -3.0), (1.0, 1.0), (-1e308, 1e308)],
+                             ids=["reversed", "empty", "span_overflows"])
     def test_omega_range_must_increase(self, omega_range):
         cs, _ = make_comparison_pair()
         with pytest.raises(ValueError, match="omega_range"):
             metrics.max_snr_over_omega(cs, omega_range)
-
-    def test_unstable_model_rejected_unless_opted_out(self):
-        model = make_du(delta_a=-1.0, kappa_a=0.1, magnitude=0.5)
-        with pytest.raises(InstabilityError):
-            metrics.max_snr_over_omega(model)
-        _, s = metrics.max_snr_over_omega(model, check=False)
-        assert np.isfinite(s)
 
     def test_resonance_bands_are_excluded_by_default(self):
         _, ics = make_comparison_pair()
         w, _ = metrics.max_snr_over_omega(ics)
         assert min(abs(w - 1.0), abs(w + 1.0)) >= metrics.RESONANCE_EXCLUSION_WIDTH
 
-    def test_exclusion_can_be_disabled(self):
+    def test_exclusion_can_be_disabled(self, monkeypatch):
         _, ics = make_comparison_pair()
         _, s_masked = metrics.max_snr_over_omega(ics)
-        _, s_raw = metrics.max_snr_over_omega(ics, exclude_resonance_width=0.0)
+        monkeypatch.setattr(metrics, "RESONANCE_EXCLUSION_WIDTH", 0.0)
+        _, s_raw = metrics.max_snr_over_omega(ics)
         assert s_raw >= s_masked
 
     @pytest.mark.parametrize("omega_range, width, expected", [
@@ -140,19 +135,22 @@ class TestMaxSnr:
         ((-0.5, 0.5), 1.5, True),  # merged bands cover omega = 0 as well
         ((-0.5, 0.5), 1.0, False),
     ])
-    def test_whole_range_exclusion(self, omega_range, width, expected):
-        assert metrics.excludes_whole_range(omega_range, width) is expected
+    def test_whole_range_exclusion(self, monkeypatch, omega_range, width, expected):
+        monkeypatch.setattr(metrics, "RESONANCE_EXCLUSION_WIDTH", width)
+        assert metrics.excludes_whole_range(omega_range) is expected
 
-    def test_search_with_nothing_left_to_search_raises(self):
+    def test_search_with_nothing_left_to_search_raises(self, monkeypatch):
         _, ics = make_comparison_pair()
         with pytest.raises(ValueError, match="nothing to search"):
             metrics.max_snr_over_omega(ics, (0.9995, 1.0005))
-        with pytest.raises(ValueError, match="nothing to search"):
-            metrics.max_snr_over_omega(ics, (-0.5, 0.5), exclude_resonance_width=1.5)
         cfg = metrics.ComparisonConfig(cs_model=ics, ics_model=ics, omega_range=(0.9995, 1.0005))
         with pytest.raises(ValueError, match="nothing to search"):
             metrics.f_factor(cfg)
-        w, _ = metrics.max_snr_over_omega(ics, (0.9995, 1.0005), exclude_resonance_width=0.0)
+        monkeypatch.setattr(metrics, "RESONANCE_EXCLUSION_WIDTH", 1.5)
+        with pytest.raises(ValueError, match="nothing to search"):
+            metrics.max_snr_over_omega(ics, (-0.5, 0.5))
+        monkeypatch.setattr(metrics, "RESONANCE_EXCLUSION_WIDTH", 0.0)
+        w, _ = metrics.max_snr_over_omega(ics, (0.9995, 1.0005))
         assert 0.9995 <= w <= 1.0005
 
 
@@ -174,6 +172,25 @@ class TestFFactor:
         cfg = metrics.ComparisonConfig(cs_model=cs, ics_model=ics)
         with pytest.raises(InstabilityError):
             metrics.f_factor(cfg, delta_c=0.0, delta_m=-0.5)
+
+    def test_equals_one_cell_maps(self):
+        # f_factor gates its cell and f_map lists it; on stable cells both searches are one.
+        cs, ics = make_comparison_pair()
+        cfg = metrics.ComparisonConfig(cs_model=cs, ics_model=ics)
+        deltas = np.linspace(-0.6, 0.6, 7)
+        outcomes = {"equal": 0, "unstable": 0}
+        for dm in deltas:
+            for dc in deltas:
+                cell = metrics.f_map(cfg, [dc], [dm])
+                ics_max = cell.metadata["baseline_max_snr"]
+                if cell.metadata["unstable_cells"]:
+                    with pytest.raises(InstabilityError):
+                        metrics.f_factor(cfg, dc, dm, ics_max)
+                    outcomes["unstable"] += 1
+                else:
+                    assert metrics.f_factor(cfg, dc, dm, ics_max) == cell.values[0, 0]
+                    outcomes["equal"] += 1
+        assert outcomes["equal"] > 0 and outcomes["unstable"] > 0
 
 
 class TestMapResult:
@@ -253,13 +270,15 @@ class TestLockstepSearch:
         banded = np.minimum(np.abs(grid - 1.0), np.abs(grid + 1.0)) < (
             metrics.RESONANCE_EXCLUSION_WIDTH
         )
+        baseline = result.metadata["baseline_max_snr"]
         expected, coarse = np.empty((2, 3, 3))
         for i, dm in enumerate(self.DELTAS):
             for j, dc in enumerate(self.DELTAS):
+                expected[i, j] = metrics.f_map(cfg, [dc], [dm]).values[0, 0]
                 cell = with_detunings(cfg.cs_model, {0: dm, 2: dc})
-                expected[i, j] = metrics.max_snr_over_omega(cell, self.OMEGA_RANGE, check=False)[1]
-                coarse[i, j] = np.max(np.where(banded, 0.0, spectra.SnrSolver(cell).solve(grid)[1]))
-        assert np.array_equal(result.values, expected / result.metadata["baseline_max_snr"])
+                snr = spectra.SnrSolver(cell).solve(grid)[1]
+                coarse[i, j] = np.max(np.where(banded, 0.0, snr)) / baseline
+        assert np.array_equal(result.values, expected)
         # Some cells keep their coarse-grid maximum, the others a refined one.
         assert np.any(expected == coarse) and np.any(expected > coarse)
 
@@ -309,10 +328,10 @@ class TestPoleResidueScan:
         drifts = np.stack([solver.drift, defective])
         _, trusted, cond = metrics._pole_residue_snr(solver, drifts, self.GRID)
         assert trusted.tolist() == [True, False] and cond[1] >= 1e4
-        w, s, scan = metrics._search_snr(solver, drifts, (-3.0, 3.0), 1e-3)
+        w, s, scan = metrics._search_snr(solver, drifts, (-3.0, 3.0))
         assert scan == {"fallback_cells": 1, "max_eigvec_cond": cond[1]}
         monkeypatch.setattr(metrics, "_EIGVEC_COND_LIMIT", 0.0)
-        exact_w, exact_s, _ = metrics._search_snr(solver, drifts, (-3.0, 3.0), 1e-3)
+        exact_w, exact_s, _ = metrics._search_snr(solver, drifts, (-3.0, 3.0))
         assert np.array_equal(w, exact_w) and np.array_equal(s, exact_s)
 
     def test_pole_on_a_grid_frequency_is_refused(self):

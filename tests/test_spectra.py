@@ -14,7 +14,7 @@ from sasc.model import (
     conjugation_permutation,
     input_coupling_matrix,
 )
-from sasc import numerics, spectra
+from sasc import chain, metrics, numerics, spectra
 
 
 class TestTransferMatrix:
@@ -36,11 +36,32 @@ class TestTransferMatrix:
             gamma = spectra.transfer_matrix(model, omega)
             assert np.allclose(p @ np.conj(gamma) @ p, gamma, atol=1e-10)
 
-    def test_unstable_model_is_rejected(self):
-        model = make_du(delta_a=-1.0, kappa_a=0.1, magnitude=0.5)
-        with pytest.raises(InstabilityError):
-            spectra.transfer_matrix(model, 0.0)
-        spectra.transfer_matrix(model, 0.0, check=False)  # explicit opt-out
+
+#: Every public entry that solves a resolvent of a model, on the least other input.
+GATED_ENTRIES = {
+    "transfer_matrix": lambda model: spectra.transfer_matrix(model, 0.0),
+    "transfer_matrices": lambda model: spectra.transfer_matrices(model, [0.0]),
+    "causal_transfer_matrix": lambda model: spectra.causal_transfer_matrix(model, 0.0),
+    "output_spectrum": lambda model: spectra.output_spectrum(model, [0.0], 0),
+    "phase_grid": lambda model: spectra.phase_grid(model, 0.0, {0: [0.0]}),
+    "snr_spectrum": lambda model: spectra.snr_spectrum(model, [0.0]),
+    "max_snr_over_omega": lambda model: metrics.max_snr_over_omega(model),
+    # The baseline comes first, so an unstable one stops f before the tunable scheme's search.
+    "f_factor": lambda model: metrics.f_factor(
+        metrics.ComparisonConfig(cs_model=make_three(), ics_model=model)),
+    "chain.end_to_end_gain": lambda model: chain.end_to_end_gain(model, 0.0),
+}
+
+
+@pytest.mark.parametrize("entry", GATED_ENTRIES.values(), ids=GATED_ENTRIES.keys())
+def test_unstable_model_is_rejected(monkeypatch, entry):
+    # At the call, before any block of a resolvent is solved.
+    def no_solve(*args):
+        raise AssertionError("a resolvent was solved before the stability gate")
+
+    monkeypatch.setattr(numerics, "lu_solve", no_solve)
+    with pytest.raises(InstabilityError):
+        entry(make_du(delta_a=-1.0, kappa_a=0.1, magnitude=0.5))
 
 
 _IDENTITY_MODELS = pytest.mark.parametrize("model", [
@@ -113,14 +134,10 @@ class TestPhaseGrid:
         # 21 phase pairs span two solve blocks; coupling 1 (the first key) varies slowest.
         gammas = np.concatenate(list(spectra.phase_grid(model, omega, {1: slow, 0: fast})))
         reference = [
-            spectra.transfer_matrix(with_phases(model, {1: t1, 0: t0}), omega, check=False)
+            spectra.transfer_matrix(with_phases(model, {1: t1, 0: t0}), omega)
             for t1 in slow for t0 in fast
         ]
         assert np.array_equal(gammas, np.array(reference))
-
-    def test_gates_the_model_before_any_solve(self):
-        with pytest.raises(InstabilityError):
-            spectra.phase_grid(make_du(kappa_a=0.1, delta_a=-1.0, magnitude=0.5), 0.0, {0: [0.0]})
 
 
 class TestConjugationIdentities:
@@ -209,7 +226,7 @@ class TestAsymmetry:
         omega = spectra.resonance_probe_frequency()
         values = []
         for theta in np.linspace(0.0, 2.0 * np.pi, 721):
-            gamma = spectra.transfer_matrix(make_du(phase=theta), omega, check=False)
+            gamma = spectra.transfer_matrix(make_du(phase=theta), omega)
             values.append(spectra.pair_asymmetry(gamma, spectra.ASYMMETRY_PAIRS["ab"]))
         assert min(values) < -0.9
         assert max(values) > 0.9
@@ -280,6 +297,21 @@ class TestSnrSpectra:
         assert np.all(s_ap >= 0.0)
         assert np.all(snr >= 0.0)
         assert np.max(snr) > 1.0
+
+    @pytest.mark.parametrize("model", [make_du(), make_three(phase_m=0.4, phase_c=1.9),
+                                       make_chain(6)], ids=["du", "three", "chain6"])
+    @pytest.mark.parametrize("psi", [0.0, 0.4])
+    def test_readout_rows_match_the_full_gamma(self, model, psi):
+        # The solver forms only the readout port's two rows of each Gamma.
+        omegas = np.linspace(-2.5, 2.5, 301)
+        gammas = np.concatenate(list(spectra.transfer_matrices(model, omegas)))
+        c = spectra.quadrature_coefficients(gammas, model.n_modes - 1, psi)
+        s_ap = np.abs(c[:, 0] + c[:, 1]) ** 2
+        weights = spectra.occupations(model) + 0.5
+        noise = (np.abs(c[:, 0::2]) ** 2 + np.abs(c[:, 1::2]) ** 2) @ weights
+        expected = s_ap, s_ap / noise
+        for value, reference in zip(spectra.snr_spectrum(model, omegas, psi=psi), expected):
+            np.testing.assert_allclose(value, reference, rtol=1e-12, atol=0.0)
 
     def test_homodyne_angle_changes_the_spectrum(self):
         model = make_three(kappa_c=0.1, magnitude_m=0.2, phase_m=np.pi / 3)
