@@ -53,21 +53,27 @@ def scaling_fit(models: Iterable[SystemModel], omega: float) -> ScalingReport:
     """
     Fit ln(gain) versus N over the given chain lengths; unstable lengths are
     excluded (and reported) rather than silently dropped. The fitted base is
-    exp(slope).
+    exp(slope). A gain below the smallest normal float, zero included, has lost
+    its precision or underflowed: NumericalError naming the length.
     """
     kept_n: list[int] = []
     gains: list[float] = []
     excluded: list[int] = []
     for model in models:
         try:
-            gains.append(end_to_end_gain(model, omega))
-            kept_n.append(model.n_modes)
+            gain = end_to_end_gain(model, omega)
         except InstabilityError:
             excluded.append(model.n_modes)
+            continue
+        if not gain >= np.finfo(float).tiny:
+            raise NumericalError(
+                f"scaling_fit requires strictly positive gains of normal floats (at least"
+                f" {np.finfo(float).tiny:.4g}); the {model.n_modes}-mode chain's is {gain:.4g}"
+            )
+        gains.append(gain)
+        kept_n.append(model.n_modes)
     if len(kept_n) < 3:
         raise NumericalError("scaling_fit needs at least 3 stable chain lengths")
-    if min(gains) <= 0.0:
-        raise NumericalError("scaling_fit requires strictly positive gains")
     fit = fit_line(kept_n, np.log(gains))
     return ScalingReport(
         n_values=tuple(kept_n),

@@ -18,15 +18,16 @@ failure, 5 oracle-comparison failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib.resources
 import json
 import logging
+import operator
 import os
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__, spectra
@@ -57,9 +58,10 @@ class OracleComparisonError(Exception):
     """Predicted and simulated spectra disagree beyond the oracle task's threshold."""
 
 
+@functools.cache
 def _load_schema() -> dict:
     with importlib.resources.files("sasc.configs").joinpath("schema.json").open() as fh:
-        return json.load(fh)
+        return _checked_schema(json.load(fh))
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> dict:
@@ -93,23 +95,106 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
     return config
 
 
-_TYPES = jsonschema.Draft202012Validator.TYPE_CHECKER
-#: The schema's validator with "number" meaning a finite double, which JSON does not ensure.
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=_TYPES.redefine(
-        "number", lambda _, v: _TYPES.is_type(v, "number") and abs(v) <= sys.float_info.max
-    ),
-)
+#: The JSON types that the schema names. "number" is a finite double, which JSON does not
+#: ensure; "integer" takes an integral float such as 2.0. A bool is neither.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                         and abs(v) <= sys.float_info.max),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+#: Each bound keyword's test for a broken bound, and its message. Bounds apply to numbers only.
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+}
+#: The JSON Schema keywords that `_errors` reads; `_checked_schema` refuses any other.
+_KEYWORDS = {"type", "enum", *_BOUNDS, "required", "properties", "additionalProperties",
+             "items", "minItems", "maxItems", "uniqueItems", "oneOf", "$ref"}
+
+
+def _checked_schema(schema: dict) -> dict:
+    """`schema`, or ValueError at a node whose keywords, type or $ref `_errors` cannot read."""
+    refs = {f"#/$defs/{name}" for name in schema.get("$defs", {})}
+    nodes = [schema]
+    while nodes:
+        node = nodes.pop()
+        unknown = sorted(set(node) - _KEYWORDS - {"$schema", "title", "$defs"})
+        if (unknown or str(node.get("type", "object")) not in _TYPES
+                or node.get("additionalProperties", False) is not False
+                or "$ref" in node and node["$ref"] not in refs):
+            raise ValueError(f"the config validator cannot read schema node {node}"
+                             + (f": unknown keywords {unknown}" if unknown else ""))
+        nodes += [*node.get("properties", {}).values(), *node.get("oneOf", ()),
+                  *node.get("$defs", {}).values(), *([node["items"]] if "items" in node else ())]
+    return schema
+
+
+def _json_equal(a, b) -> bool:
+    """Equality of JSON values: 1 == 1.0 and 0 == -0.0, but true != 1."""
+    if a is b:
+        return True
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_json_equal(v, b[k]) for k, v in a.items())
+    return not (isinstance(a, bool) or isinstance(b, bool)) and a == b
+
+
+def _errors(schema: dict, value, path: str, defs: dict):
+    """(JSON path, message) for each rule of `schema` that `value` breaks, in schema order."""
+    for key, arg in schema.items():
+        if key == "$ref":
+            yield from _errors(defs[arg.removeprefix("#/$defs/")], value, path, defs)
+        elif key == "type" and not _TYPES[arg](value):
+            yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "enum" and not any(_json_equal(value, each) for each in arg):
+            yield path, f"{value!r} is not one of {arg!r}"
+        elif key == "oneOf":
+            valid = [each for each in arg if next(_errors(each, value, path, defs), None) is None]
+            if not valid:
+                yield path, f"{value!r} is not valid under any of the given schemas"
+            elif len(valid) > 1:
+                yield path, f"{value!r} is valid under each of {', '.join(map(repr, valid))}"
+        elif key in _BOUNDS and _TYPES["number"](value) and _BOUNDS[key][0](value, arg):
+            yield path, f"{value!r} {_BOUNDS[key][1]} {arg!r}"
+        elif isinstance(value, dict):
+            if key == "required":
+                yield from ((path, f"{name!r} is a required property")
+                            for name in arg if name not in value)
+            elif key == "properties":
+                for name, each in arg.items():
+                    if name in value:
+                        yield from _errors(each, value[name], f"{path}.{name}", defs)
+            elif key == "additionalProperties":
+                extras = sorted(set(value) - set(schema.get("properties", ())))
+                if extras:
+                    yield path, f"unknown keys are not allowed: {', '.join(map(repr, extras))}"
+        elif isinstance(value, list):
+            if key == "items":
+                for i, item in enumerate(value):
+                    yield from _errors(arg, item, f"{path}[{i}]", defs)
+            elif key == "minItems" and len(value) < arg:
+                yield path, f"{value!r} is too short"
+            elif key == "maxItems" and len(value) > arg:
+                yield path, f"{value!r} is too long"
+            elif key == "uniqueItems" and arg and any(
+                    _json_equal(a, b) for i, a in enumerate(value) for b in value[:i]):
+                yield path, f"{value!r} has non-unique elements"
 
 
 def validate_config(config: dict) -> None:
+    """ConfigError at the first, by JSON path, of the schema's rules that `config` breaks."""
     schema = _load_schema()
-    validator = _Validator(schema)
-    errors = sorted(validator.iter_errors(config), key=lambda e: e.json_path)
-    if errors:
-        first = errors[0]
-        raise ConfigError(f"config invalid at {first.json_path}: {first.message}")
+    first = min(_errors(schema, config, "$", schema.get("$defs", {})), key=lambda e: e[0],
+                default=None)
+    if first:
+        raise ConfigError(f"config invalid at {first[0]}: {first[1]}")
 
 
 def canonical_hash(config: dict) -> str:

@@ -351,14 +351,19 @@ def quadrature_form(m) -> NDArray[np.float64]:
     The real quadrature form R = T^-1 M T of a drift matrix, or of a stack,
     T = blockdiag([[1, i], [1, -i]] / sqrt 2), i.e. a_i = (x_i + i p_i) / sqrt 2.
     An R with an imaginary part above 1e-12 max(|M|_1, 1) means M is not a
-    doubled-basis drift: ValueError.
+    doubled-basis drift: ValueError. An R entry that is not finite, such as
+    one that overflows from an M entry near the float limit: NumericalError.
     """
     m = np.ascontiguousarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.shape[-1] % 2:
         raise ValueError(f"expected a doubled-basis (2n, 2n) matrix or a stack, got {m.shape}")
     stack, n = m.shape[:-2], m.shape[-1] // 2
     x = m.view(float).reshape(*stack, n, 2, n, 4).swapaxes(-3, -2).reshape(*stack, n, n, 8)
-    r = (x @ _QUADRATURE_BLOCK).reshape(*stack, n, n, 2, 2, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = (x @ _QUADRATURE_BLOCK).reshape(*stack, n, n, 2, 2, 2)
+    if not np.isfinite(r).all():
+        raise numerics.NumericalError("quadrature form has non-finite entries (a drift entry"
+                                      " is not finite or overflows near the float limit)")
     imag = np.abs(r[..., 1]).max(axis=(-4, -3, -2, -1))
     if (imag > 1e-12).any():  # no bound is below 1e-12, so the norms are needed only here
         if (imag > 1e-12 * np.maximum(np.linalg.norm(m, 1, axis=(-2, -1)), 1.0)).any():

@@ -369,7 +369,13 @@ class TestExitCodes:
         ("chain", {"system": du_system(), "task": {"kind": "chain", "chain": {
             "n_values": [2, 3, 4], "coupling": {"magnitude": 5.0}, "detuning": -1.0,
             "detuning_alt": -1.0, "kappa_high": 0.1, "kappa_low": 1e-4}}}, "at least 3 stable"),
-    ], ids=["spectrum.zero_over_zero", "chain.zero_gain", "chain.unstable_lengths"])
+        ("chain", {"system": du_system(), "task": {"kind": "chain", "chain": {
+            **CHAIN_BLOCK, "n_values": [2, 3, 170]}}}, "the 170-mode chain's is 4.941e-324"),
+        ("spectrum", {"system": du_system(magnitude=1e308), "task": {"kind": "spectrum"},
+                      "grid": {"min": -1.0, "max": 1.0, "points": 5}},
+         "quadrature form has non-finite entries"),
+    ], ids=["spectrum.zero_over_zero", "chain.zero_gain", "chain.unstable_lengths",
+            "chain.subnormal_gain", "spectrum.coupling_overflow"])
     def test_failed_computations_exit_4(self, tmp_path, caplog, command, config, message):
         assert run_cli(tmp_path, command, config) == cli.EXIT_NUMERICAL
         assert "numerical failure: " in caplog.text and message in caplog.text
@@ -672,6 +678,18 @@ class TestRuntimeDependencies:
         code = "import sys, sasc.cli; print(sorted(m for m in sys.modules if m.startswith('sasc')))"
         loaded = ["sasc", "sasc.cli", "sasc.model", "sasc.numerics", "sasc.spectra"]
         assert run_python(code) == str(loaded)
+
+    def test_configs_are_validated_without_jsonschema(self, tmp_path):
+        path = write_config(tmp_path / "config.json", cli._load_figure_asset("fig2")["tasks"][0])
+        code = ("import sys, sasc.cli; imported = 'jsonschema' in sys.modules;"
+                " sasc.cli.load_config(sys.argv[1]); print(imported, 'jsonschema' in sys.modules)")
+        assert run_python(code, path) == "False False"
+
+    def test_figures_run_where_jsonschema_cannot_be_imported(self, tmp_path):
+        code = ("import sys; sys.modules['jsonschema'] = None; from sasc import cli;"
+                " print(cli.main(sys.argv[1:]))")
+        assert run_python(code, "figures", "fig2", "--out", str(tmp_path)) == "0"
+        assert (tmp_path / "fig2_d.csv").exists()
 
     def test_chain_command_loads_neither_metrics_nor_oracle(self, tmp_path):
         config = {"system": du_system(), "task": {"kind": "chain", "chain": {

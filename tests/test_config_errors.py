@@ -10,7 +10,7 @@ from conftest import OMEGA_HIGH, OMEGA_LOW, make_chain, make_comparison_pair, ma
 from sasc import chain, cli, metrics, numerics, oracle, spectra
 from sasc.model import (
     BareDriveParams, ConfigError, CouplingParams, ModeParams, SystemModel, Topology,
-    solve_steady_state,
+    build_drift_matrix, check_stability, solve_steady_state,
 )
 from sasc.numerics import NumericalError
 
@@ -126,10 +126,18 @@ FAILURES = {
         lambda: chain.scaling_fit(chains(coupling={"magnitude": 0.0}, detuning=0.0,
                                          detuning_alt=0.0, kappa_high=1.0), 0.3),
         "strictly positive gains"),
+    "scaling_fit.subnormal_gain": (
+        # The 168-mode chain's gain, 4.1e-320, is subnormal; a fit would take it as a value.
+        lambda: chain.scaling_fit((make_chain(n) for n in (2, 3, 168)), 0.3),
+        "normal floats .*; the 168-mode chain's is 4.1"),
     "scaling_fit.stable_lengths": (
         lambda: chain.scaling_fit(chains(coupling={"magnitude": 5.0}, detuning=-1.0,
                                          detuning_alt=-1.0, kappa_high=0.1), 0.3),
         "at least 3 stable chain lengths"),
+    "check_stability.overflow": (
+        # Each drift entry is finite, but the quadrature form's sums of them overflow.
+        lambda: check_stability(build_drift_matrix(make_du(magnitude=1e308))),
+        "quadrature form has non-finite entries"),
     "simulate.dt": (lambda: oracle.simulate(oracle_config(dt=0.5)), "too large for spectral radius"),
     "solve_steady_state.no_branch": (
         # kappa_a^2 / 4 underflows, so with no detuning or coupling the cubic has no root.
