@@ -23,6 +23,7 @@ import hashlib
 import importlib.resources
 import json
 import logging
+import math
 import operator
 import os
 import sys
@@ -95,18 +96,23 @@ def load_config(path: str, overrides: list[str] | None = None) -> dict:
     return config
 
 
+def _bounded(v) -> bool:
+    """Whether the bound keywords apply to `v`: any int, compared exactly, or a finite double."""
+    return not isinstance(v, bool) and (isinstance(v, int) or isinstance(v, float)
+                                        and math.isfinite(v))
+
+
 #: The JSON types that the schema names. "number" is a finite double, which JSON does not
 #: ensure; "integer" takes an integral float such as 2.0. A bool is neither.
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
-    "number": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
-                         and abs(v) <= sys.float_info.max),
+    "number": lambda v: _bounded(v) and abs(v) <= sys.float_info.max,
     "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
                           or isinstance(v, float) and v.is_integer()),
 }
-#: Each bound keyword's test for a broken bound, and its message. Bounds apply to numbers only.
+#: Each bound keyword's test for a broken bound, and its message.
 _BOUNDS = {
     "minimum": (operator.lt, "is less than the minimum of"),
     "maximum": (operator.gt, "is greater than the maximum of"),
@@ -161,7 +167,7 @@ def _errors(schema: dict, value, path: str, defs: dict):
                 yield path, f"{value!r} is not valid under any of the given schemas"
             elif len(valid) > 1:
                 yield path, f"{value!r} is valid under each of {', '.join(map(repr, valid))}"
-        elif key in _BOUNDS and _TYPES["number"](value) and _BOUNDS[key][0](value, arg):
+        elif key in _BOUNDS and _bounded(value) and _BOUNDS[key][0](value, arg):
             yield path, f"{value!r} {_BOUNDS[key][1]} {arg!r}"
         elif isinstance(value, dict):
             if key == "required":
@@ -571,5 +577,25 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ORACLE
 
 
+def console_entry() -> None:
+    """
+    The process entry (`sasc`, `python -m sasc.cli`): main(), then, once every
+    artifact is closed, an exit without interpreter teardown, which only frees
+    memory. An exception or argparse's SystemExit escapes as usual, and so
+    does every exit under a profiler, tracer or monitoring tool, which writes
+    its output at teardown.
+    """
+    code = main()
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile and coverage use it
+    if (sys.getprofile() is not None or sys.gettrace() is not None
+            or monitoring is not None and any(map(monitoring.get_tool, range(6)))):
+        sys.exit(code)
+    logging.shutdown()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

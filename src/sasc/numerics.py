@@ -44,7 +44,8 @@ class NumericalError(ValueError):
 class SingularMatrixError(NumericalError):
     """
     Raised when a matrix is singular to working precision: LAPACK met an
-    exact zero pivot (rcond 0), or its reciprocal condition is <= 1e-13.
+    exact zero pivot or returned a non-finite inverse (rcond 0), or its
+    reciprocal condition is <= 1e-13.
     """
 
     def __init__(self, rcond: float):
@@ -93,7 +94,8 @@ def lu_solve(a, b) -> NDArray[np.complex128]:
     norm_a = np.maximum(np.abs(a).sum(axis=-2).max(axis=-1), 1.0)
     rcond = float(np.min(1.0 / (norm_a * np.abs(inverse).sum(axis=-2).max(axis=-1))))
     if not rcond > _RCOND_FLOOR:
-        raise SingularMatrixError(rcond)
+        # A non-finite inverse that LAPACK did not flag leaves the estimate NaN.
+        raise SingularMatrixError(0.0 if math.isnan(rcond) else rcond)
     return inverse @ b
 
 

@@ -35,9 +35,8 @@ __all__ = [
     "RESONANCE_PROBE_OFFSET",
     "resonance_probe_frequency",
     "ASYMMETRY_PAIRS",
-    "transfer_matrix",
     "transfer_matrices",
-    "causal_transfer_matrix",
+    "causal_transfer_matrices",
     "phase_grid",
     "transmission",
     "asymmetry",
@@ -70,26 +69,25 @@ def _channel_signature(n_modes: int) -> NDArray[np.float64]:
     return np.tile([-1.0, 1.0], n_modes)
 
 
-def transfer_matrix(model: SystemModel, omega: float) -> NDArray[np.complex128]:
+def transfer_matrices(model: SystemModel, omegas) -> Iterator[NDArray[np.complex128]]:
     """
-    Gated input-output transfer matrix Gamma(w) = L (i w Lambda - M)^{-1} L - I.
+    Gated input-output transfer matrices Gamma(w) = L (i w Lambda - M)^{-1} L - I
+    over a grid, as consecutive stacks of frequencies (see _BLOCK_ENTRIES).
 
     Lambda alternates -1, +1 over the doubled channels; L carries sqrt(kappa)
     per channel.
     """
-    diagonals = 1j * omega * _channel_signature(model.n_modes)[None, :]
-    return next(_input_output(model, diagonals))[0]
-
-
-def transfer_matrices(model: SystemModel, omegas) -> Iterator[NDArray[np.complex128]]:
-    """Gated Gamma(w) over a grid, as consecutive stacks of frequencies (see _BLOCK_ENTRIES)."""
     diagonals = 1j * np.multiply.outer(omegas, _channel_signature(model.n_modes))
     return _input_output(model, diagonals)
 
 
-def causal_transfer_matrix(model: SystemModel, omega: float) -> NDArray[np.complex128]:
-    """Gated causal input-output matrix L (-i w I - M)^{-1} L - I (time-domain convention)."""
-    return next(_input_output(model, np.full((1, 2 * model.n_modes), -1j * omega)))[0]
+def causal_transfer_matrices(model: SystemModel, omegas) -> Iterator[NDArray[np.complex128]]:
+    """
+    Gated causal input-output matrices L (-i w I - M)^{-1} L - I (time-domain
+    convention) over a grid, as consecutive stacks of frequencies.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    return _input_output(model, np.multiply.outer(-1j * omegas, np.ones(2 * model.n_modes)))
 
 
 def _input_output(model: SystemModel, diagonals) -> Iterator[NDArray[np.complex128]]:
@@ -284,9 +282,7 @@ def output_spectrum(model: SystemModel, omegas, port: int) -> NDArray[np.float64
     simulation of the same system estimates via Welch averaging.
     """
     check_index("port", port, model.n_modes, "modes")
-    omegas = np.asarray(omegas, dtype=float)
-    diagonals = np.multiply.outer(-1j * omegas, np.ones(2 * model.n_modes))
-    gammas = _input_output(model, diagonals)
+    gammas = causal_transfer_matrices(model, omegas)
     rows = np.concatenate([np.abs(g[:, 2 * port, :]) ** 2 for g in gammas])
     return (rows[:, 0::2] + rows[:, 1::2]) @ (occupations(model) + 0.5)
 
@@ -296,7 +292,7 @@ class SnrSolver:
     S_AP and SNR of one model over frequency grids.
 
     Builds the drift matrix, input couplings and occupations once; a grid
-    goes through the stacked resolvent path of transfer_matrix, which
+    goes through the stacked resolvent path of transfer_matrices, which
     forms only the two readout-port rows, and quadrature_coefficients reads
     the homodyne coefficients C from them. S_AP = |C_s + C_s*|^2 is the
     quadrature amplification of a unit Hermitian signal entering at

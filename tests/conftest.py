@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, settings, strategies as st
 
+from sasc import spectra
 from sasc.cli import build_system, chain_system
 from sasc.model import (
     CouplingParams, ModeParams, SystemModel, Topology, build_drift_matrix, check_stability,
@@ -76,6 +77,16 @@ CHAIN_BLOCK = {
 def make_chain(n_modes, temperature=0.0, **block):
     """The n-mode chain of CHAIN_BLOCK, `block` keys overriding it, built as the chain task does."""
     return build_system(chain_system({**CHAIN_BLOCK, **block}, n_modes, temperature))
+
+
+def gamma_grid(model, omegas):
+    """Gamma at each of `omegas`: the stacks of spectra.transfer_matrices, joined."""
+    return np.concatenate(list(spectra.transfer_matrices(model, omegas)))
+
+
+def causal_grid(model, omegas):
+    """The causal matrix at each of `omegas`: spectra.causal_transfer_matrices' stacks, joined."""
+    return np.concatenate(list(spectra.causal_transfer_matrices(model, omegas)))
 
 
 def with_phases(model, phases):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import CHAIN_BLOCK, make_chain, make_du, make_three
+from conftest import CHAIN_BLOCK, gamma_grid, make_chain, make_du, make_three
 from sasc.model import Topology, build_drift_matrix
 from sasc import chain, cli
-from sasc.spectra import quadrature_coefficients, transfer_matrix
+from sasc.spectra import quadrature_coefficients
 
 
 class TestConstruction:
@@ -47,7 +47,7 @@ class TestGain:
     def test_three_mode_gain_equals_quadrature_transfer(self):
         model = make_chain(3)
         gain = chain.end_to_end_gain(model, 0.3)
-        gamma = transfer_matrix(model, 0.3)
+        gamma = gamma_grid(model, [0.3])[0]
         c = quadrature_coefficients(gamma, output_port=2)
         assert gain == pytest.approx(float(np.abs(c[0] + c[1]) ** 2), rel=1e-12)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CHAIN_BLOCK, pole_centred_range, with_phases
+from conftest import CHAIN_BLOCK, gamma_grid, pole_centred_range, with_phases
 import sasc
 from sasc import cli, spectra
 
@@ -192,7 +192,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command, setting", [
         ("spectrum", "grid.points=10000001"), ("spectrum", f"grid.points={10**15}"),
-        ("spectrum", f"grid.points={10**20}"), ("fmap", "task.delta_points=1001"),
+        ("spectrum", f"grid.points={10**20}"),
+        pytest.param("spectrum", f"grid.points={10**400}", id="spectrum-grid.points=10**400"),
+        ("fmap", "task.delta_points=1001"),
         ("oracle", "task.oracle.ensemble=10001"),
     ])
     def test_sizes_past_their_maximum_are_config_errors(
@@ -489,7 +491,7 @@ class TestOtherTasks:
         assert data["theta_m"] == [tm for _, tm in pairs]
         for k, (tc, tm) in enumerate(pairs):
             probe = with_phases(model, {1: tc, 0: tm})
-            gamma = spectra.transfer_matrix(probe, 0.999999)
+            gamma = gamma_grid(probe, [0.999999])[0]
             for name, pair in spectra.port_columns(model)[1].items():
                 assert data[name][k] == spectra.pair_asymmetry(gamma, pair)
 
@@ -700,3 +702,71 @@ class TestRuntimeDependencies:
                 " *(m in sys.modules for m in ('sasc.chain', 'sasc.metrics', 'sasc.oracle')))")
         out = run_python(code, "chain", "--config", path, "--out", str(tmp_path))
         assert out == "0 True False False"
+
+
+class TestProcessEntry:
+    """`python -m sasc.cli` in a fresh process: exit codes, artifacts and the exit path."""
+
+    SPECTRUM = TestExitCodes.SPECTRUM
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+
+    def test_success_writes_the_in_process_artifacts(self, tmp_path):
+        path = write_config(tmp_path / "config.json", self.SPECTRUM)
+        args = ["spectrum", "--config", path, "--out"]
+        done = self.run("-m", "sasc.cli", *args, str(tmp_path / "process"))
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        assert cli.main([*args, str(tmp_path / "in_process")]) == cli.EXIT_OK
+        written = tmp_path / "process" / "spectrum.csv"
+        assert done.stderr == f"INFO sasc: wrote {written}\n"
+        assert written.read_bytes() == (tmp_path / "in_process" / "spectrum.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, config, code, logged", [
+        ("spectrum", {**SPECTRUM, "grid": {"points": 10**400}}, cli.EXIT_CONFIG,
+         "config invalid at $.grid.points"),
+        ("spectrum", {**SPECTRUM, "system": du_system(kappa_a=0.1, delta_a=-1.0, magnitude=0.5)},
+         cli.EXIT_INSTABILITY, "instability: "),
+        ("spectrum", {**SPECTRUM, "system": du_system(magnitude=1e308)}, cli.EXIT_NUMERICAL,
+         "quadrature form has non-finite entries"),
+        ("oracle", {"system": du_system(), "seed": 1, "task": {"kind": "oracle", "oracle": {
+            "n_steps": 8192, "ensemble": 4, "segment_length": 1024, "min_fraction": 1.0}}},
+         cli.EXIT_ORACLE, "oracle comparison failed: "),
+    ], ids=["config", "instability", "numerical", "oracle"])
+    def test_failures_exit_with_their_code(self, tmp_path, command, config, code, logged):
+        path = write_config(tmp_path / "config.json", config)
+        done = self.run("-m", "sasc.cli", command, "--config", path, "--out", str(tmp_path))
+        assert done.returncode == code, done.stderr
+        assert logged in done.stderr
+
+    @pytest.mark.parametrize("args, code, teardown", [
+        (["spectrum", "--config", "{config}", "--out", "{out}"], cli.EXIT_OK, False),
+        (["spectrum", "--config", "{out}/absent.json", "--out", "{out}"], cli.EXIT_CONFIG, False),
+        (["spectrum"], 2, True),  # argparse's SystemExit: --config is required
+    ], ids=["success", "config_error", "usage_error"])
+    def test_only_a_return_from_main_skips_teardown(self, tmp_path, args, code, teardown):
+        # An atexit hook runs at interpreter teardown, and only there.
+        path = write_config(tmp_path / "config.json", self.SPECTRUM)
+        marker = tmp_path / "teardown"
+        argv = [arg.format(config=path, out=tmp_path) for arg in args]
+        program = ("import atexit, pathlib, runpy, sys; atexit.register(pathlib.Path(sys.argv[1])"
+                   ".touch); sys.argv[1:] = sys.argv[2:];"
+                   " runpy.run_module('sasc.cli', run_name='__main__')")
+        done = self.run("-c", program, str(marker), *argv)
+        assert done.returncode == code, done.stderr
+        assert marker.exists() == teardown
+
+    def test_a_profiled_run_writes_its_profile(self, tmp_path):
+        import pstats
+
+        path = write_config(tmp_path / "config.json", self.SPECTRUM)
+        profile = tmp_path / "cli.prof"
+        done = self.run("-m", "cProfile", "-o", str(profile), "-m", "sasc.cli",
+                        "spectrum", "--config", path, "--out", str(tmp_path))
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        assert (tmp_path / "spectrum.csv").exists()
+        stats = pstats.Stats(str(profile)).stats
+        assert any(name == "main" and file.endswith("cli.py") for file, _, name in stats)

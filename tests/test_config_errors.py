@@ -59,7 +59,7 @@ CHECKS = {
         lambda: spectra.output_spectrum(DU, [0.0, 1.0], 2),
         "port 2 is out of range: the system has 2 modes"),
     "quadrature_coefficients.output_port": (
-        lambda: spectra.quadrature_coefficients(spectra.transfer_matrix(DU, 0.1), 2),
+        lambda: spectra.quadrature_coefficients(next(spectra.transfer_matrices(DU, [0.1])), 2),
         "output_port 2 is out of range: the system has 2 modes"),
     "thermal_occupation.absolute_frequency": (
         lambda: spectra.thermal_occupation(0.0, 1.0), "absolute_frequency must be positive"),

@@ -79,6 +79,16 @@ class TestLuSolve:
             numerics.lu_solve(a, np.ones(3, dtype=complex))
         assert err.value.rcond == 0.0
 
+    def test_non_finite_inverse_reports_rcond_zero(self):
+        # LAPACK meets no zero pivot, but 1 / 5e-324 overflows to inf and the inverse holds NaN.
+        a = np.diag([5e-324, 1.0])
+        assert not np.all(np.isfinite(np.linalg.inv(a)))
+        stack = np.stack([np.eye(2), a])
+        for matrix in (a, stack):
+            with pytest.raises(numerics.SingularMatrixError, match=r"rcond 0\.0e\+00") as err:
+                numerics.lu_solve(matrix, np.eye(2))
+            assert err.value.rcond == 0.0
+
     def test_near_singular_matrix_is_refused(self):
         # LAPACK factors Q diag(1, 1, 1e-15) Q^dag with nonzero pivots and
         # finite values; only the condition floor refuses it.

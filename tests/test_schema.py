@@ -11,9 +11,27 @@ from conftest import CHAIN_BLOCK
 from sasc import cli
 
 _CHECKER = jsonschema.Draft202012Validator.TYPE_CHECKER
-#: jsonschema's Draft 2020-12 validator, with "number" a finite double as the CLI reads it.
+#: A validator whose "number" is any int or float, for the bound keywords below.
+_ANY_NUMBER = jsonschema.Draft202012Validator({})
+
+
+def _bound_on_every_int(keyword):
+    """jsonschema's `keyword` validator, applied to an int of any size as well."""
+    check = jsonschema.Draft202012Validator.VALIDATORS[keyword]
+
+    def validate(validator, bound, instance, schema):
+        numeric = _CHECKER.is_type(instance, "integer")  # ints and integral floats, no bools
+        return check(_ANY_NUMBER if numeric else validator, bound, instance, schema)
+
+    return validate
+
+
+#: jsonschema's Draft 2020-12 validator, with "number" a finite double and bounds on every
+#: int, as the CLI reads them.
 Reference = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
+    validators={keyword: _bound_on_every_int(keyword) for keyword in
+                ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")},
     type_checker=_CHECKER.redefine(
         "number", lambda _, v: _CHECKER.is_type(v, "number") and abs(v) <= sys.float_info.max
     ),
@@ -143,6 +161,9 @@ def snr(**task):
     (snr(psi=float("inf")), "$.task.psi"),
     (snr(psi=-float("inf")), "$.task.psi"),
     (snr(psi=10**400), "$.task.psi"),
+    ({**snr(), "grid": {"points": 10**400}}, "$.grid.points"),
+    (snr(signal_port=-(10**400)), "$.task.signal_port"),
+    ({**snr(), "seed": 10**400}, None),
     (snr(psi=1e308, omega=-(10**308)), None),
     (snr(signal_port=2.0), None),
     (snr(signal_port=2.5), "$.task.signal_port"),
@@ -154,7 +175,8 @@ def snr(**task):
     (asymmetry(1.0), None),
 ], ids=["n_values.3_and_3.0", "unique.1_and_1.0", "unique.0_and_-0.0", "unique.true_and_1",
         "n_values.true_and_1", "unique.0_and_1.0", "number.nan", "number.inf", "number.-inf",
-        "number.10**400", "number.at_the_limit", "integer.2.0", "integer.2.5", "integer.true",
+        "number.10**400", "integer.points_10**400", "integer.port_-10**400",
+        "integer.seed_10**400", "number.at_the_limit", "integer.2.0", "integer.2.5", "integer.true",
         "oneOf.negative", "oneOf.short", "oneOf.long", "oneOf.string", "oneOf.integral_float"])
 def test_explicit_cases(config, path):
     assert cli_path(config) == reference_path(config) == path

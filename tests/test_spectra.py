@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    OMEGA_HIGH, OMEGA_LOW, make_chain, make_comparison_pair, make_du, make_three, stable_chains,
-    with_phases,
+    OMEGA_HIGH, OMEGA_LOW, causal_grid, gamma_grid, make_chain, make_comparison_pair, make_du,
+    make_three, stable_chains, with_phases,
 )
 from sasc.model import (
     InstabilityError,
@@ -21,8 +21,8 @@ class TestTransferMatrix:
     def test_decoupled_diagonal_closed_form(self):
         kappa_a, delta_a = 0.8, 0.3
         model = make_du(kappa_a=kappa_a, delta_a=delta_a, magnitude=1e-300)
-        for omega in (-1.2, 0.0, 0.7):
-            gamma = spectra.transfer_matrix(model, omega)
+        omegas = (-1.2, 0.0, 0.7)
+        for omega, gamma in zip(omegas, gamma_grid(model, omegas)):
             expected = kappa_a / (-1j * omega + 1j * delta_a + kappa_a / 2.0) - 1.0
             assert gamma[0, 0] == pytest.approx(expected, abs=1e-12)
             assert abs(gamma[0, 2]) < 1e-12
@@ -32,16 +32,14 @@ class TestTransferMatrix:
         perm = conjugation_permutation(model.n_modes)
         p = np.zeros((6, 6))
         p[np.arange(6), perm] = 1.0
-        for omega in (-0.4, 0.25, 1.7):
-            gamma = spectra.transfer_matrix(model, omega)
+        for gamma in gamma_grid(model, (-0.4, 0.25, 1.7)):
             assert np.allclose(p @ np.conj(gamma) @ p, gamma, atol=1e-10)
 
 
 #: Every public entry that solves a resolvent of a model, on the least other input.
 GATED_ENTRIES = {
-    "transfer_matrix": lambda model: spectra.transfer_matrix(model, 0.0),
     "transfer_matrices": lambda model: spectra.transfer_matrices(model, [0.0]),
-    "causal_transfer_matrix": lambda model: spectra.causal_transfer_matrix(model, 0.0),
+    "causal_transfer_matrices": lambda model: spectra.causal_transfer_matrices(model, [0.0]),
     "output_spectrum": lambda model: spectra.output_spectrum(model, [0.0], 0),
     "phase_grid": lambda model: spectra.phase_grid(model, 0.0, {0: [0.0]}),
     "snr_spectrum": lambda model: spectra.snr_spectrum(model, [0.0]),
@@ -83,13 +81,13 @@ class TestBosonicIdentity:
     @_IDENTITY_MODELS
     @_IDENTITY_OMEGAS
     def test_gamma_preserves_commutators(self, model, omega):
-        gamma = spectra.transfer_matrix(model, omega)
+        gamma = gamma_grid(model, [omega])[0]
         assert self.scaled_residual(gamma, model.n_modes) <= 1e-12
 
     @_IDENTITY_MODELS
     @_IDENTITY_OMEGAS
     def test_causal_matrix_preserves_commutators(self, model, omega):
-        causal = spectra.causal_transfer_matrix(model, omega)
+        causal = causal_grid(model, [omega])[0]
         assert self.scaled_residual(causal, model.n_modes) <= 1e-12
 
 
@@ -119,7 +117,7 @@ class TestStackedTransferMatrices:
             a = 1j * omega * lam - drift
             bound = max(1e-12, 32 * np.finfo(float).eps * np.linalg.cond(a, 1))
             scale = max(1.0, float(np.max(np.abs(gamma))))
-            pointwise = spectra.transfer_matrix(model, omega)
+            pointwise = gamma_grid(model, [omega])[0]
             reference = ell @ np.linalg.solve(a, ell) - np.eye(len(drift))
             assert np.max(np.abs(gamma - pointwise)) <= bound * scale
             assert np.max(np.abs(gamma - reference)) <= bound * scale
@@ -134,7 +132,7 @@ class TestPhaseGrid:
         # 21 phase pairs span two solve blocks; coupling 1 (the first key) varies slowest.
         gammas = np.concatenate(list(spectra.phase_grid(model, omega, {1: slow, 0: fast})))
         reference = [
-            spectra.transfer_matrix(with_phases(model, {1: t1, 0: t0}), omega)
+            gamma_grid(with_phases(model, {1: t1, 0: t0}), [omega])[0]
             for t1 in slow for t0 in fast
         ]
         assert np.array_equal(gammas, np.array(reference))
@@ -163,7 +161,7 @@ class TestConjugationIdentities:
     @given(model=stable_chains(), omega=st.floats(-3.0, 3.0))
     def test_gamma_is_conjugation_symmetric(self, model, omega):
         # P Gamma(w)* P = Gamma(w)
-        gamma = spectra.transfer_matrix(model, omega)
+        gamma = gamma_grid(model, [omega])[0]
         p = self.swap(model.n_modes)
         lam = np.diag(np.tile([-1.0, 1.0], model.n_modes))
         bound = self.bound(1j * omega * lam - build_drift_matrix(model))
@@ -174,8 +172,7 @@ class TestConjugationIdentities:
     @given(model=stable_chains(), omega=st.floats(-3.0, 3.0))
     def test_causal_matrix_mirrors_and_preserves_commutators(self, model, omega):
         # P C(w)* P = C(-w) and C J C^dag = J
-        causal = spectra.causal_transfer_matrix(model, omega)
-        mirrored = spectra.causal_transfer_matrix(model, -omega)
+        causal, mirrored = causal_grid(model, [omega, -omega])
         p = self.swap(model.n_modes)
         drift = build_drift_matrix(model)
         eye = np.eye(len(drift))
@@ -188,21 +185,20 @@ class TestConjugationIdentities:
 class TestTransmission:
     def test_sideband_pair_members_are_equal(self):
         model = make_du(phase=1.1)
-        for omega in (-1.5, 0.2, 0.97):
-            gamma = spectra.transfer_matrix(model, omega)
+        for gamma in gamma_grid(model, (-1.5, 0.2, 0.97)):
             for src, dst in ((1, 0), (0, 1)):
                 assert spectra.transmission(gamma, src, dst, "+") == pytest.approx(
                     spectra.transmission(gamma, src, dst, "-"), rel=1e-10)
 
     def test_three_mode_pair_members_are_equal(self):
         model = make_three(phase_m=0.4, phase_c=1.9)
-        gamma = spectra.transfer_matrix(model, 0.6)
+        gamma = gamma_grid(model, [0.6])[0]
         for src, dst in ((1, 0), (0, 1), (2, 1), (1, 2)):
             assert spectra.transmission(gamma, src, dst, "+") == pytest.approx(
                 spectra.transmission(gamma, src, dst, "-"), rel=1e-10)
 
     def test_transmissions_are_nonnegative(self):
-        gamma = spectra.transfer_matrix(make_du(), 0.5)
+        gamma = gamma_grid(make_du(), [0.5])[0]
         legs = ((0, 0, "+"), (1, 1, "+"), (1, 0, "+"), (0, 1, "-"))
         assert min(spectra.transmission(gamma, *leg) for leg in legs) >= 0.0
 
@@ -224,10 +220,9 @@ class TestAsymmetry:
     def test_phase_sweeps_both_signs_near_resonance(self):
         # The negative-asymmetry window in theta is narrow; sweep densely.
         omega = spectra.resonance_probe_frequency()
-        values = []
-        for theta in np.linspace(0.0, 2.0 * np.pi, 721):
-            gamma = spectra.transfer_matrix(make_du(phase=theta), omega)
-            values.append(spectra.pair_asymmetry(gamma, spectra.ASYMMETRY_PAIRS["ab"]))
+        thetas = np.linspace(0.0, 2.0 * np.pi, 721)
+        gammas = np.concatenate(list(spectra.phase_grid(make_du(), omega, {0: thetas})))
+        values = spectra.pair_asymmetry(gammas, spectra.ASYMMETRY_PAIRS["ab"])
         assert min(values) < -0.9
         assert max(values) > 0.9
 
@@ -252,14 +247,14 @@ class TestThermal:
 class TestQuadratures:
     def test_coefficient_pairs_are_conjugate(self):
         model = make_three(phase_m=0.8, phase_c=2.3)
-        gamma = spectra.transfer_matrix(model, 0.55)
+        gamma = gamma_grid(model, [0.55])[0]
         for psi in (0.0, 0.4):
             c = spectra.quadrature_coefficients(gamma, output_port=2, psi=psi)
             assert np.allclose(c[1::2], np.conj(c[0::2]), atol=1e-10)
 
     def test_stack_matches_per_point_coefficients(self):
         model = make_three(phase_m=0.8, phase_c=2.3)
-        gammas = np.stack([spectra.transfer_matrix(model, w) for w in np.linspace(0.1, 0.9, 7)])
+        gammas = gamma_grid(model, np.linspace(0.1, 0.9, 7))
         for stack in (gammas, gammas[:3], gammas.reshape(7, 1, 6, 6)):
             c = spectra.quadrature_coefficients(stack, output_port=2, psi=0.4)
             expected = [spectra.quadrature_coefficients(g, output_port=2, psi=0.4)
@@ -267,7 +262,7 @@ class TestQuadratures:
             assert np.array_equal(c.reshape(-1, 6), expected)
 
     def test_output_port_validation(self):
-        gamma = spectra.transfer_matrix(make_du(), 0.1)
+        gamma = gamma_grid(make_du(), [0.1])[0]
         with pytest.raises(ValueError):
             spectra.quadrature_coefficients(gamma, output_port=2)
 
