@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import InstabilityError, SystemModel, require_stable
+from .model import InstabilityError, SystemModel
 from .numerics import LineFit, NumericalError, fit_line
-from .spectra import SnrSolver
+from .spectra import snr_spectrum
 
 __all__ = ["ScalingReport", "end_to_end_gain", "scaling_fit"]
 
@@ -20,11 +20,10 @@ __all__ = ["ScalingReport", "end_to_end_gain", "scaling_fit"]
 def end_to_end_gain(model: SystemModel, omega: float) -> float:
     """
     Squared first-port-input to last-port-output quadrature transfer
-    |C_{1,+} + C_{1,-}|^2, measured at the final mode's port.
+    |C_{1,+} + C_{1,-}|^2, measured at the final mode's port: snr_spectrum's
+    S_AP at omega.
     """
-    solver = SnrSolver(model)
-    require_stable(solver.drift)
-    return float(solver.solve([omega])[0][0])
+    return float(snr_spectrum(model, [omega])[0][0])
 
 
 @dataclass

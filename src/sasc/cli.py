@@ -109,8 +109,7 @@ _TYPES = {
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
     "number": lambda v: _bounded(v) and abs(v) <= sys.float_info.max,
-    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
-                          or isinstance(v, float) and v.is_integer()),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
 }
 #: Each bound keyword's test for a broken bound, and its message.
 _BOUNDS = {
@@ -295,8 +294,7 @@ def _grid(config: dict, default=(-3.0, 3.0, 1201)) -> np.ndarray:
     lo = block.get("min", default[0])
     hi = block.get("max", default[1])
     points = block.get("points", default[2])
-    check_range("grid min, max", lo, hi)
-    return np.linspace(lo, hi, points)
+    return check_range("grid min, max", lo, hi, points)
 
 
 def _basename(config: dict, fallback: str) -> str:
@@ -392,8 +390,7 @@ def run_fmap(config: dict, outdir: Path, fmt: str) -> None:
     lo = task.get("delta_min", -2.0)
     hi = task.get("delta_max", 2.0)
     points = task.get("delta_points", 41)
-    check_range("delta_min, delta_max", lo, hi)
-    deltas = np.linspace(lo, hi, points)
+    deltas = check_range("delta_min, delta_max", lo, hi, points)
     result = metrics.f_map(cfg, deltas, deltas)
     log.debug("fmap coarse scans: %d of %d cells exact, worst cond_1(V) %.3g",
               result.scan["fallback_cells"], result.values.size, result.scan["max_eigvec_cond"])

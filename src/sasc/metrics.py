@@ -170,14 +170,14 @@ def _search_snr(solver: SnrSolver, drifts, omega_range):
     untrusted; its value is one stacked exact solve, as is each golden-section step
     over the live brackets. SNR reads 0 in the resonance bands. `scan` holds the
     number of exact-scan cells and the worst cond_1(V). ConfigError if omega_range
-    is not increasing, spans more than a float, or lies inside the bands.
+    is not increasing, spans more than a float, is too narrow for the scan's
+    distinct points, or lies inside the bands.
     """
-    check_range("omega_range", *omega_range)
+    grid = check_range("omega_range", *omega_range, _SNR_SCAN_POINTS)
     if excludes_whole_range(omega_range):
         raise ConfigError(f"omega_range {tuple(omega_range)} lies inside a resonance band"
                           " that the SNR search excludes (half-width"
                           f" {RESONANCE_EXCLUSION_WIDTH}): nothing to search")
-    grid = np.linspace(omega_range[0], omega_range[1], _SNR_SCAN_POINTS)
     cells = len(drifts)
     best, trusted, cond = np.zeros(cells, dtype=int), np.zeros(cells, dtype=bool), np.zeros(cells)
     step = max(1, _BLOCK_ENTRIES // (len(grid) * drifts.shape[-1]))

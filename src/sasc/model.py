@@ -76,10 +76,15 @@ def check_index(name: str, index: int, count: int, what: str) -> None:
         raise ConfigError(f"{name} {index} is out of range: the system has {count} {what}")
 
 
-def check_range(name: str, lo: float, hi: float) -> None:
-    """ConfigError unless lo < hi with a span hi - lo that a float holds."""
+def check_range(name: str, lo: float, hi: float, points: int) -> NDArray[np.float64]:
+    """The grid np.linspace(lo, hi, points); ConfigError unless lo < hi, the span hi - lo
+    fits a float, and the grid strictly increases (no value repeats at float spacing)."""
     if not (lo < hi and float(hi) - float(lo) < float("inf")):
         raise ConfigError(f"{name} must be increasing with a finite span, got ({lo}, {hi})")
+    grid = np.linspace(lo, hi, points)
+    if not np.all(np.diff(grid) > 0.0):
+        raise ConfigError(f"{name} ({lo}, {hi}) is too narrow for {points} distinct float points")
+    return grid
 
 
 @dataclass(frozen=True)

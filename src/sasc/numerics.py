@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 _RCOND_FLOOR = 1e-13
-#: Complex entries per windowed batch of Welch segments (2 MB), or one segment if larger.
+#: Complex entries per windowed batch of series of a Welch segment (2 MB), or one series if larger.
 _WELCH_BATCH_ENTRIES = 1 << 17
 
 
@@ -161,14 +161,15 @@ class WelchAccumulator:
     add). A component e^{-i omega0 t} appears at +omega0, matching the
     resolvent (-i omega I - M)^{-1} of predicted spectra. Segments start
     every round(segment_length * (1 - overlap)) samples, however the input
-    is chunked. A segment inside one chunk is read from it in place; one
-    that starts in an earlier chunk, from the pending buffer (a ring of the
-    last segment_length samples of every series, allocated by the first
-    add) and the chunk's start, so a chunk may be overwritten once `add`
-    returns. Segments are Hann-windowed into one reused buffer, batched over
-    series and segments, and transformed in place. Each periodogram is
-    folded into a per-bin mean and sum of squared deviations (Chan, Golub &
-    LeVeque, Am. Stat. 37, 242 (1983)) and dropped.
+    is chunked. Every sample is copied once into a ring of the last
+    segment_length samples of every series (slot = sample index %
+    segment_length, allocated by the first add), so a chunk may be
+    overwritten once `add` returns. When a segment's last sample lands, it
+    is Hann-windowed from the ring into one reused buffer, batched over
+    series, and transformed in place; each periodogram is folded into a
+    per-bin mean and sum of squared deviations (Chan, Golub & LeVeque,
+    Am. Stat. 37, 242 (1983)) and dropped. Segments fold the same way
+    however the input is chunked, so the estimate is bit-identical too.
     """
 
     def __init__(self, dt: float, segment_length: int, overlap: float = 0.5):
@@ -180,11 +181,9 @@ class WelchAccumulator:
         self._length = segment_length
         self._step = max(1, int(round(segment_length * (1.0 - overlap))))
         self._window = hann_window(segment_length)
-        self._pending = None
+        self._ring = None
         self._seen = 0  # samples added so far, per series
         self._next = 0  # the next segment's first sample
-        self._work = np.empty(0, dtype=complex)
-        self._power = np.empty(0)
         self._count = 0
         self._mean = np.zeros(segment_length)
         self._m2 = np.zeros(segment_length)
@@ -192,65 +191,41 @@ class WelchAccumulator:
     def add(self, chunk) -> None:
         """Append samples (..., n_samples) of every series."""
         data = np.asarray(chunk, dtype=complex)
-        length, seen, n = self._length, self._seen, data.shape[-1]
+        length, n = self._length, data.shape[-1]
         data = data.reshape(math.prod(data.shape[:-1]), n)
-        if self._pending is None:
-            self._pending = np.empty((len(data), length), dtype=complex)
-        elif len(data) != len(self._pending):
-            raise ValueError(f"expected {len(self._pending)} series, got {len(data)}")
-        ring = self._pending
-        while self._next < seen and self._next + length <= seen + n:
-            # Ring slots [first, last) hold the segment's samples before the chunk.
-            first, last = self._next % length, seen % length
-            held = [ring[:, first:last]] if first < last else [ring[:, first:], ring[:, :last]]
-            self._fold([*(piece[:, None] for piece in held), data[:, None, : self._next + length - seen]])
-            self._next += self._step
-        start = self._next - seen  # negative while the chunk is too short to end a segment
-        n_segments = max(0, (n - start - length) // self._step + 1)
-        if n_segments:
-            segments = np.lib.stride_tricks.sliding_window_view(data[:, start:], length, axis=-1)
-            self._fold([segments[:, :: self._step]])
-            self._next += n_segments * self._step
-        # Keep the chunk's last samples in the ring, slot = sample index % segment_length.
-        kept = min(n, length)
-        first = (seen + n - kept) % length
-        split = min(kept, length - first)
-        ring[:, first : first + split] = data[:, n - kept : n - kept + split]
-        ring[:, : kept - split] = data[:, n - kept + split :]
-        self._seen = seen + n
+        if self._ring is None:
+            self._ring = np.empty((len(data), length), dtype=complex)
+            rows = max(1, min(len(data), _WELCH_BATCH_ENTRIES // length))
+            self._work = np.empty((rows, length), dtype=complex)
+            self._power = np.empty((rows, length))
+        elif len(data) != len(self._ring):
+            raise ValueError(f"expected {len(self._ring)} series, got {len(data)}")
+        done = 0
+        while done < n:
+            # Copy up to the ring's end or the next segment's last sample, whichever is first.
+            slot, end = self._seen % length, self._next + length
+            take = min(n - done, length - slot, end - self._seen)
+            self._ring[:, slot : slot + take] = data[:, done : done + take]
+            done += take
+            self._seen += take
+            if self._seen == end:
+                self._fold()
+                self._next += self._step
 
-    def _fold(self, pieces: list[NDArray[np.complex128]]) -> None:
-        """Window and fold in segments (series, count, segment_length), given as consecutive
-        pieces in time, _WELCH_BATCH_ENTRIES entries (or one segment) at a time."""
-        n_series, count = pieces[0].shape[:2]
-        rows = max(1, _WELCH_BATCH_ENTRIES // self._length)
-        series, segments = max(1, rows // count), min(count, rows)
-        for s in range(0, n_series, series):
-            for k in range(0, count, segments):
-                batch = [piece[s : s + series, k : k + segments] for piece in pieces]
-                work = self._scratch(batch[0].shape[:2] + (self._length,))
-                offset = 0
-                for piece in batch:
-                    width = piece.shape[-1]
-                    np.multiply(piece, self._window[offset : offset + width],
-                                out=work[..., offset : offset + width])
-                    offset += width
-                self._transform(work)
-
-    def _scratch(self, shape: tuple[int, ...]) -> NDArray[np.complex128]:
-        """The work buffer as a C-ordered array of `shape`, grown if too small."""
-        size = math.prod(shape)
-        if self._work.size < size:
-            self._work = np.empty(size, dtype=complex)
-            self._power = np.empty(size)
-        return self._work[:size].reshape(shape)
-
-    def _transform(self, work: NDArray[np.complex128]) -> None:
-        """Fold in the periodograms of windowed segments (..., segment_length), transformed in place."""
-        np.fft.fft(work, out=work)
-        power = np.abs(work, out=self._power[: work.size].reshape(work.shape))
-        power *= power
-        self._merge(power.reshape(-1, self._length))
+    def _fold(self) -> None:
+        """Window the segment that just ended from the ring, its slots [first:] then [:first],
+        and fold in its periodograms, _WELCH_BATCH_ENTRIES entries (or one series) at a time."""
+        first, rows = self._next % self._length, len(self._work)
+        split = self._length - first
+        for s in range(0, len(self._ring), rows):
+            block = self._ring[s : s + rows]
+            work = self._work[: len(block)]
+            np.multiply(block[:, first:], self._window[:split], out=work[:, :split])
+            np.multiply(block[:, :first], self._window[split:], out=work[:, split:])
+            np.fft.fft(work, out=work)
+            power = np.abs(work, out=self._power[: len(block)])
+            power *= power
+            self._merge(power)
 
     def _merge(self, power: NDArray[np.float64]) -> None:
         """Fold in a (count, segment_length) batch of periodograms, overwriting it."""

@@ -223,6 +223,46 @@ class TestConfigValidation:
         assert f"{name} must be increasing with a finite span" in caplog.text
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("command, config, name", [
+        ("spectrum", {"system": du_system(), "task": {"kind": "spectrum"},
+                      "grid": {"min": 1.0, "max": 1.0 + 1e-15, "points": 41}}, "grid min, max"),
+        ("fmap", fmap_config(delta_min=1.0, delta_max=1.0 + 1e-15, delta_points=41),
+         "delta_min, delta_max"),
+        ("fmap", fmap_config(omega_range=[1.5, 1.5 + 1e-14]), "omega_range"),
+    ], ids=["spectrum.grid", "fmap.delta_range", "fmap.omega_range"])
+    def test_ranges_narrower_than_float_spacing_are_config_errors(
+        self, tmp_path, caplog, command, config, name
+    ):
+        # lo < hi, but the linspace grid repeats values at this point count.
+        assert run_cli(tmp_path, command, config) == cli.EXIT_CONFIG
+        assert f"{name} (" in caplog.text and "is too narrow" in caplog.text
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("spectrum", "grid.points", 5.0), ("spectrum", "task.include_output_port", 0.0),
+        ("snr", "task.signal_port", 0.0), ("asymmetry", "task.coupling_index", 0.0),
+        ("asymmetry", "task.coupling_index", [0.0, 1]), ("oracle", "task.oracle.port", 0.0),
+        ("oracle", "task.oracle.ensemble", 4.0), ("oracle", "seed", 1.0),
+    ], ids=["grid.points", "include_output_port", "signal_port", "coupling_index",
+            "coupling_index_pair", "oracle.port", "oracle.ensemble", "seed"])
+    def test_integral_floats_in_integer_fields_are_config_errors(
+        self, tmp_path, caplog, command, key, value
+    ):
+        # JSON 5.0 is a number, not an integer: refused before any task reads it as an index.
+        task = {"kind": command}
+        if command == "oracle":
+            task["oracle"] = {"n_steps": 8192, "ensemble": 4, "segment_length": 1024}
+        config = {"system": fmap_config()["system"] if command == "asymmetry" else du_system(),
+                  "task": task, "grid": {"min": -1.0, "max": 1.0, "points": 5}, "seed": 1}
+        *parents, leaf = key.split(".")
+        node = config
+        for part in parents:
+            node = node[part]
+        node[leaf] = value
+        assert run_cli(tmp_path, command, config) == cli.EXIT_CONFIG
+        assert f"config invalid at $.{key}" in caplog.text
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("path", [
         "system.modes.x.kappa", "system.modes.9.kappa", "system.modes.-1.kappa",
         "system.topology.x", "system.couplings.0.magnitude.x", "system.couplings.-1",

@@ -339,6 +339,24 @@ class TestWelchAccumulator:
         with pytest.raises(ValueError, match="expected 4 series"):
             welch.add(x[:3, 300:600])
 
+    @pytest.mark.parametrize("segment_length", [64, 256, 1024])
+    def test_estimate_is_bit_identical_however_the_input_is_chunked(self, segment_length):
+        # Each segment is folded on its own, in the same series batches, whatever the chunks.
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal((64, 20000)) + 1j * rng.standard_normal((64, 20000))
+        whole = numerics.WelchAccumulator(0.05, segment_length)
+        whole.add(x)
+        expected = whole.result()
+        for _ in range(3):
+            edges = np.cumsum(rng.integers(1, 3000, size=40))
+            welch = numerics.WelchAccumulator(0.05, segment_length)
+            for chunk in np.split(x, edges[edges < x.shape[1]], axis=1):
+                welch.add(chunk)
+            estimate = welch.result()
+            assert np.array_equal(estimate.psd, expected.psd)
+            assert np.array_equal(estimate.stderr, expected.stderr)
+            assert estimate.n_segments == expected.n_segments
+
     def test_chunk_one_sample_short_of_a_tail_segment(self):
         # Step 1: after 9 samples the tail holds 7; a 6-sample chunk ends the
         # segments that start at the tail's first 6 samples, not the one at its last.

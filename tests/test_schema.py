@@ -15,26 +15,31 @@ _CHECKER = jsonschema.Draft202012Validator.TYPE_CHECKER
 _ANY_NUMBER = jsonschema.Draft202012Validator({})
 
 
+def _is_int(value):
+    """An int that is not a bool: the config's "integer", which no float is."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _bound_on_every_int(keyword):
     """jsonschema's `keyword` validator, applied to an int of any size as well."""
     check = jsonschema.Draft202012Validator.VALIDATORS[keyword]
 
     def validate(validator, bound, instance, schema):
-        numeric = _CHECKER.is_type(instance, "integer")  # ints and integral floats, no bools
-        return check(_ANY_NUMBER if numeric else validator, bound, instance, schema)
+        return check(_ANY_NUMBER if _is_int(instance) else validator, bound, instance, schema)
 
     return validate
 
 
-#: jsonschema's Draft 2020-12 validator, with "number" a finite double and bounds on every
-#: int, as the CLI reads them.
+#: jsonschema's Draft 2020-12 validator, with "number" a finite double, "integer" an int
+#: (never an integral float) and bounds on every int, as the CLI reads them.
 Reference = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
     validators={keyword: _bound_on_every_int(keyword) for keyword in
                 ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")},
-    type_checker=_CHECKER.redefine(
-        "number", lambda _, v: _CHECKER.is_type(v, "number") and abs(v) <= sys.float_info.max
-    ),
+    type_checker=_CHECKER.redefine_many({
+        "number": lambda _, v: _CHECKER.is_type(v, "number") and abs(v) <= sys.float_info.max,
+        "integer": lambda _, v: _is_int(v),
+    }),
 )
 SCHEMA = cli._load_schema()
 REFERENCE = Reference(SCHEMA)
@@ -156,7 +161,7 @@ def snr(**task):
     (asymmetry([0, -0.0]), "$.task.coupling_index"),
     (asymmetry([True, 1]), "$.task.coupling_index"),
     (chain([True, 1, 2]), "$.task.chain.n_values[0]"),
-    (asymmetry([0, 1.0]), None),
+    (asymmetry([0, 1.0]), "$.task.coupling_index"),
     (snr(psi=float("nan")), "$.task.psi"),
     (snr(psi=float("inf")), "$.task.psi"),
     (snr(psi=-float("inf")), "$.task.psi"),
@@ -165,14 +170,14 @@ def snr(**task):
     (snr(signal_port=-(10**400)), "$.task.signal_port"),
     ({**snr(), "seed": 10**400}, None),
     (snr(psi=1e308, omega=-(10**308)), None),
-    (snr(signal_port=2.0), None),
+    (snr(signal_port=2.0), "$.task.signal_port"),
     (snr(signal_port=2.5), "$.task.signal_port"),
     (snr(signal_port=True), "$.task.signal_port"),
     (asymmetry(-1), "$.task.coupling_index"),
     (asymmetry([0]), "$.task.coupling_index"),
     (asymmetry([0, 1, 2]), "$.task.coupling_index"),
     (asymmetry("0"), "$.task.coupling_index"),
-    (asymmetry(1.0), None),
+    (asymmetry(1.0), "$.task.coupling_index"),
 ], ids=["n_values.3_and_3.0", "unique.1_and_1.0", "unique.0_and_-0.0", "unique.true_and_1",
         "n_values.true_and_1", "unique.0_and_1.0", "number.nan", "number.inf", "number.-inf",
         "number.10**400", "integer.points_10**400", "integer.port_-10**400",
@@ -196,7 +201,7 @@ def test_unique_items_compare_json_values(items, unique):
 def test_a_value_valid_under_both_one_of_branches_is_refused():
     # The config schema's branches cannot overlap, so this schema makes them.
     schema = {"oneOf": [{"type": "number"}, {"type": "integer", "minimum": 0}]}
-    for value, path in [(2, "$"), (2.0, "$"), (-2, None), (0.5, None), ("2", "$")]:
+    for value, path in [(2, "$"), (2.0, None), (-2, None), (0.5, None), ("2", "$")]:
         assert interpreter_path(value, schema) == path == reference_path(value, Reference(schema))
 
 
