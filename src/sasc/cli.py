@@ -103,7 +103,7 @@ def _bounded(v) -> bool:
 
 
 #: The JSON types that the schema names. "number" is a finite double, which JSON does not
-#: ensure; "integer" takes an integral float such as 2.0. A bool is neither.
+#: ensure; "integer" is an int, not an integral float such as 2.0. A bool is neither.
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),

@@ -1,17 +1,16 @@
 """
 Figures of merit and deterministic searches: SNR maximization over
-frequency, scheme-comparison factor f, detuning maps, phase searches for
-target asymmetry, and the phase-independence check of the two asymmetry
-factors. All optimizers are deterministic (fixed grids plus golden-section
-refinement); no stochastic search. Every SNR search is one _search_snr call,
-which skips the fixed resonance bands. max_snr_over_omega and f_factor gate
-their model; the detuning map also evaluates unstable cells, and lists them.
-It builds all cells' drift matrices in one call and runs their SNR searches
-in lockstep. Each cell's coarse argmax is ranked from the poles of Lambda M
-(one stacked eig per block of cells), or by the exact scan where a proven
-guard does not trust that; the value at the argmax and each golden-section
-step are one stacked exact solve over all cells, each bracket stopping on
-its own.
+frequency, scheme-comparison factor f, detuning maps, and phase searches
+for target asymmetry. All optimizers are deterministic (fixed grids plus
+golden-section refinement); no stochastic search. Every SNR search is one
+_search_snr call, which skips the fixed resonance bands.
+max_snr_over_omega and f_factor gate their model; the detuning map also
+evaluates unstable cells, and lists them. It builds all cells' drift
+matrices in one call and runs their SNR searches in lockstep. Each cell's
+coarse argmax is ranked from the poles of Lambda M (one stacked eig per
+block of cells), or by the exact scan where a proven guard does not trust
+that; the value at the argmax and each golden-section step are one stacked
+exact solve over all cells, each bracket stopping on its own.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from numpy.typing import NDArray
 
 from . import numerics
 from .model import (
-    STABILITY_MARGIN, ConfigError, SystemModel, build_drift_matrix, check_range,
-    quadrature_eigenvalues, require_stable,
+    ConfigError, SystemModel, build_drift_matrix, check_range, check_stability, require_stable,
 )
 from .spectra import (
     _BLOCK_ENTRIES,
@@ -38,7 +36,6 @@ __all__ = [
     "ComparisonConfig",
     "MapResult",
     "PhaseSearchResult",
-    "IndependenceReport",
     "RESONANCE_EXCLUSION_WIDTH",
     "excludes_whole_range",
     "golden_section_max",
@@ -46,7 +43,6 @@ __all__ = [
     "f_factor",
     "f_map",
     "find_phase_for_target_R",
-    "independence_check",
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -279,8 +275,9 @@ def f_map(cfg: ComparisonConfig, delta_c_grid, delta_m_grid) -> MapResult:
 
     The frequency-domain formula is evaluated at every grid cell, including
     cells whose linearized drift matrix is unstable (there the value is the
-    algebraic spectrum ratio, not a steady-state observable); those cells
-    are listed as (delta_c, delta_m) pairs under metadata["unstable_cells"].
+    algebraic spectrum ratio, not a steady-state observable); those cells,
+    by one check_stability of the stacked drift matrices, are listed as
+    (delta_c, delta_m) pairs under metadata["unstable_cells"].
     """
     delta_c_grid = np.asarray(delta_c_grid, dtype=float)
     delta_m_grid = np.asarray(delta_m_grid, dtype=float)
@@ -288,8 +285,7 @@ def f_map(cfg: ComparisonConfig, delta_c_grid, delta_m_grid) -> MapResult:
     cells = [(float(dc), float(dm)) for dm in delta_m_grid for dc in delta_c_grid]
     low = cfg.cs_model.modes[1].detuning
     drifts = build_drift_matrix(cfg.cs_model, detunings=[(dm, low, dc) for dc, dm in cells])
-    abscissae = quadrature_eigenvalues(drifts).real.max(axis=-1)
-    unstable = [cell for cell, abscissa in zip(cells, abscissae) if not abscissa < -STABILITY_MARGIN]
+    unstable = [cell for cell, stable in zip(cells, check_stability(drifts).stable) if not stable]
     solver = SnrSolver(cfg.cs_model, cfg.signal_port, cfg.readout_port, cfg.psi)
     _, s_star, scan = _search_snr(solver, drifts, cfg.omega_range)
     values = s_star.reshape(len(delta_m_grid), len(delta_c_grid)) / ics_max
@@ -349,58 +345,4 @@ def find_phase_for_target_R(
     return PhaseSearchResult(
         theta=float(theta_star), achieved=float(achieved),
         residual=float(-neg_res), target=float(target),
-    )
-
-
-def _cell_asymmetries(gammas, pair: tuple) -> NDArray[np.float64]:
-    """pair_asymmetry of each Gamma of a stack, NaN where it is 0/0."""
-    try:
-        return pair_asymmetry(gammas, pair)
-    except numerics.NumericalError:  # only the 0/0 check of spectra.asymmetry raises it here
-        if len(gammas) == 1:
-            return np.array([np.nan])
-        return np.concatenate([_cell_asymmetries(g[None], pair) for g in gammas])
-
-
-@dataclass(frozen=True)
-class IndependenceReport:
-    """Cross-phase variation of each asymmetry factor over the other phase."""
-
-    r_mb_cross_variation: float | None
-    r_bc_cross_variation: float | None
-    r_mb_defined: bool
-    r_bc_defined: bool
-
-
-def independence_check(
-    model: SystemModel, theta_m_grid, theta_c_grid, omega: float
-) -> IndependenceReport:
-    """
-    max over theta_m of the theta_c-spread of R_mb, and the mirrored quantity
-    for R_bc. An asymmetry that is 0/0 everywhere is reported as undefined
-    rather than as zero variation.
-    """
-    mb, bc = asymmetry_pair(model, "mb"), asymmetry_pair(model, "bc")
-    blocks = [
-        (_cell_asymmetries(gammas, mb), _cell_asymmetries(gammas, bc))
-        for gammas in phase_grid(model, omega, {mb[2]: theta_m_grid, bc[2]: theta_c_grid})
-    ]
-    r_mb, r_bc = (
-        np.concatenate(values).reshape(len(theta_m_grid), len(theta_c_grid))
-        for values in zip(*blocks)
-    )
-
-    def cross_variation(values: NDArray[np.float64], axis: int) -> tuple[float | None, bool]:
-        if np.all(np.isnan(values)):
-            return None, False
-        spread = np.nanmax(values, axis=axis) - np.nanmin(values, axis=axis)
-        return float(np.max(spread)), True
-
-    mb_var, mb_defined = cross_variation(r_mb, axis=1)
-    bc_var, bc_defined = cross_variation(r_bc, axis=0)
-    return IndependenceReport(
-        r_mb_cross_variation=mb_var,
-        r_bc_cross_variation=bc_var,
-        r_mb_defined=mb_defined,
-        r_bc_defined=bc_defined,
     )

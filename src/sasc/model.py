@@ -34,14 +34,12 @@ __all__ = [
     "StabilityVerdict",
     "InstabilityError",
     "ConfigError",
-    "conjugation_permutation",
     "build_drift_matrix",
     "coupled_modes",
     "check_index",
     "check_range",
     "input_coupling_matrix",
     "quadrature_form",
-    "quadrature_eigenvalues",
     "solve_steady_state",
     "check_stability",
     "require_stable",
@@ -189,23 +187,17 @@ class SteadyState:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    stable: bool
-    spectral_abscissa: float
-    eigenvalues: tuple[complex, ...]
+    """Per drift matrix: for a stack (..., 2n, 2n), arrays over its leading axes."""
+
+    stable: np.bool_ | NDArray[np.bool_]
+    spectral_abscissa: np.float64 | NDArray[np.float64]
+    eigenvalues: NDArray[np.complex128]
 
 
 #: x @ _QUADRATURE_BLOCK maps a 2x2 block B of M to R's block t^H B t / 2, t = [[1, i], [1, -i]],
 #: each given as the (real, imaginary) parts of its entries in row-major order.
 _QUADRATURE_BLOCK = (np.array([[1, 1], [-1j, 1j]]) @ np.eye(8).view(complex).reshape(8, 2, 2)
                      @ np.array([[1, 1j], [1, -1j]]) / 2.0).reshape(8, 4).view(float)
-
-
-def conjugation_permutation(n_modes: int) -> NDArray[np.intp]:
-    """Index permutation swapping each (annihilation, creation) channel pair."""
-    perm = np.arange(2 * n_modes)
-    perm[0::2] += 1
-    perm[1::2] -= 1
-    return perm
 
 
 def build_drift_matrix(
@@ -376,24 +368,23 @@ def quadrature_form(m) -> NDArray[np.float64]:
     return r[..., 0].swapaxes(-3, -2).reshape(m.shape)
 
 
-def quadrature_eigenvalues(m) -> NDArray[np.complex128]:
-    """Eigenvalues of a drift matrix, or (..., 2n) of a stack, from its real quadrature_form."""
-    return numerics.eigenvalues(quadrature_form(m)).astype(complex)
-
-
 def check_stability(m) -> StabilityVerdict:
-    """Eigenvalue-based stability verdict: stable iff all Re(lambda) < -margin."""
-    eigs = quadrature_eigenvalues(m)
-    abscissa = float(np.max(eigs.real))
+    """
+    Stability verdict of a drift matrix, or of each matrix of a stack: its
+    eigenvalues (..., 2n), from the real quadrature_form, and stable iff every
+    Re(lambda) < -STABILITY_MARGIN.
+    """
+    eigs = numerics.eigenvalues(quadrature_form(m)).astype(complex)
+    abscissa = eigs.real.max(axis=-1)
     return StabilityVerdict(
         stable=abscissa < -STABILITY_MARGIN,
         spectral_abscissa=abscissa,
-        eigenvalues=tuple(eigs),
+        eigenvalues=eigs,
     )
 
 
 def require_stable(m) -> StabilityVerdict:
-    """check_stability that raises InstabilityError on an unstable matrix."""
+    """check_stability of one drift matrix that raises InstabilityError if it is unstable."""
     verdict = check_stability(m)
     if not verdict.stable:
         raise InstabilityError(verdict.spectral_abscissa)

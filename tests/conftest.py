@@ -1,12 +1,13 @@
 """Shared model builders for the test suite (frequencies in rad/s)."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import assume, settings, strategies as st
 
-from sasc import spectra
+from sasc import cli, spectra
 from sasc.cli import build_system, chain_system
 from sasc.model import (
     CouplingParams, ModeParams, SystemModel, Topology, build_drift_matrix, check_stability,
@@ -52,6 +53,42 @@ def make_three(kappa_m=1.0, kappa_c=1.0, delta_m=0.0, delta_c=0.0,
         ),
         temperature=temperature,
     )
+
+
+def system_block(model):
+    """The config 'system' block that cli.build_system turns back into `model`."""
+    return {
+        "topology": model.topology.value,
+        "modes": [dataclasses.asdict(mode) for mode in model.modes],
+        "couplings": [dataclasses.asdict(coupling) for coupling in model.couplings],
+        "temperature": model.temperature,
+    }
+
+
+def two_coupling_asymmetries(tmp_path, model, points):
+    """
+    (R_mb, R_bc) of a three-mode model over theta_m x theta_c, `points` phases in
+    [0, 2 pi] each, read back from the CSV of a `sasc asymmetry` run with
+    coupling_index [0, 1]; rows index theta_m, columns theta_c.
+    """
+    config = {"system": system_block(model),
+              "task": {"kind": "asymmetry", "coupling_index": [0, 1]},
+              "grid": {"min": 0.0, "max": 2.0 * np.pi, "points": points}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["asymmetry", "--config", str(path), "--out", str(tmp_path)]) == cli.EXIT_OK
+    lines = [line for line in (tmp_path / "asymmetry.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    columns = dict(zip(lines[0].split(","), np.loadtxt(lines[1:], delimiter=",", ndmin=2).T))
+    return tuple(columns[name].reshape(points, points) for name in ("R_mb", "R_bc"))
+
+
+def conjugation_permutation(n_modes):
+    """Index permutation swapping each (annihilation, creation) channel pair."""
+    perm = np.arange(2 * n_modes)
+    perm[0::2] += 1
+    perm[1::2] -= 1
+    return perm
 
 
 def make_comparison_pair():

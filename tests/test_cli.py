@@ -405,6 +405,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, config, message", [
         ("spectrum", {"system": du_system(), "task": {"kind": "spectrum"},
                       "grid": {"min": -1e300, "max": 1e300, "points": 5}}, "0/0"),
+        ("asymmetry", {"system": {**fmap_config()["system"], "couplings": [
+            {"magnitude": 0.0}, {"magnitude": 0.1}]}, "grid": {"min": 0.0, "max": 6.0, "points": 5},
+            "task": {"kind": "asymmetry", "coupling_index": [0, 1]}}, "0/0"),
         ("chain", {"system": du_system(), "task": {"kind": "chain", "chain": {
             "n_values": [2, 3, 4], "coupling": {"magnitude": 0.0}, "detuning": 0.0,
             "detuning_alt": 0.0, "kappa_high": 1.0, "kappa_low": 1e-4}}}, "strictly positive gains"),
@@ -416,8 +419,8 @@ class TestExitCodes:
         ("spectrum", {"system": du_system(magnitude=1e308), "task": {"kind": "spectrum"},
                       "grid": {"min": -1.0, "max": 1.0, "points": 5}},
          "quadrature form has non-finite entries"),
-    ], ids=["spectrum.zero_over_zero", "chain.zero_gain", "chain.unstable_lengths",
-            "chain.subnormal_gain", "spectrum.coupling_overflow"])
+    ], ids=["spectrum.zero_over_zero", "asymmetry.two_coupling_zero_over_zero", "chain.zero_gain",
+            "chain.unstable_lengths", "chain.subnormal_gain", "spectrum.coupling_overflow"])
     def test_failed_computations_exit_4(self, tmp_path, caplog, command, config, message):
         assert run_cli(tmp_path, command, config) == cli.EXIT_NUMERICAL
         assert "numerical failure: " in caplog.text and message in caplog.text

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    OMEGA_HIGH, OMEGA_LOW, TEMPERATURE, make_du, make_three, stable_chains, with_detunings,
-    with_phases,
+    OMEGA_HIGH, OMEGA_LOW, TEMPERATURE, conjugation_permutation, make_du, make_three,
+    stable_chains, with_detunings, with_phases,
 )
 from sasc.model import (
     STABILITY_MARGIN,
@@ -18,9 +18,7 @@ from sasc.model import (
     Topology,
     build_drift_matrix,
     check_stability,
-    conjugation_permutation,
     input_coupling_matrix,
-    quadrature_eigenvalues,
     quadrature_form,
     require_stable,
     solve_steady_state,
@@ -192,7 +190,7 @@ class TestQuadratureForm:
     def test_spectrum_and_verdict_match_the_complex_drift(self, model):
         m = build_drift_matrix(model)
         reference = np.linalg.eigvals(m)
-        eigs = quadrature_eigenvalues(m)
+        eigs = check_stability(m).eigenvalues
         tol = 1e-12 * max(1.0, np.abs(reference).max())
         # Each value is an eigenvalue of M to working precision: M - lambda I is singular.
         shifted = m - eigs[:, None, None] * np.eye(len(m))
@@ -234,10 +232,15 @@ class TestQuadratureForm:
         deltas = np.linspace(-1.0, 1.0, 5)
         model = make_three(magnitude_m=0.4, phase_m=0.7, phase_c=2.1)
         stack = build_drift_matrix(model, detunings=[(d, 1.0, -d) for d in deltas])
-        eigs = quadrature_eigenvalues(stack)
-        assert eigs.shape == (5, 6)
+        verdict = check_stability(stack)
+        assert verdict.eigenvalues.shape == (5, 6)
+        assert verdict.stable.shape == verdict.spectral_abscissa.shape == (5,)
+        assert 0 < verdict.stable.sum() < 5  # each matrix's own verdict, not one for the stack
         for point, drift in enumerate(stack):
-            assert np.array_equal(eigs[point], quadrature_eigenvalues(drift))
+            own = check_stability(drift)
+            assert np.array_equal(verdict.eigenvalues[point], own.eigenvalues)
+            assert verdict.spectral_abscissa[point] == own.spectral_abscissa
+            assert verdict.stable[point] == own.stable
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(model=drift_models(), data=st.data())
@@ -257,15 +260,15 @@ class TestQuadratureForm:
         with pytest.raises(ValueError, match="not a doubled-basis drift"):
             check_stability(broken)
         with pytest.raises(ValueError, match="not a doubled-basis drift"):
-            quadrature_eigenvalues(np.stack([m, broken]))
+            check_stability(np.stack([m, broken]))
 
     def test_generic_complex_matrix_and_odd_size_are_refused(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match="not a doubled-basis drift"):
-            quadrature_eigenvalues(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+            check_stability(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
         for shape in [(5, 5), (4, 6), (4,)]:
             with pytest.raises(ValueError, match="doubled-basis"):
-                quadrature_eigenvalues(np.zeros(shape))
+                check_stability(np.zeros(shape))
 
 
 class TestSteadyState:

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    OMEGA_HIGH, OMEGA_LOW, causal_grid, gamma_grid, make_chain, make_comparison_pair, make_du,
-    make_three, stable_chains, with_phases,
+    OMEGA_HIGH, OMEGA_LOW, causal_grid, conjugation_permutation, gamma_grid, make_chain,
+    make_comparison_pair, make_du, make_three, stable_chains, with_phases,
 )
 from sasc.model import (
     InstabilityError,
     build_drift_matrix,
-    conjugation_permutation,
     input_coupling_matrix,
 )
 from sasc import chain, metrics, numerics, spectra
