@@ -5,11 +5,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
-    make_comparison_pair, make_three, pole_centred_range, two_coupling_asymmetries,
+    make_comparison_pair, make_du, make_three, pole_centred_range, two_coupling_asymmetries,
     with_detunings,
 )
-from sasc.model import InstabilityError, build_drift_matrix, check_stability
-from sasc.numerics import SingularMatrixError
+from sasc.model import ConfigError, InstabilityError, build_drift_matrix, check_stability
+from sasc.numerics import NumericalError, SingularMatrixError
 from sasc import metrics, spectra
 
 
@@ -422,3 +422,23 @@ class TestIndependence:
         r_mb, r_bc = two_coupling_asymmetries(tmp_path, make_three(), 9)
         assert np.ptp(r_mb, axis=1).max() < 1e-9
         assert np.ptp(r_bc, axis=0).max() < 1e-9
+
+    def test_uncoupled_asymmetry_is_undefined(self):
+        # With no m-b coupling R_mb is 0/0 at every phase; R_bc stays defined.
+        thetas = np.linspace(0.0, 2.0 * np.pi, 5)
+        stacks = spectra.phase_grid(make_three(magnitude_m=0.0), spectra.resonance_probe_frequency(),
+                                    {0: thetas, 1: thetas})
+        mb, bc = spectra.ASYMMETRY_PAIRS["mb"], spectra.ASYMMETRY_PAIRS["bc"]
+        for gammas in stacks:
+            for leg in mb[:2]:
+                assert np.all(spectra.transmission(gammas, *leg) < 1e-300)
+            with pytest.raises(NumericalError, match="0/0"):
+                spectra.pair_asymmetry(gammas, mb)
+            assert np.all(np.isfinite(spectra.pair_asymmetry(gammas, bc)))
+
+    def test_requires_three_mode_topology(self):
+        # A two-mode model has one coupling and neither R_mb nor R_bc.
+        with pytest.raises(ConfigError, match="coupling_index 1 is out of range"):
+            spectra.phase_grid(make_du(), 0.5, {0: [0.0], 1: [0.0]})
+        with pytest.raises(ConfigError, match="'mb' is not defined"):
+            spectra.asymmetry_pair(make_du(), "mb")
