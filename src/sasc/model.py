@@ -18,11 +18,14 @@ import cmath
 import enum
 import functools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from . import numerics
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "Topology",

@@ -1,10 +1,11 @@
 """
 Dense linear-algebra and fitting kernel, and the numerical failure types.
 
-Solves and inverses of one complex matrix or a stack of them, and
+The checked inverse of one complex matrix or a stack of them (invert), and
 eigenvalues of a real or complex stack, are thin wrappers over LAPACK
-through numpy.linalg; a solve refuses a matrix whose reciprocal condition
-is below a fixed floor with SingularMatrixError, a NumericalError. Also:
+through numpy.linalg; invert refuses a matrix whose reciprocal condition
+is below a fixed floor with SingularMatrixError, a NumericalError, and a
+solve (lu_solve) is that inverse times the right-hand sides. Also:
 least-squares line fitting and a streaming Welch power-spectral-density
 estimate.
 """
@@ -13,10 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from numpy.typing import NDArray
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "NumericalError",
@@ -72,21 +75,15 @@ def _square_stack(a, dtype=complex) -> NDArray:
     return a
 
 
-def lu_solve(a, b) -> NDArray[np.complex128]:
+def invert(a) -> NDArray[np.complex128]:
     """
-    Solve A X = B for one (n, n) matrix or a (..., n, n) stack of them.
-
-    One LAPACK call (numpy.linalg.inv, getrf/getrs against the identity)
-    gives A^{-1}, which makes the singularity check exact: any matrix with
-    1-norm reciprocal condition 1 / (max(|A|_1, 1) |A^{-1}|_1) at or below
-    1e-13, or an exact zero pivot, raises SingularMatrixError. B is a
-    vector (n,), one (n, k) block shared by the whole stack, or a
-    (..., n, k) stack of the same leading shape as A.
+    Inverse of one complex (n, n) matrix or of each of a (..., n, n) stack: the
+    library's one checked primitive. One LAPACK call (numpy.linalg.inv) gives
+    A^{-1}, which makes the singularity check exact: any matrix with 1-norm
+    reciprocal condition 1 / (max(|A|_1, 1) |A^{-1}|_1) at or below 1e-13, or an
+    exact zero pivot, raises SingularMatrixError.
     """
     a = _square_stack(a)
-    b = np.asarray(b, dtype=complex)
-    if b.ndim > 2 and b.shape[:-2] != a.shape[:-2]:
-        raise ValueError(f"right-hand sides {b.shape} do not match the matrix stack {a.shape}")
     try:
         inverse = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
@@ -96,13 +93,22 @@ def lu_solve(a, b) -> NDArray[np.complex128]:
     if not rcond > _RCOND_FLOOR:
         # A non-finite inverse that LAPACK did not flag leaves the estimate NaN.
         raise SingularMatrixError(0.0 if math.isnan(rcond) else rcond)
+    return inverse
+
+
+def lu_solve(a, b) -> NDArray[np.complex128]:
+    """
+    Solve A X = B for one (n, n) matrix or a (..., n, n) stack of them, as
+    invert(A) @ B, so the same singularity check applies. B is a vector (n,),
+    one (n, k) block shared by the whole stack, or a (..., n, k) stack of the
+    same leading shape as A.
+    """
+    inverse = invert(a)
+    b = np.asarray(b, dtype=complex)
+    if b.ndim > 2 and b.shape[:-2] != inverse.shape[:-2]:
+        raise ValueError(
+            f"right-hand sides {b.shape} do not match the matrix stack {inverse.shape}")
     return inverse @ b
-
-
-def invert(a) -> NDArray[np.complex128]:
-    """Matrix inverse via lu_solve against the identity."""
-    a = np.asarray(a)
-    return lu_solve(a, np.eye(a.shape[-1], dtype=complex))
 
 
 def eigenvalues(a) -> NDArray:

@@ -34,9 +34,9 @@ never recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from . import numerics
 from .model import (
@@ -45,6 +45,9 @@ from .model import (
 )
 from .numerics import NumericalError, WelchEstimate
 from .spectra import occupations
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "OracleConfig",

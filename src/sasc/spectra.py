@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from . import numerics
 from .model import (
@@ -30,6 +30,9 @@ from .model import (
     input_coupling_matrix,
     require_stable,
 )
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "RESONANCE_PROBE_OFFSET",
@@ -97,23 +100,29 @@ def _input_output(model: SystemModel, diagonals) -> Iterator[NDArray[np.complex1
     return _resolvent_blocks(m, input_coupling_matrix(model), diagonals)
 
 
-#: Points per stacked solve: as many as fit in this many matrix entries (256 KB of
+#: Points per stacked inverse: as many as fit in this many matrix entries (256 KB of
 #: complex), but at least 16: 455 for a 6x6 three-mode system, 16 for an 80x80 chain.
+#: The f-map's pole-residue coarse scans block cells by their own budget (metrics._SCAN_ENTRIES).
 _BLOCK_ENTRIES = 128 * 128
 
 
 def _resolvent_blocks(drift, ell, diagonals, rows=slice(None)) -> Iterator[NDArray[np.complex128]]:
     """
     Rows `rows` of L (diag(d) - M)^{-1} L - I for the rows d of `diagonals`, one
-    stacked solve per block. `drift` is one M for every d, a stack of one M per d,
-    or a function called on each block's slice of d, in order, that builds its stack.
+    stacked checked inverse per block. `drift` is one M for every d, a stack of one
+    M per d, or a function called on each block's slice of d, in order, that builds
+    its stack. L is diagonal (input_coupling_matrix), so with l its diagonal the
+    rows are (A^{-1}[rows] * l) * l[rows] - I[rows]: the same bits as the two dense
+    products, each of whose entries has one nonzero term.
     """
     eye = np.eye(ell.shape[0])
+    l = ell.diagonal()
     step = max(16, _BLOCK_ENTRIES // len(ell) ** 2)
     for start in range(0, len(diagonals), step):
         block = slice(start, start + step)
         m = drift(block) if callable(drift) else drift if drift.ndim == 2 else drift[block]
-        yield ell[rows] @ numerics.lu_solve(diagonals[block, :, None] * eye - m, ell) - eye[rows]
+        inverse = numerics.invert(diagonals[block, :, None] * eye - m)
+        yield (inverse[..., rows, :] * l) * l[rows, None] - eye[rows]
 
 
 def phase_grid(
@@ -330,7 +339,10 @@ class SnrSolver:
         s = self.signal_port
         s_ap = np.abs(c[..., 2 * s] + c[..., 2 * s + 1]) ** 2
         mags = np.abs(c) ** 2
-        noise = np.sum((mags[..., 0::2] + mags[..., 1::2]) * self.weights, axis=-1)
+        # Summed mode by mode: numpy's reduction over a short last axis is slow.
+        noise = (mags[..., 0] + mags[..., 1]) * self.weights[0]
+        for j in range(1, len(self.weights)):
+            noise += (mags[..., 2 * j] + mags[..., 2 * j + 1]) * self.weights[j]
         return s_ap, np.where(noise > 0.0, s_ap / np.where(noise > 0.0, noise, 1.0), 0.0)
 
 

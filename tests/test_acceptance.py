@@ -164,10 +164,11 @@ def test_criterion_4_independence_regression(tmp_path, capsys):
     # The two-coupling table of `sasc asymmetry`, as fig3 writes it, at the probe frequency.
     r_mb, _ = two_coupling_asymmetries(tmp_path, make_three(), 13)
     value = float(np.ptp(r_mb, axis=1).max())
-    ok = value <= PINNED_CROSS_VARIATION + 1e-6
+    # Gated at TestIndependence's bound, 1e-9; the pin is reported beside it.
+    ok = value <= 1e-9
     report(4, ok,
            f"cross-variation of first asymmetry over the second phase:"
-           f" {value:.3e} (pin {PINNED_CROSS_VARIATION:.3e} + 1e-6)", capsys)
+           f" {value:.3e} (pin {PINNED_CROSS_VARIATION:.3e}; gate 1e-9)", capsys)
 
 
 def test_criterion_5_scheme_comparison_map(capsys):

@@ -56,6 +56,7 @@ def test_unstable_model_is_rejected(monkeypatch, entry):
     def no_solve(*args):
         raise AssertionError("a resolvent was solved before the stability gate")
 
+    monkeypatch.setattr(numerics, "invert", no_solve)
     monkeypatch.setattr(numerics, "lu_solve", no_solve)
     with pytest.raises(InstabilityError):
         entry(make_du(delta_a=-1.0, kappa_a=0.1, magnitude=0.5))
@@ -121,6 +122,91 @@ class TestStackedTransferMatrices:
             assert np.max(np.abs(gamma - pointwise)) <= bound * scale
             assert np.max(np.abs(gamma - reference)) <= bound * scale
             assert TestBosonicIdentity.scaled_residual(gamma, model.n_modes) <= bound
+
+
+class TestExactPathBits:
+    """
+    Resolvent blocks read Gamma's rows through the diagonal L; they must keep the
+    bits of the dense products L[rows] (A^{-1} L) - I[rows], whatever feeds the
+    drift and however the grid is blocked.
+    """
+
+    MODELS = pytest.mark.parametrize("model", [
+        make_du(), make_three(delta_m=0.3, delta_c=-0.2, phase_m=0.4, phase_c=1.9), make_chain(12),
+    ], ids=["du", "three", "chain12"])
+    #: Blocks of the default size, and of the least (16 points: three blocks of 40).
+    BLOCKS = pytest.mark.parametrize("entries", [spectra._BLOCK_ENTRIES, 0],
+                                     ids=["default", "least"])
+    OMEGAS = np.linspace(-2.9, 2.9, 40)
+    THETAS = np.linspace(0.0, 2.0 * np.pi, 40)
+
+    @staticmethod
+    def dense(model, omegas, drifts, rows):
+        lam = np.tile([-1.0, 1.0], model.n_modes)
+        ell = input_coupling_matrix(model)
+        eye = np.eye(len(ell))
+        a = 1j * np.multiply.outer(omegas, lam)[:, :, None] * eye - drifts
+        return ell[rows] @ numerics.lu_solve(a, ell) - eye[rows]
+
+    @staticmethod
+    def readout(model):
+        return slice(2 * model.n_modes - 2, 2 * model.n_modes)
+
+    @MODELS
+    @BLOCKS
+    def test_single_drift_and_stack(self, monkeypatch, model, entries):
+        monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", entries)
+        ell = input_coupling_matrix(model)
+        diagonals = 1j * np.multiply.outer(self.OMEGAS, np.tile([-1.0, 1.0], model.n_modes))
+        single = build_drift_matrix(model)
+        stack = np.array([build_drift_matrix(with_phases(model, {0: t})) for t in self.THETAS])
+        for drift in (single, stack):
+            for rows in (slice(None), self.readout(model)):
+                blocks = list(spectra._resolvent_blocks(drift, ell, diagonals, rows))
+                assert entries or len(blocks) == 3
+                assert np.array_equal(np.concatenate(blocks),
+                                      self.dense(model, self.OMEGAS, drift, rows))
+
+    @MODELS
+    @BLOCKS
+    @pytest.mark.parametrize("omega", [-1.3, 0.2, 2.4])
+    def test_phase_grid_callable(self, monkeypatch, model, entries, omega):
+        monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", entries)
+        blocks = spectra._resolvent_blocks
+        drifts = np.array([build_drift_matrix(with_phases(model, {0: t})) for t in self.THETAS])
+        omegas = np.full(len(self.THETAS), omega)
+        for rows in (slice(None), self.readout(model)):
+            # phase_grid hands its own drift callable to the blocks, here asked for `rows`.
+            monkeypatch.setattr(spectra, "_resolvent_blocks", lambda drift, ell, diagonals, rows=rows:
+                                blocks(drift, ell, diagonals, rows))
+            gammas = np.concatenate(list(spectra.phase_grid(model, omega, {0: self.THETAS})))
+            assert np.array_equal(gammas, self.dense(model, omegas, drifts, rows))
+
+    @MODELS
+    def test_mode_sum_matches_numpy(self, model):
+        # from_coefficients sums the noise mode by mode; numpy's pairwise sum may take another
+        # order from three modes on, so only two modes must keep its bits.
+        solver = spectra.SnrSolver(model)
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal((7, 401, 2 * model.n_modes, 2)) @ [1.0, 1j]
+        s_ap, snr = solver.from_coefficients(c)
+        mags = np.abs(c) ** 2
+        noise = np.sum((mags[..., 0::2] + mags[..., 1::2]) * solver.weights, axis=-1)
+        if model.n_modes == 2:
+            assert np.array_equal(snr, s_ap / noise)
+        np.testing.assert_allclose(snr, s_ap / noise, rtol=2 * model.n_modes * np.finfo(float).eps)
+
+    def test_f_map_ignores_the_scan_block(self, monkeypatch):
+        cs, ics = make_comparison_pair()
+        cfg = metrics.ComparisonConfig(cs_model=cs, ics_model=ics)
+        deltas = np.linspace(-0.8, 0.8, 9)
+        maps = []
+        for entries in (1, metrics._SCAN_ENTRIES, 81 * metrics._SNR_SCAN_POINTS * 6):
+            monkeypatch.setattr(metrics, "_SCAN_ENTRIES", entries)  # one cell, default, all cells
+            maps.append(metrics.f_map(cfg, deltas, deltas))
+        for result in maps[1:]:
+            assert np.array_equal(result.values, maps[0].values)
+            assert result.metadata == maps[0].metadata and result.scan == maps[0].scan
 
 
 class TestPhaseGrid:
