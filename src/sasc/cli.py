@@ -18,6 +18,7 @@ failure, 5 oracle-comparison failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import importlib.resources
@@ -51,8 +52,12 @@ EXIT_INSTABILITY = 3
 EXIT_NUMERICAL = 4
 EXIT_ORACLE = 5
 
-_DEFAULT_HIGH_FREQUENCY = 2.0 * np.pi * 10e9
-_DEFAULT_LOW_FREQUENCY = 2.0 * np.pi * 10e6
+#: A mode entry's defaults by role, high (even index) then low; its other keys are
+#: ModeParams fields without a default.
+_ROLE_DEFAULTS = (
+    {"absolute_frequency": 2.0 * np.pi * 10e9, "detuning": 0.0},
+    {"absolute_frequency": 2.0 * np.pi * 10e6, "detuning": 1.0},
+)
 
 
 class OracleComparisonError(Exception):
@@ -207,35 +212,27 @@ def canonical_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _set_keys(block: dict, *keys: str) -> dict:
+    """The `keys` that `block` sets, for a library parameter that owns their defaults."""
+    return {key: block[key] for key in keys if key in block}
+
+
 def build_system(block: dict) -> SystemModel:
     """SystemModel from the config 'system' block (ω_b units)."""
-    topology = Topology(block["topology"])
     modes = []
     for i, entry in enumerate(block["modes"]):
-        high = i % 2 == 0
-        if not high and entry.get("detuning", 1.0) != 1.0:
+        params = {**_ROLE_DEFAULTS[i % 2], **entry}
+        if i % 2 and params["detuning"] != 1.0:
             raise ConfigError(
                 f"modes.{i}.detuning: a low mode's detuning is its frequency, which"
-                f" is 1 in low-mode units (got {entry['detuning']})"
+                f" is 1 in low-mode units (got {params['detuning']})"
             )
-        default_freq = _DEFAULT_HIGH_FREQUENCY if high else _DEFAULT_LOW_FREQUENCY
-        modes.append(
-            ModeParams(
-                label=entry["label"],
-                absolute_frequency=entry.get("absolute_frequency", default_freq),
-                kappa=entry["kappa"],
-                detuning=entry.get("detuning", 0.0 if high else 1.0),
-            )
-        )
-    couplings = [
-        CouplingParams(magnitude=c["magnitude"], phase=c.get("phase", 0.0))
-        for c in block["couplings"]
-    ]
+        modes.append(ModeParams(**params))
     return SystemModel(
-        topology=topology,
+        topology=Topology(block["topology"]),
         modes=tuple(modes),
-        couplings=tuple(couplings),
-        temperature=block.get("temperature", 0.0),
+        couplings=tuple(CouplingParams(**c) for c in block["couplings"]),
+        **_set_keys(block, "temperature"),
     )
 
 
@@ -355,38 +352,21 @@ def run_snr(config: dict, outdir: Path, fmt: str) -> None:
     model = build_system(config["system"])
     task = config.get("task", {})
     omegas = _grid(config)
-    s_ap, snr = spectra.snr_spectrum(model, omegas, task.get("signal_port", 0),
-                                     task.get("readout_port"), task.get("psi", 0.0))
+    s_ap, snr = spectra.snr_spectrum(model, omegas,
+                                     **_set_keys(task, "signal_port", "readout_port", "psi"))
     columns = {"omega": omegas, "S_AP": s_ap, "S_SNR": snr}
     _write_table(outdir, _basename(config, "snr"), fmt, _metadata(config), columns)
-
-
-def _comparison_config(config: dict):
-    """The fmap task's metrics.ComparisonConfig."""
-    from . import metrics
-    task = config.get("task", {})
-    if "ics" not in task:
-        raise ConfigError("fmap task requires an 'ics' baseline system block")
-    cs_model = build_system(config["system"])
-    ics_model = build_system(task["ics"])
-    if cs_model.n_modes != 3:
-        raise ConfigError(
-            f"fmap tunes the detunings of a three-mode system; this one has {cs_model.n_modes}"
-        )
-    return metrics.ComparisonConfig(
-        cs_model=cs_model,
-        ics_model=ics_model,
-        omega_range=tuple(task.get("omega_range", (-3.0, 3.0))),
-        signal_port=task.get("signal_port", 0),
-        readout_port=task.get("readout_port"),
-        psi=task.get("psi", 0.0),
-    )
 
 
 def run_fmap(config: dict, outdir: Path, fmt: str) -> None:
     from . import metrics
     task = config.get("task", {})
-    cfg = _comparison_config(config)
+    if "ics" not in task:
+        raise ConfigError("fmap task requires an 'ics' baseline system block")
+    cfg = metrics.ComparisonConfig(
+        build_system(config["system"]), build_system(task["ics"]),
+        **_set_keys(task, "omega_range", "signal_port", "readout_port", "psi"),
+    )
     lo = task.get("delta_min", -2.0)
     hi = task.get("delta_max", 2.0)
     points = task.get("delta_points", 41)
@@ -452,11 +432,7 @@ def run_oracle(config: dict, outdir: Path, fmt: str) -> None:
     report = oracle.compare(run, predicted)
     meta = _metadata(config, {"n_segments": run.n_segments})
     base = _basename(config, "oracle")
-    _write_json(outdir / f"{base}.json", meta, {
-        "fraction_within": report.fraction_within,
-        "n_bins": report.n_bins,
-        "max_abs_z": report.max_abs_z,
-    })
+    _write_json(outdir / f"{base}.json", meta, dataclasses.asdict(report))
     if report.fraction_within < threshold:
         raise OracleComparisonError(
             f"only {report.fraction_within:.4f} of bins within 3 standard errors"
@@ -475,13 +451,7 @@ def run_optimize(config: dict, outdir: Path, fmt: str) -> None:
     meta = _metadata(config, {"omega": omega})
     base = _basename(config, "optimize")
     _write_json(outdir / f"{base}.json", meta, {
-        "which": which,
-        "target": result.target,
-        "theta": result.theta,
-        "achieved": result.achieved,
-        "residual": result.residual,
-        "hit_extreme": result.hit_extreme,
-    })
+        **dataclasses.asdict(result), "which": which, "hit_extreme": result.hit_extreme})
 
 
 _TASK_RUNNERS = {

@@ -221,7 +221,7 @@ def _search_snr(solver: SnrSolver, drifts, omega_range):
 
 @dataclass(frozen=True)
 class ComparisonConfig:
-    """A tunable scheme model against a fixed baseline scheme model."""
+    """A tunable three-mode scheme model against a fixed baseline scheme model."""
 
     cs_model: SystemModel
     ics_model: SystemModel
@@ -229,6 +229,12 @@ class ComparisonConfig:
     signal_port: int = 0
     readout_port: int | None = None
     psi: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "omega_range", tuple(self.omega_range))
+        if self.cs_model.n_modes != 3:
+            raise ConfigError(f"fmap tunes the detunings of a three-mode system;"
+                              f" this one has {self.cs_model.n_modes}")
 
 
 def _baseline_max(cfg: ComparisonConfig, ics_max: float | None = None) -> float:

@@ -161,7 +161,7 @@ def simulate(cfg: OracleConfig) -> WelchEstimate:
 
     Every ensemble member draws its noise from a seed derived as
     (seed, member_index), so results are independent of evaluation order.
-    A non-finite state aborts the run.
+    A non-finite state or Welch estimate aborts the run.
     """
     model = cfg.model
     drift = build_drift_matrix(model)
@@ -199,16 +199,21 @@ def simulate(cfg: OracleConfig) -> WelchEstimate:
     work = (np.empty((cfg.ensemble * n_blocks, maps[0].shape[1])),
             np.empty((n_blocks + 1, cfg.ensemble, n2)),
             np.empty((cfg.ensemble, n_blocks, 2 * _BLOCK)))
-    for done in range(0, total_steps, _CHUNK):
-        for member, rng in enumerate(rngs):
-            rng.standard_normal(out=draws[member])
-        z, ports = _advance(z, draws.reshape(cfg.ensemble, n_blocks, -1), maps, work)
-        if not np.all(np.isfinite(z)):
-            raise NumericalError("trajectory diverged (non-finite state)")
-        # Neither burn-in steps nor the steps past total_steps are recorded.
-        welch.add(ports[:, max(burn_in - done, 0):total_steps - done])
-
-    return welch.result()
+    # An overflow shows as a non-finite state or estimate, each checked, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for done in range(0, total_steps, _CHUNK):
+            for member, rng in enumerate(rngs):
+                rng.standard_normal(out=draws[member])
+            z, ports = _advance(z, draws.reshape(cfg.ensemble, n_blocks, -1), maps, work)
+            if not np.all(np.isfinite(z)):
+                raise NumericalError("trajectory diverged (non-finite state)")
+            # Neither burn-in steps nor the steps past total_steps are recorded.
+            welch.add(ports[:, max(burn_in - done, 0):total_steps - done])
+        estimate = welch.result()
+    if not (np.all(np.isfinite(estimate.psd)) and np.all(np.isfinite(estimate.stderr))):
+        raise NumericalError("Welch estimate is not finite: the PSD or its standard error"
+                             " overflowed")
+    return estimate
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
@@ -242,10 +243,13 @@ def asymmetry_pair(model: SystemModel, which: str) -> tuple[Leg, Leg, int]:
 #: Exact SI values (2019 redefinition): reduced Planck constant and Boltzmann constant.
 _HBAR = 6.62607015e-34 / (2 * math.pi)
 _K_B = 1.380649e-23
+#: The largest occupation taken: the noise power and the Welch variance are quadratic in n.
+_MAX_OCCUPATION = math.sqrt(sys.float_info.max)
 
 
 def thermal_occupation(absolute_frequency: float, temperature: float) -> float:
-    """Bose-Einstein occupation 1/(exp(hbar w / kB T) - 1), 0 at T=0; ConfigError if unusable or infinite."""
+    """Bose-Einstein occupation 1/(exp(hbar w / kB T) - 1), 0 at T=0; ConfigError if
+    unusable, or if n is infinite or above _MAX_OCCUPATION, so that n^2 is finite."""
     if absolute_frequency <= 0:
         raise ConfigError("absolute_frequency must be positive")
     if temperature < 0:
@@ -256,9 +260,10 @@ def thermal_occupation(absolute_frequency: float, temperature: float) -> float:
     if x > 700.0:
         return 0.0
     occupation = 1.0 / math.expm1(x) if x > 0.0 else math.inf
-    if not math.isfinite(occupation):
+    if not occupation <= _MAX_OCCUPATION:
         raise ConfigError(f"thermal occupation is not finite at absolute_frequency"
-                          f" {absolute_frequency:g} and temperature {temperature:g}")
+                          f" {absolute_frequency:g} and temperature {temperature:g}, or its"
+                          f" square is not: n = {occupation:.3g} > {_MAX_OCCUPATION:.3g}")
     return occupation
 
 

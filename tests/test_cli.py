@@ -159,6 +159,17 @@ class TestConfigValidation:
         assert run_cli(tmp_path, "chain", config) == cli.EXIT_CONFIG
         assert "config invalid at $.task.chain.n_values" in caplog.text
 
+    def test_schema_mode_and_coupling_keys_are_dataclass_fields(self):
+        # build_system passes each entry's keys as fields, so a config that passes the
+        # closed schema never meets a TypeError.
+        from dataclasses import fields
+        from sasc.model import CouplingParams, ModeParams
+
+        defs = cli._load_schema()["$defs"]
+        mode_keys = defs["system"]["properties"]["modes"]["items"]["properties"]
+        assert set(mode_keys) == {f.name for f in fields(ModeParams)}
+        assert set(defs["coupling"]["properties"]) == {f.name for f in fields(CouplingParams)}
+
     def test_low_mode_detuning_is_fixed_at_one(self, tmp_path):
         system = du_system()
         system["modes"][1]["detuning"] = 1.3
@@ -178,16 +189,31 @@ class TestConfigValidation:
                        "task": {"kind": "asymmetry", "coupling_index": [0, 2]}}),
         ("asymmetry", {"system": chain_system(4), "grid": {"min": 0.0, "max": 6.0, "points": 5},
                        "task": {"kind": "asymmetry", "coupling_index": [1, 2]}}),
-        *[(command, hot_low_mode_config(command, a, t)) for a, t in ((1e-300, 1e300), (1e-260, 1e40))
+        *[(command, hot_low_mode_config(command, a, t))
+          for a, t in ((1e-300, 1e300), (1e-260, 1e40), (1e-250, 7.64e44))
           for command in ("snr", "spectrum", "oracle")],
     ], ids=["fmap.delta_max", "fmap.two_mode_system", "fmap.readout_port_beyond_ics",
             "oracle.n_steps", "asymmetry.repeated_coupling", "asymmetry.coupling_out_of_range",
             "asymmetry.shared_high_mode",
-            *[f"{command}.occupation_{kind}" for kind in ("underflow", "overflow")
+            *[f"{command}.occupation_{kind}" for kind in ("underflow", "overflow", "huge")
               for command in ("snr", "spectrum", "oracle")]])
     def test_inconsistent_task_values_are_config_errors(self, tmp_path, caplog, command, config):
         assert run_cli(tmp_path, command, config) == cli.EXIT_CONFIG
         assert "config error" in caplog.text
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("command, config, extra, message", [
+        ("spectrum", {"system": du_system(), "task": {"kind": "spectrum"}}, ("--set", "grid.points"),
+         "--set expects key=value, got 'grid.points'"),
+        ("fmap", {**fmap_config(), "task": {"kind": "fmap"}}, (),
+         "fmap task requires an 'ics' baseline system block"),
+        ("chain", {"system": du_system(), "task": {"kind": "chain"}}, (),
+         "chain task requires a 'chain' block"),
+    ], ids=["set_without_equals", "fmap.ics", "chain.chain"])
+    def test_missing_inputs_are_config_errors(self, tmp_path, caplog, command, config, extra,
+                                              message):
+        assert run_cli(tmp_path, command, config, extra) == cli.EXIT_CONFIG
+        assert f"config error: {message}" in caplog.text
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("command, setting", [
@@ -490,6 +516,13 @@ class TestSpectrumRuns:
         assert f"# config_hash: {cli.canonical_hash(config)}" not in text
         assert '"kappa": 2.0' in text
 
+    def test_set_value_that_is_not_json_is_a_string(self, tmp_path):
+        config = {"system": du_system(), "task": {"kind": "spectrum"},
+                  "grid": {"min": -1.0, "max": 1.0, "points": 5}}
+        assert run_cli(tmp_path, "spectrum", config,
+                       ("--set", "output.basename=run1")) == cli.EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run1.csv"]
+
     def test_output_port_column_is_last(self, tmp_path):
         config = {"system": du_system(), "task": {"kind": "spectrum", "include_output_port": 1},
                   "grid": {"min": -1.0, "max": 1.0, "points": 5}}
@@ -609,6 +642,35 @@ class TestOtherTasks:
         assert header == "delta_c,delta_m,lg_f"
         data = [l for l in lines if not l.startswith(("#", "delta"))]
         assert len(data) == 9
+
+
+    @pytest.mark.parametrize("magnitude_c", [0.1, 0.0], ids=["coupled", "c_uncoupled"])
+    def test_fmap_json_payload(self, tmp_path, magnitude_c):
+        # With mode c uncoupled no signal reaches the readout port c: f = 0 in every cell.
+        config = fmap_config()
+        config["system"]["couplings"][1]["magnitude"] = magnitude_c
+        assert run_cli(tmp_path, "fmap", config, ("--format", "json")) == cli.EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "fmap.json"]
+        data = json.loads((tmp_path / "fmap.json").read_text())["data"]
+        assert data["delta_c"] == data["delta_m"] == [-0.5, 0.0, 0.5]
+        f = np.array(data["f"])
+        assert f.shape == (3, 3)
+        assert np.all(f > 0.0) if magnitude_c else np.all(f == 0.0)
+        assert [[v is None for v in row] for row in data["lg_f"]] == (f <= 0.0).tolist()
+        lg = [v for row in data["lg_f"] for v in row if v is not None]
+        assert lg == np.log10(f[f > 0.0]).tolist()
+
+    def test_chain_json_holds_the_csv_runs_fit(self, tmp_path):
+        config = {"system": du_system(), "task": {"kind": "chain", "chain": {
+            **CHAIN_BLOCK, "n_values": [2, 3, 4]}}}
+        path = write_config(tmp_path / "config.json", config)
+        for fmt in ("csv", "json"):
+            out = ["chain", "--config", path, "--out", str(tmp_path / fmt), "--format", fmt]
+            assert cli.main(out) == cli.EXIT_OK
+        assert [p.name for p in (tmp_path / "json").iterdir()] == ["chain.json"]
+        fits = [json.loads((tmp_path / fmt / name).read_text())["fit"]
+                for fmt, name in (("json", "chain.json"), ("csv", "chain_fit.json"))]
+        assert fits[0] == fits[1]
 
 
 class TestOracleTask:

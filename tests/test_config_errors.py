@@ -15,6 +15,9 @@ from sasc.model import (
 from sasc.numerics import NumericalError
 
 DU = make_du()
+CS, ICS = make_comparison_pair()
+#: The message of a two-mode tunable scheme, whose detunings f_map cannot tune.
+TWO_MODE_FMAP = "fmap tunes the detunings of a three-mode system; this one has 2"
 HIGH, LOW = ModeParams("a", OMEGA_HIGH, 0.2, 0.0), ModeParams("b", OMEGA_LOW, 0.01, 1.0)
 
 
@@ -69,6 +72,10 @@ CHECKS = {
         lambda: spectra.thermal_occupation(1e-300, 1e300), "thermal occupation is not finite"),
     "thermal_occupation.overflow": (
         lambda: spectra.thermal_occupation(1e-260, 1e40), "thermal occupation is not finite"),
+    "thermal_occupation.square_overflow": (
+        # n = 1.0e306 is finite, but n^2, the order of the Welch variance, is not.
+        lambda: spectra.thermal_occupation(1e-250, 7.64e44),
+        r"thermal occupation is not finite .* n = 1e\+306"),
     "asymmetry_pair.which": (
         lambda: spectra.asymmetry_pair(DU, "mb"), "'mb' is not defined for this du system"),
     "find_phase_for_target_R.target": (
@@ -77,6 +84,12 @@ CHECKS = {
         lambda: solve_steady_state(BareDriveParams(0.1 * OMEGA_LOW, 0.2 * OMEGA_LOW,
                                                    OMEGA_HIGH - OMEGA_LOW), (HIGH, LOW), 2),
         "branch_index 2 out of range for 1 branches"),
+    "ComparisonConfig.mode_count": (
+        lambda: metrics.ComparisonConfig(DU, ICS), TWO_MODE_FMAP),
+    "f_factor.mode_count": (
+        lambda: metrics.f_factor(metrics.ComparisonConfig(DU, ICS)), TWO_MODE_FMAP),
+    "f_map.mode_count": (
+        lambda: metrics.f_map(metrics.ComparisonConfig(DU, ICS), [0.0], [0.0]), TWO_MODE_FMAP),
     "max_snr_over_omega.omega_range": (
         lambda: metrics.max_snr_over_omega(DU, (3.0, -3.0)), "must be increasing"),
     "search_snr.nothing_to_search": (
@@ -106,8 +119,6 @@ def chains(**block):
     """The 2-, 3- and 4-mode chains of CHAIN_BLOCK, `block` keys overriding it."""
     return [make_chain(n, kappa_low=1e-4, **block) for n in (2, 3, 4)]
 
-
-CS, ICS = make_comparison_pair()
 
 #: (call, message pattern) of each numerical failure that needs no patched library.
 FAILURES = {
@@ -139,6 +150,12 @@ FAILURES = {
         lambda: check_stability(build_drift_matrix(make_du(magnitude=1e308))),
         "quadrature form has non-finite entries"),
     "simulate.dt": (lambda: oracle.simulate(oracle_config(dt=0.5)), "too large for spectral radius"),
+    "simulate.welch_overflow": (
+        # At 4.8e146 K the low mode's n is 1.0e150: the run stays finite, but two
+        # 16384-sample segments' periodogram variance overflows.
+        lambda: oracle.simulate(oracle_config(model=make_du(temperature=4.8e146), port=1,
+                                              segment_length=16384, n_steps=24576)),
+        "Welch estimate is not finite"),
     "solve_steady_state.no_branch": (
         # kappa_a^2 / 4 underflows, so with no detuning or coupling the cubic has no root.
         lambda: solve_steady_state(BareDriveParams(0.0, OMEGA_LOW, OMEGA_HIGH),

@@ -161,6 +161,13 @@ class TestFFactor:
         cfg = metrics.ComparisonConfig(cs_model=ics, ics_model=ics)
         assert metrics.f_factor(cfg) == pytest.approx(1.0, rel=1e-12)
 
+    def test_omega_range_is_stored_as_a_tuple(self):
+        # So a config's JSON list and the default compare, hash and print alike.
+        cs, ics = make_comparison_pair()
+        cfg = metrics.ComparisonConfig(cs, ics, omega_range=[-2.0, 2.0])
+        assert cfg.omega_range == (-2.0, 2.0)
+        hash(cfg)
+
     def test_detuning_overrides_change_the_ratio(self):
         cs, ics = make_comparison_pair()
         cfg = metrics.ComparisonConfig(cs_model=cs, ics_model=ics)
