@@ -236,10 +236,11 @@ def build_system(block: dict) -> SystemModel:
     )
 
 
-def chain_system(block: dict, n_modes: int, temperature: float) -> dict:
+def chain_system(block: dict, n_modes: int, **system) -> dict:
     """
     The 'system' block of the chain task's n-mode chain: modes h0, l0, h1, ...,
-    high-mode detunings alternating detuning, detuning_alt per unit, one coupling.
+    high-mode detunings alternating detuning, detuning_alt per unit, one coupling,
+    and the other system keys given (temperature).
     """
     modes = [
         {"label": f"h{i // 2}", "kappa": block["kappa_high"],
@@ -248,7 +249,7 @@ def chain_system(block: dict, n_modes: int, temperature: float) -> dict:
         for i in range(n_modes)
     ]
     return {"topology": "chain", "modes": modes,
-            "couplings": [block["coupling"]] * (n_modes - 1), "temperature": temperature}
+            "couplings": [block["coupling"]] * (n_modes - 1), **system}
 
 
 def _metadata(config: dict, extra: dict | None = None) -> dict:
@@ -403,9 +404,9 @@ def run_chain(config: dict, outdir: Path, fmt: str) -> None:
     block = task.get("chain")
     if block is None:
         raise ConfigError("chain task requires a 'chain' block")
-    temperature = config["system"].get("temperature", 0.0)
+    system = _set_keys(config["system"], "temperature")
     # A generator: each length is built as the fit reaches it and dropped after it.
-    models = (build_system(chain_system(block, n, temperature)) for n in block["n_values"])
+    models = (build_system(chain_system(block, n, **system)) for n in block["n_values"])
     omega = block.get("omega", 0.3)
     report = chain.scaling_fit(models, omega)
     meta = _metadata(config, {"omega": omega})

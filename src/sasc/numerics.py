@@ -36,8 +36,9 @@ __all__ = [
 ]
 
 _RCOND_FLOOR = 1e-13
-#: Complex entries per windowed batch of series of a Welch segment (2 MB), or one series if larger.
-_WELCH_BATCH_ENTRIES = 1 << 17
+#: Complex entries per windowed batch of series of a Welch segment (1 MB), or one series if
+#: larger; the oracle integrates its ensemble in groups of this many series.
+_WELCH_BATCH_ENTRIES = 1 << 16
 
 
 class NumericalError(ValueError):
@@ -176,6 +177,7 @@ class WelchAccumulator:
     per-bin mean and sum of squared deviations (Chan, Golub & LeVeque,
     Am. Stat. 37, 242 (1983)) and dropped. Segments fold the same way
     however the input is chunked, so the estimate is bit-identical too.
+    `merge` folds in another accumulator's statistics by the same update.
     """
 
     def __init__(self, dt: float, segment_length: int, overlap: float = 0.5):
@@ -231,19 +233,30 @@ class WelchAccumulator:
             np.fft.fft(work, out=work)
             power = np.abs(work, out=self._power[: len(block)])
             power *= power
-            self._merge(power)
+            mean = power.mean(axis=0)
+            power -= mean
+            power *= power
+            self._merge(len(power), mean, power.sum(axis=0))
 
-    def _merge(self, power: NDArray[np.float64]) -> None:
-        """Fold in a (count, segment_length) batch of periodograms, overwriting it."""
-        count = len(power)
-        mean = power.mean(axis=0)
+    def _merge(self, count: int, mean, m2) -> None:
+        """Chan's update: fold in `count` periodograms of per-bin mean and squared deviations m2."""
         delta = mean - self._mean
         total = self._count + count
-        power -= mean
-        power *= power
         self._mean += delta * (count / total)
-        self._m2 += power.sum(axis=0) + delta**2 * (self._count * count / total)
+        self._m2 += m2 + delta**2 * (self._count * count / total)
         self._count = total
+
+    def merge(self, other: WelchAccumulator) -> None:
+        """
+        Fold in the complete segments of another accumulator of the same dt,
+        segment_length and overlap, as if its series had been added to this
+        one; samples pending in its ring are dropped.
+        """
+        if (other._dt, other._length, other._step) != (self._dt, self._length, self._step):
+            raise ValueError("can only merge Welch accumulators of the same dt, segment_length"
+                             " and overlap")
+        if other._count:
+            self._merge(other._count, other._mean, other._m2)
 
     def result(self) -> WelchEstimate:
         """The estimate over every complete segment added so far, omega ascending."""

@@ -5,13 +5,17 @@ Integrates the linearized Langevin system dz = M z dt + L dW with
 synthesized Gaussian noise and estimates the output power spectrum of one
 port via Welch averaging, for cross-checking the frequency-domain
 pipeline. The state is real: the quadratures (x, p) of every mode, a =
-(x + i p) / sqrt 2, under M's real quadrature form R. The Welch estimate is
-accumulated chunk by chunk as the port is recorded, so no output record is
-kept: memory is O(ensemble x (chunk x 2N + segment_length)), whatever
-n_steps and overlap. The noise is a classical circular surrogate whose
-symmetrized second moments match the quantum input correlators; this is
-exact for every quantity computed here (all are symmetrized second
-moments of a linear system) but is not a full quantum simulation.
+(x + i p) / sqrt 2, under M's real quadrature form R. The ensemble runs in
+groups of members, one group after another through the whole run, each
+with its own generators, buffers and Welch accumulator, which is merged
+into the estimate when the group ends. A group's estimate is accumulated
+chunk by chunk as the port is recorded, so no output record is kept:
+memory is O(group x (chunk x 2N + segment_length)), group = 2^16 /
+segment_length members, whatever the ensemble, n_steps and overlap. The
+noise is a classical circular surrogate whose symmetrized second moments
+match the quantum input correlators; this is exact for every quantity
+computed here (all are symmetrized second moments of a linear system) but
+is not a full quantum simulation.
 
 The integrator is the drift-implicit Euler-Maruyama step
 z_{k+1} = A z_k + B xi_k with A = (I - dt R)^{-1} and B = A L dt; the
@@ -22,13 +26,13 @@ advanced _BLOCK steps per block,
     z_{k+j} = A^j z_k + sum_{i<j} A^{j-1-i} B xi_{k+i},
 
 so a chunk of steps costs one matrix product for every block's noise
-response, one small product per block to carry the state, and one more
-for the carried states' share of the recorded port. The products write
-into buffers that simulate allocates once per run and every chunk reuses;
-the carried states are stored time-major, (blocks + 1, ensemble, 2N), so
-each carry writes one contiguous row in place. Every chunk is a whole
-_CHUNK steps: those past burn_in + n_steps are drawn and advanced but
-never recorded.
+response, a doubling scan that carries the state across the blocks in
+log2(blocks + 1) products by P = A^_BLOCK, P^2, P^4, ..., and one more
+product for the carried states' share of the recorded port. The products
+write into buffers that each group allocates once and every chunk reuses;
+the carried states are stored time-major, (blocks + 1, group, 2N). Every
+chunk is a whole _CHUNK steps: those past burn_in + n_steps are drawn and
+advanced but never recorded.
 """
 
 from __future__ import annotations
@@ -134,33 +138,66 @@ def _block_maps(
 
 def _advance(z, draws, maps, work):
     """
-    Advance row states z (ensemble, n2) through draws (ensemble, n_blocks,
+    Advance row states z (group, n2) through draws (group, n_blocks,
     _BLOCK * n2); return the end states and the recorded outputs as complex
-    (ensemble, n_blocks * _BLOCK) in step order. Both are views into the
+    (group, n_blocks * _BLOCK) in step order. Both are views into the
     buffers `work` = (product, carried, ports), which the next call overwrites.
     """
-    table, homogeneous, power = maps
-    ensemble, n_blocks, _ = draws.shape
+    table, homogeneous, doublings = maps
+    group, n_blocks, _ = draws.shape
     product, carried, ports = work
     np.matmul(draws.reshape(-1, table.shape[0]), table, out=product)
-    particular = product.reshape(ensemble, n_blocks, -1)
-    carried[0] = z  # carried[b] is the state at the start of block b
-    for b in range(n_blocks):
-        np.matmul(carried[b], power, out=carried[b + 1])
-        carried[b + 1] += particular[:, b, 2 * _BLOCK :]
+    particular = product.reshape(group, n_blocks, -1)
+    # carried[b] becomes the state at the start of block b, carried[b + 1] =
+    # carried[b] P + (block b's end-state share), by a doubling scan: after
+    # the pass with P^span, carried[b] sums the last 2 span terms of its recurrence.
+    carried[0] = z
+    carried[1:] = particular[..., 2 * _BLOCK :].transpose(1, 0, 2)
+    for k, power in enumerate(doublings):
+        span = 1 << k
+        carried[span:] += carried[:-span] @ power
     np.matmul(carried[:-1].transpose(1, 0, 2), homogeneous, out=ports)
     ports += particular[..., : 2 * _BLOCK]
-    return carried[-1], ports.reshape(ensemble, -1).view(complex)
+    return carried[-1], ports.reshape(group, -1).view(complex)
+
+
+def _simulate_group(cfg: OracleConfig, members: range, maps) -> numerics.WelchAccumulator:
+    """
+    Integrate ensemble members `members` together, each from its own (seed,
+    member) generator, through the whole run; return their Welch accumulator.
+    """
+    n2 = 2 * cfg.model.n_modes
+    burn_in = cfg.effective_burn_in
+    total_steps = burn_in + cfg.n_steps
+    welch = numerics.WelchAccumulator(cfg.dt, cfg.segment_length, cfg.overlap)
+    rngs = [np.random.default_rng([cfg.seed, member]) for member in members]
+    group, n_blocks = len(rngs), _CHUNK // _BLOCK
+    draws = np.empty((group, _CHUNK, n2))
+    z = np.zeros((group, n2))
+    # _advance's buffers, reused by every chunk: (product, carried, ports).
+    work = (np.empty((group * n_blocks, maps[0].shape[1])),
+            np.empty((n_blocks + 1, group, n2)),
+            np.empty((group, n_blocks, 2 * _BLOCK)))
+    for done in range(0, total_steps, _CHUNK):
+        for member, rng in enumerate(rngs):
+            rng.standard_normal(out=draws[member])
+        z, ports = _advance(z, draws.reshape(group, n_blocks, -1), maps, work)
+        if not np.all(np.isfinite(z)):
+            raise NumericalError("trajectory diverged (non-finite state)")
+        # Neither burn-in steps nor the steps past total_steps are recorded.
+        welch.add(ports[:, max(burn_in - done, 0):total_steps - done])
+    return welch
 
 
 def simulate(cfg: OracleConfig) -> WelchEstimate:
     """
     Integrate the Langevin system for the whole ensemble and Welch-estimate
     the output PSD of the configured port, each chunk's recorded outputs
-    after the burn-in going straight into the estimate.
+    after the burn-in going straight into its member group's estimate.
 
     Every ensemble member draws its noise from a seed derived as
-    (seed, member_index), so results are independent of evaluation order.
+    (seed, member_index), so its outputs are those of integrating it alone;
+    the grouping changes only the summation order of the Welch statistics.
     A non-finite state or Welch estimate aborts the run.
     """
     model = cfg.model
@@ -183,32 +220,23 @@ def simulate(cfg: OracleConfig) -> WelchEstimate:
     noise_map = step_matrix @ input_coupling_matrix(model) * (cfg.dt * noise)
     port_row = 2 * cfg.port
     gain = float(np.sqrt(model.modes[cfg.port].kappa / 2.0))
-    maps = _block_maps(step_matrix, noise_map, noise[port_row] / np.sqrt(2.0), gain, port_row)
+    table, homogeneous, power = _block_maps(
+        step_matrix, noise_map, noise[port_row] / np.sqrt(2.0), gain, port_row)
+    # P, P^2, P^4, ... up to the span that reaches across a chunk's carries.
+    doublings = [power]
+    for _ in range(1, (_CHUNK // _BLOCK).bit_length()):
+        doublings.append(doublings[-1] @ doublings[-1])
+    maps = (table, homogeneous, doublings)
 
-    burn_in = cfg.effective_burn_in
-    total_steps = burn_in + cfg.n_steps
+    # Groups of one Welch batch (16 members at segment 4096), so the working set
+    # sits near L2 and is the same for any ensemble.
+    group = max(1, numerics._WELCH_BATCH_ENTRIES // cfg.segment_length)
     welch = numerics.WelchAccumulator(cfg.dt, cfg.segment_length, cfg.overlap)
-    draws = np.empty((cfg.ensemble, _CHUNK, n2))
-    # All members advance in lockstep (state rows), but every member's
-    # noise stream comes from its own (seed, member) generator, so results
-    # are identical to integrating the members one at a time.
-    rngs = [np.random.default_rng([cfg.seed, member]) for member in range(cfg.ensemble)]
-    z = np.zeros((cfg.ensemble, n2))
-    # _advance's buffers, reused by every chunk: (product, carried, ports).
-    n_blocks = _CHUNK // _BLOCK
-    work = (np.empty((cfg.ensemble * n_blocks, maps[0].shape[1])),
-            np.empty((n_blocks + 1, cfg.ensemble, n2)),
-            np.empty((cfg.ensemble, n_blocks, 2 * _BLOCK)))
     # An overflow shows as a non-finite state or estimate, each checked, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for done in range(0, total_steps, _CHUNK):
-            for member, rng in enumerate(rngs):
-                rng.standard_normal(out=draws[member])
-            z, ports = _advance(z, draws.reshape(cfg.ensemble, n_blocks, -1), maps, work)
-            if not np.all(np.isfinite(z)):
-                raise NumericalError("trajectory diverged (non-finite state)")
-            # Neither burn-in steps nor the steps past total_steps are recorded.
-            welch.add(ports[:, max(burn_in - done, 0):total_steps - done])
+        for first in range(0, cfg.ensemble, group):
+            members = range(first, min(first + group, cfg.ensemble))
+            welch.merge(_simulate_group(cfg, members, maps))
         estimate = welch.result()
     if not (np.all(np.isfinite(estimate.psd)) and np.all(np.isfinite(estimate.stderr))):
         raise NumericalError("Welch estimate is not finite: the PSD or its standard error"

@@ -111,9 +111,13 @@ CHAIN_BLOCK = {
 }
 
 
-def make_chain(n_modes, temperature=0.0, **block):
-    """The n-mode chain of CHAIN_BLOCK, `block` keys overriding it, built as the chain task does."""
-    return build_system(chain_system({**CHAIN_BLOCK, **block}, n_modes, temperature))
+def make_chain(n_modes, temperature=None, **block):
+    """
+    The n-mode chain of CHAIN_BLOCK, `block` keys overriding it, built as the chain
+    task does; the temperature is SystemModel's default unless given.
+    """
+    system = {} if temperature is None else {"temperature": temperature}
+    return build_system(chain_system({**CHAIN_BLOCK, **block}, n_modes, **system))
 
 
 def gamma_grid(model, omegas):

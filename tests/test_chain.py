@@ -36,7 +36,7 @@ class TestConstruction:
         assert np.allclose(m_chain, m_three, atol=1e-14)
 
     def test_preset_is_a_schema_valid_system_block(self):
-        cli.validate_config({"system": cli.chain_system(CHAIN_BLOCK, 5, 0.01)})
+        cli.validate_config({"system": cli.chain_system(CHAIN_BLOCK, 5, temperature=0.01)})
 
     def test_minimum_length(self):
         with pytest.raises(cli.ConfigError):

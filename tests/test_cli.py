@@ -32,7 +32,7 @@ def du_system(kappa_a=1.0, delta_a=0.0, magnitude=0.1, phase=0.0):
 
 def chain_system(n_modes=5):
     """The chain task's system block for CHAIN_BLOCK, with coupling i at phase 0.3 i."""
-    system = cli.chain_system(CHAIN_BLOCK, n_modes, 0.01)
+    system = cli.chain_system(CHAIN_BLOCK, n_modes, temperature=0.01)
     system["couplings"] = [{**c, "phase": 0.3 * i} for i, c in enumerate(system["couplings"])]
     return system
 

@@ -357,6 +357,34 @@ class TestWelchAccumulator:
             assert np.array_equal(estimate.stderr, expected.stderr)
             assert estimate.n_segments == expected.n_segments
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_merged_accumulators_match_one_over_all_series(self, seed):
+        # Chan's update over disjoint groups of series, folded in any order.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((12, 3000)) + 1j * rng.standard_normal((12, 3000))
+        whole = numerics.WelchAccumulator(0.05, 256, 0.5)
+        whole.add(x)
+        expected = whole.result()
+        groups = np.split(x, np.sort(rng.choice(np.arange(1, 12), size=3, replace=False)))
+        for order in (range(4), range(3, -1, -1), rng.permutation(4)):
+            merged = numerics.WelchAccumulator(0.05, 256, 0.5)
+            for i in order:
+                part = numerics.WelchAccumulator(0.05, 256, 0.5)
+                for chunk in np.split(groups[i], [700, 1900], axis=1):
+                    part.add(chunk)
+                merged.merge(part)
+            estimate = merged.result()
+            np.testing.assert_allclose(estimate.psd, expected.psd, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(estimate.stderr, expected.stderr, rtol=1e-13, atol=0)
+            assert estimate.n_segments == expected.n_segments
+
+    def test_merge_refuses_another_segment_length(self):
+        welch = numerics.WelchAccumulator(0.05, 128, 0.5)
+        other = numerics.WelchAccumulator(0.05, 256, 0.5)
+        other.add(np.ones((2, 300), dtype=complex))
+        with pytest.raises(ValueError, match="segment_length"):
+            welch.merge(other)
+
     def test_chunk_one_sample_short_of_a_tail_segment(self):
         # Step 1: after 9 samples the tail holds 7; a 6-sample chunk ends the
         # segments that start at the tail's first 6 samples, not the one at its last.

@@ -51,6 +51,16 @@ class TestConfig:
         assert short_config(make_du(), burn_in=17).effective_burn_in == 17
 
 
+def peak_traced_bytes(cfg):
+    """Peak of the memory that numpy and Python allocate while simulate(cfg) runs."""
+    tracemalloc.start()
+    try:
+        oracle.simulate(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def stepwise_simulate(cfg):
     """
     Reference integrator: one drift-implicit Euler step per Python iteration,
@@ -110,6 +120,21 @@ class TestSimulate:
         np.testing.assert_allclose(run.psd, psd, rtol=1e-10, atol=0)
         np.testing.assert_allclose(run.stderr, stderr, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("model,port", [(make_du(), 0), (make_comparison_pair()[0], 2)],
+                             ids=["du-port0", "three-port2"])
+    def test_group_boundary_matches_stepwise_reference(self, model, port):
+        # Members run in groups of one Welch batch; one group plus one member
+        # crosses a group boundary and ends on a partial group of one.
+        segment_length = 8192
+        group = max(1, numerics._WELCH_BATCH_ENTRIES // segment_length)
+        cfg = short_config(model, port=port, ensemble=group + 1, segment_length=segment_length,
+                           burn_in=37, n_steps=segment_length + 4196)
+        run = oracle.simulate(cfg)
+        psd, stderr = stepwise_simulate(cfg)
+        assert run.n_segments == 2 * (group + 1)
+        np.testing.assert_allclose(run.psd, psd, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(run.stderr, stderr, rtol=1e-10, atol=0)
+
     def test_high_overlap_matches_stepwise_reference(self):
         # Overlap 0.99 of 64 samples starts a segment at every step: 4,922 per member.
         cfg = short_config(make_du(), ensemble=2, segment_length=64, overlap=0.99,
@@ -123,28 +148,29 @@ class TestSimulate:
     def test_memory_does_not_grow_with_n_steps(self):
         # The Welch estimate is accumulated per chunk: no record of n_steps outputs is kept.
         def peak_bytes(n_steps):
-            tracemalloc.start()
-            try:
-                oracle.simulate(short_config(make_du(), n_steps=n_steps, segment_length=1024))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return peak_traced_bytes(short_config(make_du(), n_steps=n_steps, segment_length=1024))
 
         assert peak_bytes(65536) <= peak_bytes(16384) + 0.5e6
 
     @pytest.mark.parametrize("model,port", [(make_du(), 0), (make_comparison_pair()[0], 2)],
                              ids=["du", "three"])
     def test_working_set_is_a_few_megabytes(self, model, port):
-        # Draws, block products and ports of one chunk, the Welch ring of one
-        # segment per member and one windowed batch: about 10 MB.
+        # One group of 16 members at a time: draws, block products and ports of
+        # one chunk, the Welch ring of one segment per member and one windowed
+        # batch hold about 3.4 MB; the peak reads 3.9-4.0 MB, or 4.6 MB when this
+        # is the process's first run and lazy imports count too.
         cfg = short_config(model, port=port, ensemble=64, segment_length=4096, n_steps=16384)
-        tracemalloc.start()
-        try:
-            oracle.simulate(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12e6
+        assert peak_traced_bytes(cfg) <= 5e6
+
+    @pytest.mark.parametrize("model,port", [(make_du(), 0), (make_comparison_pair()[0], 2)],
+                             ids=["du", "three"])
+    def test_memory_does_not_grow_with_ensemble(self, model, port):
+        # Groups run one after another, each with its own buffers, ring and generators.
+        def peak_bytes(ensemble):
+            return peak_traced_bytes(short_config(model, port=port, ensemble=ensemble,
+                                                  segment_length=4096, n_steps=4096))
+
+        assert peak_bytes(256) <= peak_bytes(16) + 0.5e6
 
     def test_deterministic_for_fixed_seed(self):
         model = make_du()
