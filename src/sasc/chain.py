@@ -1,6 +1,8 @@
 """
 End-to-end quadrature gain of chain models and its exponential scaling with
-the number of modes. The chain task's models come from `cli.build_system`.
+the number of modes. The chain task builds one model, its longest length
+(`cli.build_system`); scaling_fit reads each length from that model's
+leading modes.
 """
 
 from __future__ import annotations
@@ -10,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import InstabilityError, SystemModel
+from .model import InstabilityError, SystemModel, require_stable
 from .numerics import LineFit, NumericalError, fit_line
-from .spectra import snr_spectrum
+from .spectra import SnrSolver, snr_spectrum
 
 __all__ = ["ScalingReport", "end_to_end_gain", "scaling_fit"]
 
@@ -48,29 +50,36 @@ class ScalingReport:
         }
 
 
-def scaling_fit(models: Iterable[SystemModel], omega: float) -> ScalingReport:
+def scaling_fit(model: SystemModel, n_values: Iterable[int], omega: float) -> ScalingReport:
     """
-    Fit ln(gain) versus N over the given chain lengths; unstable lengths are
-    excluded (and reported) rather than silently dropped. The fitted base is
-    exp(slope). A gain below the smallest normal float, zero included, has lost
-    its precision or underflowed: NumericalError naming the length.
+    Fit ln(gain) versus N over the given chain lengths, length n being the
+    model's first n modes (SnrSolver.leading): end_to_end_gain of the n-mode
+    chain, from the leading block of the model's one drift. Each length has
+    its own stability gate; unstable lengths are excluded (and reported)
+    rather than silently dropped. The fitted base is exp(slope). A gain below
+    the smallest normal float, zero included, has lost its precision or
+    underflowed: NumericalError naming the length. A length past the model's
+    modes: ConfigError.
     """
+    solver = SnrSolver(model)
     kept_n: list[int] = []
     gains: list[float] = []
     excluded: list[int] = []
-    for model in models:
+    for n in n_values:
+        view = solver.leading(n)
         try:
-            gain = end_to_end_gain(model, omega)
+            require_stable(view.drift)
         except InstabilityError:
-            excluded.append(model.n_modes)
+            excluded.append(n)
             continue
+        gain = float(view.amplification(view.coefficients([omega]))[0])
         if not gain >= np.finfo(float).tiny:
             raise NumericalError(
                 f"scaling_fit requires strictly positive gains of normal floats (at least"
-                f" {np.finfo(float).tiny:.4g}); the {model.n_modes}-mode chain's is {gain:.4g}"
+                f" {np.finfo(float).tiny:.4g}); the {n}-mode chain's is {gain:.4g}"
             )
         gains.append(gain)
-        kept_n.append(model.n_modes)
+        kept_n.append(n)
     if len(kept_n) < 3:
         raise NumericalError("scaling_fit needs at least 3 stable chain lengths")
     fit = fit_line(kept_n, np.log(gains))

@@ -332,6 +332,11 @@ def run_asymmetry(config: dict, outdir: Path, fmt: str) -> None:
     omega = task.get("omega", spectra.resonance_probe_frequency())
     thetas = _grid(config, (0.0, 2.0 * np.pi, 721))
     swept = coupling if isinstance(coupling, list) else [coupling]
+    # Two couplings sweep grid.points^2 phase pairs; a table takes at most grid.points' cap.
+    cap = _load_schema()["properties"]["grid"]["properties"]["points"]["maximum"]
+    if len(thetas) ** len(swept) > cap:
+        raise ConfigError(f"coupling_index {coupling}: {len(thetas)}^2 phase pairs exceed"
+                          f" the {cap} rows of a table")
     gammas = spectra.phase_grid(model, omega, dict.fromkeys(swept, thetas))
     if isinstance(coupling, list):
         axes = np.meshgrid(thetas, thetas, indexing="ij")
@@ -404,11 +409,11 @@ def run_chain(config: dict, outdir: Path, fmt: str) -> None:
     block = task.get("chain")
     if block is None:
         raise ConfigError("chain task requires a 'chain' block")
-    system = _set_keys(config["system"], "temperature")
-    # A generator: each length is built as the fit reaches it and dropped after it.
-    models = (build_system(chain_system(block, n, **system)) for n in block["n_values"])
+    # One model, the longest length; every shorter length is its leading sub-chain.
+    n_values = block["n_values"]
+    system = chain_system(block, max(n_values), **_set_keys(config["system"], "temperature"))
     omega = block.get("omega", 0.3)
-    report = chain.scaling_fit(models, omega)
+    report = chain.scaling_fit(build_system(system), n_values, omega)
     meta = _metadata(config, {"omega": omega})
     base = _basename(config, "chain")
     if fmt == "csv":

@@ -14,6 +14,7 @@ model (model.require_stable) before it solves; SnrSolver leaves that to its call
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import sys
@@ -308,7 +309,8 @@ class SnrSolver:
     Builds the drift matrix, input couplings and occupations once; a grid
     goes through the stacked resolvent path of transfer_matrices, which
     forms only the two readout-port rows, and quadrature_coefficients reads
-    the homodyne coefficients C from them. S_AP = |C_s + C_s*|^2 is the
+    the homodyne coefficients C from them (coefficients). leading(n) views
+    the model's first n modes. S_AP = |C_s + C_s*|^2 (amplification) is the
     quadrature amplification of a unit Hermitian signal entering at
     signal_port; the SNR divides it by the thermally weighted homodyne noise
     sum_j (|C_{j,+}|^2 + |C_{j,-}|^2)(n_j + 1/2).
@@ -331,18 +333,39 @@ class SnrSolver:
         self.ell = input_coupling_matrix(model)
         self.weights = occupations(model) + 0.5
 
+    def leading(self, n: int) -> SnrSolver:
+        """The solver of the model's first n modes, read at mode n - 1: slices of this one's
+        drift, Lambda, L and weights. ConfigError unless 2 <= n <= the model's modes."""
+        if not 2 <= n <= len(self.weights):
+            raise ConfigError(f"chain length {n} is out of range: the system has"
+                              f" {len(self.weights)} modes (a length takes at least 2)")
+        check_index("signal_port", self.signal_port, n, "modes")
+        view = copy.copy(self)
+        view.readout_port = n - 1
+        view.drift, view.lam = self.drift[: 2 * n, : 2 * n], self.lam[: 2 * n]
+        view.ell, view.weights = self.ell[: 2 * n, : 2 * n], self.weights[:n]
+        return view
+
     def solve(self, omegas, drift=None) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         """(S_AP, SNR) over a grid; `drift` replaces M (one, or one per frequency)."""
+        return self.from_coefficients(self.coefficients(omegas, drift))
+
+    def coefficients(self, omegas, drift=None) -> NDArray[np.complex128]:
+        """Homodyne coefficients C over a grid, input channels on the last axis (see solve)."""
         diagonals = 1j * np.multiply.outer(np.asarray(omegas, dtype=float), self.lam)
         r = slice(2 * self.readout_port, 2 * self.readout_port + 2)
         m = self.drift if drift is None else drift
         rows = np.concatenate(list(_resolvent_blocks(m, self.ell, diagonals, r)))
-        return self.from_coefficients(quadrature_coefficients(rows, 0, self.psi))
+        return quadrature_coefficients(rows, 0, self.psi)
+
+    def amplification(self, c) -> NDArray[np.float64]:
+        """S_AP = |C_s + C_s*|^2 of homodyne coefficients C, input channels on the last axis."""
+        s = self.signal_port
+        return np.abs(c[..., 2 * s] + c[..., 2 * s + 1]) ** 2
 
     def from_coefficients(self, c) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         """(S_AP, SNR) of homodyne coefficients C, input channels on the last axis."""
-        s = self.signal_port
-        s_ap = np.abs(c[..., 2 * s] + c[..., 2 * s + 1]) ** 2
+        s_ap = self.amplification(c)
         mags = np.abs(c) ** 2
         # Summed mode by mode: numpy's reduction over a short last axis is slow.
         noise = (mags[..., 0] + mags[..., 1]) * self.weights[0]

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import CHAIN_BLOCK, gamma_grid, make_chain, make_du, make_three
-from sasc.model import Topology, build_drift_matrix
-from sasc import chain, cli
+from sasc.model import InstabilityError, Topology, build_drift_matrix
+from sasc import chain, cli, spectra
+from sasc.numerics import NumericalError
 from sasc.spectra import quadrature_coefficients
 
 
@@ -57,8 +59,7 @@ class TestGain:
 
 class TestScalingFit:
     def test_log_gain_is_linear_in_length(self):
-        models = [make_chain(n) for n in range(2, 7)]
-        report = chain.scaling_fit(models, omega=0.3)
+        report = chain.scaling_fit(make_chain(6), range(2, 7), omega=0.3)
         assert report.n_values == (2, 3, 4, 5, 6)
         assert report.fit.r_squared > 0.99
         assert report.base == pytest.approx(np.exp(report.fit.slope), rel=1e-12)
@@ -66,21 +67,96 @@ class TestScalingFit:
 
     def test_unstable_lengths_are_excluded_and_reported(self):
         # A strongly blue-detuned chain loses stability as it grows.
-        models = [
-            make_chain(n, coupling={"magnitude": 0.4, "phase": 0.0}, detuning=-1.0,
-                       detuning_alt=-1.0, kappa_high=0.1, kappa_low=1e-3)
-            for n in range(2, 7)
-        ]
+        model = make_chain(6, coupling={"magnitude": 0.4, "phase": 0.0}, detuning=-1.0,
+                           detuning_alt=-1.0, kappa_high=0.1, kappa_low=1e-3)
         with pytest.raises(ValueError):
-            chain.scaling_fit(models, omega=0.3)
+            chain.scaling_fit(model, range(2, 7), omega=0.3)
 
     def test_needs_three_stable_lengths(self):
         with pytest.raises(ValueError):
-            chain.scaling_fit([make_chain(2), make_chain(3)], omega=0.3)
+            chain.scaling_fit(make_chain(3), [2, 3], omega=0.3)
 
     def test_report_serialization(self):
-        report = chain.scaling_fit([make_chain(n) for n in (2, 3, 4)], omega=0.3)
+        report = chain.scaling_fit(make_chain(4), (2, 3, 4), omega=0.3)
         payload = report.to_json_dict()
         assert payload["n_values"] == [2, 3, 4]
         assert payload["base"] > 0.0
         assert "r_squared" in payload
+
+
+@st.composite
+def chain_tasks(draw):
+    """A random chain block, length set, temperature and frequency: (block, n_values, T, omega)."""
+    block = {
+        "coupling": {"magnitude": draw(st.floats(0.0, 0.6)),
+                     "phase": draw(st.floats(0.0, 2.0 * np.pi))},
+        "detuning": draw(st.floats(-3.0, 3.0)),
+        "detuning_alt": draw(st.floats(-3.0, 3.0)),
+        "kappa_high": draw(st.floats(0.01, 3.0)),
+        "kappa_low": draw(st.floats(1e-4, 0.5)),
+    }
+    n_values = draw(st.lists(st.integers(2, 16), min_size=3, max_size=6, unique=True))
+    return block, n_values, draw(st.sampled_from([0.0, 0.01, 1.0])), draw(st.floats(0.0, 2.0))
+
+
+def per_length_fit(block, n_values, temperature, omega):
+    """scaling_fit's rule over one model per length, each gain end_to_end_gain's: the reference."""
+    gains, excluded = {}, []
+    for n in n_values:
+        try:
+            gain = chain.end_to_end_gain(make_chain(n, temperature, **block), omega)
+        except InstabilityError:
+            excluded.append(n)
+            continue
+        if not gain >= np.finfo(float).tiny:
+            raise NumericalError(
+                f"scaling_fit requires strictly positive gains of normal floats (at least"
+                f" {np.finfo(float).tiny:.4g}); the {n}-mode chain's is {gain:.4g}")
+        gains[n] = gain
+    if len(gains) < 3:
+        raise NumericalError("scaling_fit needs at least 3 stable chain lengths")
+    return tuple(gains), tuple(gains.values()), tuple(excluded)
+
+
+def outcome(call):
+    """call()'s value, or the class and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestLeadingBlocks:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(chain_tasks())
+    # The 168-mode chain's gain is subnormal (see test_config_errors).
+    @example((CHAIN_BLOCK, [2, 3, 168], 0.0, 0.3))
+    def test_fit_equals_one_model_per_length(self, task):
+        block, n_values, temperature, omega = task
+
+        def leading():
+            report = chain.scaling_fit(make_chain(max(n_values), temperature, **block),
+                                       n_values, omega)
+            return report.n_values, report.gains, report.excluded_unstable
+
+        assert outcome(leading) == outcome(lambda: per_length_fit(*task))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(chain_tasks())
+    def test_leading_view_is_the_shorter_chains_solver(self, task):
+        block, n_values, temperature, _ = task
+        longest = spectra.SnrSolver(make_chain(max(n_values), temperature, **block), psi=0.7)
+        for n in n_values:
+            view = longest.leading(n)
+            own = spectra.SnrSolver(make_chain(n, temperature, **block), psi=0.7)
+            for name in ("drift", "lam", "ell", "weights"):
+                assert np.array_equal(getattr(view, name), getattr(own, name)), name
+            assert (view.signal_port, view.readout_port, view.psi) == (0, n - 1, 0.7)
+
+    def test_one_drift_is_built_for_every_length(self, monkeypatch):
+        built = []
+        build = spectra.build_drift_matrix
+        monkeypatch.setattr(spectra, "build_drift_matrix",
+                            lambda model: built.append(model.n_modes) or build(model))
+        chain.scaling_fit(make_chain(8), range(2, 9), 0.3)
+        assert built == [8]

@@ -202,6 +202,32 @@ class TestConfigValidation:
         assert "config error" in caplog.text
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("points", [3163, 100000])
+    def test_two_coupling_rows_past_the_grid_cap_are_config_errors(
+        self, tmp_path, caplog, monkeypatch, points
+    ):
+        # grid.points^2 phase pairs, refused above grid.points' own cap of 10^7 rows.
+        def sweep(*args):
+            raise AssertionError("an oversized sweep was started")
+
+        monkeypatch.setattr(spectra, "phase_grid", sweep)
+        config = {"system": fmap_config()["system"], "grid": {"points": points},
+                  "task": {"kind": "asymmetry", "coupling_index": [0, 1]}}
+        assert run_cli(tmp_path, "asymmetry", config) == cli.EXIT_CONFIG
+        assert (f"config error: coupling_index [0, 1]: {points}^2 phase pairs exceed the"
+                f" 10000000 rows of a table") in caplog.text
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_two_coupling_rows_at_the_grid_cap_reach_the_sweep(self, tmp_path, monkeypatch):
+        def sweep(*args):  # 3162^2 rows are within the cap; the sweep itself is not run
+            raise AssertionError("the sweep was started")
+
+        monkeypatch.setattr(spectra, "phase_grid", sweep)
+        config = {"system": fmap_config()["system"], "grid": {"points": 3162},
+                  "task": {"kind": "asymmetry", "coupling_index": [0, 1]}}
+        with pytest.raises(AssertionError, match="the sweep was started"):
+            run_cli(tmp_path, "asymmetry", config)
+
     @pytest.mark.parametrize("command, config, extra, message", [
         ("spectrum", {"system": du_system(), "task": {"kind": "spectrum"}}, ("--set", "grid.points"),
          "--set expects key=value, got 'grid.points'"),
@@ -222,6 +248,10 @@ class TestConfigValidation:
         pytest.param("spectrum", f"grid.points={10**400}", id="spectrum-grid.points=10**400"),
         ("fmap", "task.delta_points=1001"),
         ("oracle", "task.oracle.ensemble=10001"),
+        ("chain", "task.chain.n_values=[2, 3, 1001]"),
+        ("chain", f"task.chain.n_values=[2, 3, {10**6}]"),
+        pytest.param("chain", f"task.chain.n_values=[2, 3, {10**400}]",
+                     id="chain-task.chain.n_values=[2, 3, 10**400]"),
     ])
     def test_sizes_past_their_maximum_are_config_errors(
         self, tmp_path, caplog, monkeypatch, command, setting
@@ -230,8 +260,9 @@ class TestConfigValidation:
             raise AssertionError("an oversized config reached its task")
 
         monkeypatch.setitem(cli._TASK_RUNNERS, command, oversized_run)
+        task = {"chain": {**CHAIN_BLOCK, "n_values": [2, 3, 4]}} if command == "chain" else {}
         config = fmap_config() if command == "fmap" else {
-            "system": du_system(), "task": {"kind": command}, "seed": 1}
+            "system": du_system(), "task": {"kind": command, **task}, "seed": 1}
         assert run_cli(tmp_path, command, config, ("--set", setting)) == cli.EXIT_CONFIG
         assert f"config invalid at $.{setting.partition('=')[0]}" in caplog.text
 

@@ -58,6 +58,15 @@ CHECKS = {
     "SnrSolver.readout_port": (
         lambda: spectra.SnrSolver(DU, readout_port=-1),
         "readout_port -1 is out of range: the system has 2 modes"),
+    "SnrSolver.leading": (
+        lambda: spectra.SnrSolver(DU).leading(3),
+        "chain length 3 is out of range: the system has 2 modes"),
+    "scaling_fit.length": (
+        lambda: chain.scaling_fit(make_chain(4), (2, 3, 5), 0.3),
+        "chain length 5 is out of range: the system has 4 modes"),
+    "scaling_fit.length_one": (
+        lambda: chain.scaling_fit(make_chain(4), (1, 2, 3), 0.3),
+        "chain length 1 is out of range: the system has 4 modes"),
     "output_spectrum.port": (
         lambda: spectra.output_spectrum(DU, [0.0, 1.0], 2),
         "port 2 is out of range: the system has 2 modes"),
@@ -115,9 +124,9 @@ def test_cli_uses_the_library_error_type():
     assert cli.NumericalError is NumericalError
 
 
-def chains(**block):
-    """The 2-, 3- and 4-mode chains of CHAIN_BLOCK, `block` keys overriding it."""
-    return [make_chain(n, kappa_low=1e-4, **block) for n in (2, 3, 4)]
+def chain_fit(**block):
+    """scaling_fit over the 2-, 3- and 4-mode chains of CHAIN_BLOCK, `block` keys overriding it."""
+    return chain.scaling_fit(make_chain(4, kappa_low=1e-4, **block), (2, 3, 4), 0.3)
 
 
 #: (call, message pattern) of each numerical failure that needs no patched library.
@@ -134,16 +143,16 @@ FAILURES = {
     "MapResult.values": (
         lambda: metrics.MapResult([0.0], [0.0], [[np.nan]]), "map contains non-finite values"),
     "scaling_fit.gains": (
-        lambda: chain.scaling_fit(chains(coupling={"magnitude": 0.0}, detuning=0.0,
-                                         detuning_alt=0.0, kappa_high=1.0), 0.3),
+        lambda: chain_fit(coupling={"magnitude": 0.0}, detuning=0.0, detuning_alt=0.0,
+                          kappa_high=1.0),
         "strictly positive gains"),
     "scaling_fit.subnormal_gain": (
         # The 168-mode chain's gain, 4.1e-320, is subnormal; a fit would take it as a value.
-        lambda: chain.scaling_fit((make_chain(n) for n in (2, 3, 168)), 0.3),
+        lambda: chain.scaling_fit(make_chain(168), (2, 3, 168), 0.3),
         "normal floats .*; the 168-mode chain's is 4.1"),
     "scaling_fit.stable_lengths": (
-        lambda: chain.scaling_fit(chains(coupling={"magnitude": 5.0}, detuning=-1.0,
-                                         detuning_alt=-1.0, kappa_high=0.1), 0.3),
+        lambda: chain_fit(coupling={"magnitude": 5.0}, detuning=-1.0, detuning_alt=-1.0,
+                          kappa_high=0.1),
         "at least 3 stable chain lengths"),
     "check_stability.overflow": (
         # Each drift entry is finite, but the quadrature form's sums of them overflow.
