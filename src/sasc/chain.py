@@ -38,17 +38,6 @@ class ScalingReport:
     base: float
     excluded_unstable: tuple[int, ...] = field(default_factory=tuple)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_values": list(self.n_values),
-            "gains": list(self.gains),
-            "slope": self.fit.slope,
-            "intercept": self.fit.intercept,
-            "r_squared": self.fit.r_squared,
-            "base": self.base,
-            "excluded_unstable": list(self.excluded_unstable),
-        }
-
 
 def scaling_fit(model: SystemModel, n_values: Iterable[int], omega: float) -> ScalingReport:
     """

@@ -354,12 +354,15 @@ def run_asymmetry(config: dict, outdir: Path, fmt: str) -> None:
     _write_table(outdir, _basename(config, "asymmetry"), fmt, meta, columns)
 
 
+#: The snr and fmap task keys that are spectra.SnrSolver's readout keywords.
+_READOUT_KEYS = ("signal_port", "readout_port", "psi")
+
+
 def run_snr(config: dict, outdir: Path, fmt: str) -> None:
     model = build_system(config["system"])
     task = config.get("task", {})
     omegas = _grid(config)
-    s_ap, snr = spectra.snr_spectrum(model, omegas,
-                                     **_set_keys(task, "signal_port", "readout_port", "psi"))
+    s_ap, snr = spectra.snr_spectrum(model, omegas, **_set_keys(task, *_READOUT_KEYS))
     columns = {"omega": omegas, "S_AP": s_ap, "S_SNR": snr}
     _write_table(outdir, _basename(config, "snr"), fmt, _metadata(config), columns)
 
@@ -371,7 +374,7 @@ def run_fmap(config: dict, outdir: Path, fmt: str) -> None:
         raise ConfigError("fmap task requires an 'ics' baseline system block")
     cfg = metrics.ComparisonConfig(
         build_system(config["system"]), build_system(task["ics"]),
-        **_set_keys(task, "omega_range", "signal_port", "readout_port", "psi"),
+        **_set_keys(task, "omega_range"), readout=_set_keys(task, *_READOUT_KEYS),
     )
     lo = task.get("delta_min", -2.0)
     hi = task.get("delta_max", 2.0)
@@ -416,11 +419,13 @@ def run_chain(config: dict, outdir: Path, fmt: str) -> None:
     report = chain.scaling_fit(build_system(system), n_values, omega)
     meta = _metadata(config, {"omega": omega})
     base = _basename(config, "chain")
+    fit = dataclasses.asdict(report)
+    fit.update(fit.pop("fit"))  # the line fit's slope, intercept and r_squared, flattened
     if fmt == "csv":
         _write_table(outdir, base, fmt, meta, {"n_modes": report.n_values, "gain": report.gains})
-        _write_json(outdir / f"{base}_fit.json", meta, {"fit": report.to_json_dict()})
+        _write_json(outdir / f"{base}_fit.json", meta, {"fit": fit})
     else:
-        _write_json(outdir / f"{base}.json", meta, {"fit": report.to_json_dict()})
+        _write_json(outdir / f"{base}.json", meta, {"fit": fit})
 
 
 def run_oracle(config: dict, outdir: Path, fmt: str) -> None:

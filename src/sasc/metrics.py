@@ -2,13 +2,13 @@
 Figures of merit and deterministic searches: SNR maximization over
 frequency, scheme-comparison factor f, detuning maps, and phase searches
 for target asymmetry. All optimizers are deterministic (fixed grids plus
-golden-section refinement); no stochastic search. Every SNR search is one
-_search_snr call, which skips the fixed resonance bands.
-max_snr_over_omega and f_factor gate their model; the detuning map also
-evaluates unstable cells, and lists them. It builds all cells' drift
-matrices in one call and runs their SNR searches in lockstep. Each cell's
-coarse argmax is ranked from the poles of Lambda M (one stacked eig per
-block of cells, 2^16 entries of cells x 401 points x n: 27 three-mode cells,
+golden-section refinement, one _refine step for both searches); no stochastic
+search. Every SNR search is one _search_snr call, which skips the fixed
+resonance bands. max_snr_over_omega and f_factor, the detuning map's one cell,
+gate their model; the map also evaluates unstable cells, and lists them. It
+builds all cells' drift matrices in one call and runs their SNR searches in
+lockstep. Each cell's coarse argmax is ranked from the poles of Lambda M (one
+stacked eig per block of cells, 2^16 entries of cells x 401 points x n: 27 three-mode cells,
 through one reused work buffer), or by the exact scan where a proven guard
 does not trust that; the value at the argmax and each golden-section step
 are one stacked exact solve over all cells, each bracket stopping on its own.
@@ -109,18 +109,15 @@ def excludes_whole_range(omega_range) -> bool:
 
 
 def max_snr_over_omega(
-    model: SystemModel,
-    omega_range: tuple[float, float] = (-3.0, 3.0),
-    signal_port: int = 0,
-    readout_port: int | None = None,
-    psi: float = 0.0,
+    model: SystemModel, omega_range: tuple[float, float] = (-3.0, 3.0), **readout
 ) -> tuple[float, float]:
     """
     (omega*, S*) maximizing the SNR spectrum of a stable model (see _search_snr):
     coarse scan (401 points) followed by golden-section refinement on the best
-    bracket, outside the resonance bands (see RESONANCE_EXCLUSION_WIDTH).
+    bracket, outside the resonance bands (see RESONANCE_EXCLUSION_WIDTH). The
+    readout keywords go to SnrSolver.
     """
-    solver = SnrSolver(model, signal_port, readout_port, psi)
+    solver = SnrSolver(model, **readout)
     require_stable(solver.drift)
     w, s, _ = _search_snr(solver, solver.drift[None], omega_range)
     return float(w[0]), float(s[0])
@@ -211,12 +208,17 @@ def _search_snr(solver: SnrSolver, drifts, omega_range):
             values[solve] = solver.solve(omegas[solve], drifts[solve])[1]
         return values
 
-    coarse = snr(grid[best])
-    lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, len(grid) - 1)]
-    w_star, s_star = golden_section_max(snr, lo, hi)
-    on_grid = coarse > s_star
     scan = {"fallback_cells": int(np.count_nonzero(~trusted)), "max_eigvec_cond": float(cond.max())}
-    return np.where(on_grid, grid[best], w_star), np.where(on_grid, coarse, s_star), scan
+    return (*_refine(snr, grid, best, snr(grid[best]), 1e-6), scan)
+
+
+def _refine(fun, grid, best, coarse, rel_tol: float):
+    """(x*, f*) from a grid's argmax indices `best`, valued `coarse`: golden_section_max of
+    `fun` between each one's grid neighbours, or the grid point where its value is higher."""
+    lo, hi = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, len(grid) - 1)]
+    x, f = golden_section_max(fun, lo, hi, rel_tol)
+    on_grid = coarse > f
+    return np.where(on_grid, grid[best], x), np.where(on_grid, coarse, f)
 
 
 @dataclass(frozen=True)
@@ -226,9 +228,8 @@ class ComparisonConfig:
     cs_model: SystemModel
     ics_model: SystemModel
     omega_range: tuple[float, float] = (-3.0, 3.0)
-    signal_port: int = 0
-    readout_port: int | None = None
-    psi: float = 0.0
+    #: SnrSolver's readout keywords, for both models.
+    readout: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "omega_range", tuple(self.omega_range))
@@ -240,9 +241,7 @@ class ComparisonConfig:
 def _baseline_max(cfg: ComparisonConfig, ics_max: float | None = None) -> float:
     """The baseline scheme's maximal SNR (computed unless given), the denominator of f."""
     if ics_max is None:
-        ics_max = max_snr_over_omega(
-            cfg.ics_model, cfg.omega_range, cfg.signal_port, cfg.readout_port, cfg.psi
-        )[1]
+        ics_max = max_snr_over_omega(cfg.ics_model, cfg.omega_range, **cfg.readout)[1]
     if ics_max <= 0.0:
         raise numerics.NumericalError(
             f"baseline maximum SNR is {ics_max} over omega_range {tuple(cfg.omega_range)}:"
@@ -262,15 +261,13 @@ def f_factor(
 
     Optional delta_c/delta_m override the high-mode detunings of the tunable
     three-mode scheme, which must be stable with them; ics_max short-circuits
-    recomputation of the baseline, which comes first.
+    recomputation of the baseline, which comes first. The value is f_map's one cell.
     """
     ics_max = _baseline_max(cfg, ics_max)
-    solver = SnrSolver(cfg.cs_model, cfg.signal_port, cfg.readout_port, cfg.psi)
     m, b, c = (mode.detuning for mode in cfg.cs_model.modes)
-    detunings = (m if delta_m is None else delta_m, b, c if delta_c is None else delta_c)
-    drift = build_drift_matrix(cfg.cs_model, detunings)
-    require_stable(drift)
-    return float(_search_snr(solver, drift[None], cfg.omega_range)[1][0]) / ics_max
+    delta_m, delta_c = m if delta_m is None else delta_m, c if delta_c is None else delta_c
+    require_stable(build_drift_matrix(cfg.cs_model, (delta_m, b, delta_c)))
+    return float(f_map(cfg, [delta_c], [delta_m], ics_max).values[0, 0])
 
 
 @dataclass
@@ -296,9 +293,11 @@ class MapResult:
             raise numerics.NumericalError("map contains non-finite values")
 
 
-def f_map(cfg: ComparisonConfig, delta_c_grid, delta_m_grid) -> MapResult:
+def f_map(
+    cfg: ComparisonConfig, delta_c_grid, delta_m_grid, ics_max: float | None = None
+) -> MapResult:
     """
-    f over a detuning grid; the baseline maximum is computed once.
+    f over a detuning grid; the baseline maximum is computed once, unless given.
 
     The frequency-domain formula is evaluated at every grid cell, including
     cells whose linearized drift matrix is unstable (there the value is the
@@ -308,12 +307,12 @@ def f_map(cfg: ComparisonConfig, delta_c_grid, delta_m_grid) -> MapResult:
     """
     delta_c_grid = np.asarray(delta_c_grid, dtype=float)
     delta_m_grid = np.asarray(delta_m_grid, dtype=float)
-    ics_max = _baseline_max(cfg)
+    ics_max = _baseline_max(cfg, ics_max)
     cells = [(float(dc), float(dm)) for dm in delta_m_grid for dc in delta_c_grid]
     low = cfg.cs_model.modes[1].detuning
     drifts = build_drift_matrix(cfg.cs_model, detunings=[(dm, low, dc) for dc, dm in cells])
     unstable = [cell for cell, stable in zip(cells, check_stability(drifts).stable) if not stable]
-    solver = SnrSolver(cfg.cs_model, cfg.signal_port, cfg.readout_port, cfg.psi)
+    solver = SnrSolver(cfg.cs_model, **cfg.readout)
     _, s_star, scan = _search_snr(solver, drifts, cfg.omega_range)
     values = s_star.reshape(len(delta_m_grid), len(delta_c_grid)) / ics_max
     return MapResult(
@@ -358,16 +357,13 @@ def find_phase_for_target_R(
         gammas = phase_grid(model, omega, {pair[2]: thetas})
         return np.concatenate([pair_asymmetry(g, pair) for g in gammas])
 
+    def score(thetas) -> NDArray[np.float64]:
+        return -np.abs(asymmetries(thetas) - target)
+
     thetas = np.linspace(0.0, 2.0 * np.pi, _PHASE_GRID_POINTS)
-    scores = -np.abs(asymmetries(thetas) - target)
+    scores = score(thetas)
     best = int(np.argmax(scores))
-    lo = thetas[max(best - 1, 0)]
-    hi = thetas[min(best + 1, len(thetas) - 1)]
-    theta_star, neg_res = golden_section_max(
-        lambda theta: -np.abs(asymmetries(theta) - target), lo, hi, rel_tol=1e-9
-    )
-    if scores[best] > neg_res:
-        theta_star, neg_res = float(thetas[best]), float(scores[best])
+    theta_star, neg_res = _refine(score, thetas, best, scores[best], 1e-9)
     achieved = asymmetries([theta_star])[0]
     return PhaseSearchResult(
         theta=float(theta_star), achieved=float(achieved),

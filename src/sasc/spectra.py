@@ -313,7 +313,8 @@ class SnrSolver:
     the model's first n modes. S_AP = |C_s + C_s*|^2 (amplification) is the
     quadrature amplification of a unit Hermitian signal entering at
     signal_port; the SNR divides it by the thermally weighted homodyne noise
-    sum_j (|C_{j,+}|^2 + |C_{j,-}|^2)(n_j + 1/2).
+    sum_j (|C_{j,+}|^2 + |C_{j,-}|^2)(n_j + 1/2). signal_port, readout_port (the
+    last mode by default) and psi are the readout, which every SNR entry passes here.
     """
 
     def __init__(
@@ -375,13 +376,9 @@ class SnrSolver:
 
 
 def snr_spectrum(
-    model: SystemModel,
-    omegas,
-    signal_port: int = 0,
-    readout_port: int | None = None,
-    psi: float = 0.0,
+    model: SystemModel, omegas, **readout
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Amplification S_AP and signal-to-noise S_SNR spectra of a stable model."""
-    solver = SnrSolver(model, signal_port, readout_port, psi)
+    """Amplification S_AP and signal-to-noise S_SNR spectra of a stable model (see SnrSolver)."""
+    solver = SnrSolver(model, **readout)
     require_stable(solver.drift)
     return solver.solve(omegas)

@@ -1,5 +1,7 @@
 """Alternating high/low chains: construction, gain, exponential scaling."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -76,12 +78,22 @@ class TestScalingFit:
         with pytest.raises(ValueError):
             chain.scaling_fit(make_chain(3), [2, 3], omega=0.3)
 
-    def test_report_serialization(self):
+    def test_report_serialization(self, tmp_path):
+        # The chain task writes the report's fields, with the line fit's flattened into them.
         report = chain.scaling_fit(make_chain(4), (2, 3, 4), omega=0.3)
-        payload = report.to_json_dict()
-        assert payload["n_values"] == [2, 3, 4]
+        config = {"system": cli.chain_system(CHAIN_BLOCK, 4), "task": {
+            "kind": "chain", "chain": {**CHAIN_BLOCK, "n_values": [2, 3, 4], "omega": 0.3}}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        args = ["chain", "--config", str(path), "--out", str(tmp_path), "--format", "json"]
+        assert cli.main(args) == cli.EXIT_OK
+        payload = json.loads((tmp_path / "chain.json").read_text())["fit"]
+        assert payload == {
+            "n_values": [2, 3, 4], "gains": list(report.gains), "slope": report.fit.slope,
+            "intercept": report.fit.intercept, "r_squared": report.fit.r_squared,
+            "base": report.base, "excluded_unstable": [],
+        }
         assert payload["base"] > 0.0
-        assert "r_squared" in payload
 
 
 @st.composite

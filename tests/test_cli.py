@@ -13,7 +13,7 @@ import pytest
 
 from conftest import CHAIN_BLOCK, gamma_grid, pole_centred_range, with_phases
 import sasc
-from sasc import cli, spectra
+from sasc import cli, metrics, spectra
 
 
 def du_system(kappa_a=1.0, delta_a=0.0, magnitude=0.1, phase=0.0):
@@ -690,6 +690,38 @@ class TestOtherTasks:
         assert [[v is None for v in row] for row in data["lg_f"]] == (f <= 0.0).tolist()
         lg = [v for row in data["lg_f"] for v in row if v is not None]
         assert lg == np.log10(f[f > 0.0]).tolist()
+
+    @pytest.mark.parametrize("command", ["snr", "fmap"])
+    def test_a_non_default_readout_reaches_the_library(self, tmp_path, command):
+        # Each readout key changes the written values, and the task forwards every one.
+        readout = {"signal_port": 1, "readout_port": 1, "psi": 0.4}
+        config = fmap_config(**readout)
+        system = cli.build_system(config["system"])
+        if command == "snr":
+            config = {"system": config["system"], "task": {"kind": "snr", **readout},
+                      "grid": {"min": -2.0, "max": 2.0, "points": 31}}
+            omegas = np.linspace(-2.0, 2.0, 31)
+
+            def library(**keys):
+                return dict(zip(["S_AP", "S_SNR"], spectra.snr_spectrum(system, omegas, **keys)))
+        else:
+            ics = cli.build_system(config["task"]["ics"])
+            deltas = np.linspace(-0.5, 0.5, 3)
+
+            def library(**keys):
+                cfg = metrics.ComparisonConfig(system, ics, readout=keys)
+                return {"f": metrics.f_map(cfg, deltas, deltas).values}
+        assert run_cli(tmp_path, command, config, ("--format", "json")) == cli.EXIT_OK
+        data = json.loads((tmp_path / f"{command}.json").read_text())["data"]
+        expected = library(**readout)
+        assert all(data[name] == values.tolist() for name, values in expected.items())
+        for key in readout:
+            dropped = library(**{k: v for k, v in readout.items() if k != key})
+            assert any(data[name] != values.tolist() for name, values in dropped.items()), key
+        if command == "fmap":  # both schemes are read out alike; cell (0, 0) is the system as given
+            ratio = (metrics.max_snr_over_omega(system, **readout)[1]
+                     / metrics.max_snr_over_omega(ics, **readout)[1])
+            assert data["f"][1][1] == pytest.approx(ratio, rel=1e-12)
 
     def test_chain_json_holds_the_csv_runs_fit(self, tmp_path):
         config = {"system": du_system(), "task": {"kind": "chain", "chain": {

@@ -415,6 +415,18 @@ class TestPhaseSearch:
         assert found.achieved == pytest.approx(0.25, abs=1e-3)
         assert not found.hit_extreme  # not an extreme target
 
+    @pytest.mark.parametrize("which", ["mb", "bc"])
+    def test_a_grid_phase_beats_the_refine(self, which):
+        # The target is R at theta = 0, a grid point: the golden-section refine between
+        # its neighbours only nears it, so the search keeps the grid point.
+        model = make_three()
+        omega = spectra.resonance_probe_frequency()
+        pair = spectra.ASYMMETRY_PAIRS[which]
+        gammas = next(spectra.phase_grid(model, omega, {pair[2]: [0.0]}))
+        target = float(spectra.pair_asymmetry(gammas, pair)[0])
+        found = metrics.find_phase_for_target_R(model, target, which, omega)
+        assert found.theta == 0.0 and found.residual == 0.0
+
     def test_target_validation(self):
         model = make_three()
         with pytest.raises(ValueError):
