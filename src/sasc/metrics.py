@@ -236,6 +236,8 @@ class ComparisonConfig:
         if self.cs_model.n_modes != 3:
             raise ConfigError(f"fmap tunes the detunings of a three-mode system;"
                               f" this one has {self.cs_model.n_modes}")
+        for model in (self.ics_model, self.cs_model):  # SnrSolver checks the readout
+            SnrSolver(model, **self.readout)
 
 
 def _baseline_max(cfg: ComparisonConfig, ics_max: float | None = None) -> float:

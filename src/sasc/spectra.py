@@ -3,13 +3,14 @@ Frequency-domain physics: transfer matrices, port-pair transmission and
 asymmetry coefficients, thermal occupations, output spectra, homodyne
 quadrature coefficients, and amplification/SNR spectra.
 
-Two resolvents appear here. Interference coefficients (transmissions,
-asymmetries, quadrature coefficients) use the doubled-basis transfer
-matrix Gamma(w) = L (i w Lambda - M)^{-1} L - I with Lambda alternating
--1, +1 per channel. Measured output power spectra use the causal
-resolvent (-i w I - M)^{-1}, which is what a time-domain simulation of
-the same Langevin system produces. Every public function here gates the
-model (model.require_stable) before it solves; SnrSolver leaves that to its callers.
+One resolvent appears here, Gamma(w) = L (i w s - M)^{-1} L - I, with two
+per-channel signatures s (_channel_signature). Interference coefficients
+(transmissions, asymmetries, quadrature coefficients) use Lambda, which
+alternates -1, +1 over the doubled channels. Measured output power spectra
+use the causal s = -I, the resolvent (-i w I - M)^{-1} that a time-domain
+simulation of the same Langevin system produces. Every public function here
+gates the model (model.require_stable) before it solves; SnrSolver leaves
+that to its callers.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "resonance_probe_frequency",
     "ASYMMETRY_PAIRS",
     "transfer_matrices",
-    "causal_transfer_matrices",
     "phase_grid",
     "transmission",
     "asymmetry",
@@ -70,36 +70,25 @@ def resonance_probe_frequency() -> float:
     return 1.0 - RESONANCE_PROBE_OFFSET
 
 
-def _channel_signature(n_modes: int) -> NDArray[np.float64]:
-    return np.tile([-1.0, 1.0], n_modes)
+def _channel_signature(n_modes: int, causal: bool = False) -> NDArray[np.float64]:
+    """The resolvent's signature s: Lambda = (-1, +1, ...) over the doubled channels,
+    or -1 on every channel if causal."""
+    return np.full(2 * n_modes, -1.0) if causal else np.tile([-1.0, 1.0], n_modes)
 
 
-def transfer_matrices(model: SystemModel, omegas) -> Iterator[NDArray[np.complex128]]:
+def transfer_matrices(
+    model: SystemModel, omegas, causal: bool = False
+) -> Iterator[NDArray[np.complex128]]:
     """
-    Gated input-output transfer matrices Gamma(w) = L (i w Lambda - M)^{-1} L - I
-    over a grid, as consecutive stacks of frequencies (see _BLOCK_ENTRIES).
-
-    Lambda alternates -1, +1 over the doubled channels; L carries sqrt(kappa)
-    per channel.
+    Gated input-output transfer matrices Gamma(w) = L (i w s - M)^{-1} L - I over
+    a grid, as consecutive stacks of frequencies (see _BLOCK_ENTRIES). s is Lambda
+    by default, or the causal -I of the time-domain convention (see
+    _channel_signature); L carries sqrt(kappa) per channel.
     """
-    diagonals = 1j * np.multiply.outer(omegas, _channel_signature(model.n_modes))
-    return _input_output(model, diagonals)
-
-
-def causal_transfer_matrices(model: SystemModel, omegas) -> Iterator[NDArray[np.complex128]]:
-    """
-    Gated causal input-output matrices L (-i w I - M)^{-1} L - I (time-domain
-    convention) over a grid, as consecutive stacks of frequencies.
-    """
-    omegas = np.asarray(omegas, dtype=float)
-    return _input_output(model, np.multiply.outer(-1j * omegas, np.ones(2 * model.n_modes)))
-
-
-def _input_output(model: SystemModel, diagonals) -> Iterator[NDArray[np.complex128]]:
-    """The model's Gamma stacks of _resolvent_blocks, behind the stability gate."""
     m = build_drift_matrix(model)
     require_stable(m)
-    return _resolvent_blocks(m, input_coupling_matrix(model), diagonals)
+    signature = _channel_signature(model.n_modes, causal)
+    return _resolvent_blocks(m, input_coupling_matrix(model), omegas, signature)
 
 
 #: Points per stacked inverse: as many as fit in this many matrix entries (256 KB of
@@ -108,22 +97,26 @@ def _input_output(model: SystemModel, diagonals) -> Iterator[NDArray[np.complex1
 _BLOCK_ENTRIES = 128 * 128
 
 
-def _resolvent_blocks(drift, ell, diagonals, rows=slice(None)) -> Iterator[NDArray[np.complex128]]:
+def _resolvent_blocks(
+    drift, ell, omegas, signature, rows=slice(None)
+) -> Iterator[NDArray[np.complex128]]:
     """
-    Rows `rows` of L (diag(d) - M)^{-1} L - I for the rows d of `diagonals`, one
-    stacked checked inverse per block. `drift` is one M for every d, a stack of one
-    M per d, or a function called on each block's slice of d, in order, that builds
-    its stack. L is diagonal (input_coupling_matrix), so with l its diagonal the
-    rows are (A^{-1}[rows] * l) * l[rows] - I[rows]: the same bits as the two dense
-    products, each of whose entries has one nonzero term.
+    Rows `rows` of L (i w diag(s) - M)^{-1} L - I at each w of `omegas`, s the
+    `signature`, one stacked checked inverse per block. `drift` is one M for every
+    w, a stack of one M per w, or a function called on each block's slice of the
+    grid, in order, that builds its stack. L is diagonal (input_coupling_matrix), so
+    with l its diagonal the rows are (A^{-1}[rows] * l) * l[rows] - I[rows]: the
+    same bits as the two dense products, each of whose entries has one nonzero term.
     """
+    omegas = np.asarray(omegas, dtype=float)
     eye = np.eye(ell.shape[0])
     l = ell.diagonal()
     step = max(16, _BLOCK_ENTRIES // len(ell) ** 2)
-    for start in range(0, len(diagonals), step):
+    for start in range(0, len(omegas), step):
         block = slice(start, start + step)
         m = drift(block) if callable(drift) else drift if drift.ndim == 2 else drift[block]
-        inverse = numerics.invert(diagonals[block, :, None] * eye - m)
+        diagonals = 1j * np.multiply.outer(omegas[block], signature)
+        inverse = numerics.invert(diagonals[:, :, None] * eye - m)
         yield (inverse[..., rows, :] * l) * l[rows, None] - eye[rows]
 
 
@@ -149,9 +142,9 @@ def phase_grid(
         couplings[:, list(phases)] = magnitudes * np.exp(1j * thetas)
         return build_drift_matrix(model, couplings=couplings)
 
-    diagonal = 1j * omega * _channel_signature(model.n_modes)
-    diagonals = np.broadcast_to(diagonal, (math.prod(map(len, phases.values())), len(diagonal)))
-    return _resolvent_blocks(drifts, input_coupling_matrix(model), diagonals)
+    omegas = np.broadcast_to(omega, math.prod(map(len, phases.values())))
+    signature = _channel_signature(model.n_modes)
+    return _resolvent_blocks(drifts, input_coupling_matrix(model), omegas, signature)
 
 
 #: A transmission leg (src, dst, sideband): a unit input on the `sideband`
@@ -297,7 +290,7 @@ def output_spectrum(model: SystemModel, omegas, port: int) -> NDArray[np.float64
     simulation of the same system estimates via Welch averaging.
     """
     check_index("port", port, model.n_modes, "modes")
-    gammas = causal_transfer_matrices(model, omegas)
+    gammas = transfer_matrices(model, omegas, causal=True)
     rows = np.concatenate([np.abs(g[:, 2 * port, :]) ** 2 for g in gammas])
     return (rows[:, 0::2] + rows[:, 1::2]) @ (occupations(model) + 0.5)
 
@@ -353,10 +346,9 @@ class SnrSolver:
 
     def coefficients(self, omegas, drift=None) -> NDArray[np.complex128]:
         """Homodyne coefficients C over a grid, input channels on the last axis (see solve)."""
-        diagonals = 1j * np.multiply.outer(np.asarray(omegas, dtype=float), self.lam)
         r = slice(2 * self.readout_port, 2 * self.readout_port + 2)
         m = self.drift if drift is None else drift
-        rows = np.concatenate(list(_resolvent_blocks(m, self.ell, diagonals, r)))
+        rows = np.concatenate(list(_resolvent_blocks(m, self.ell, omegas, self.lam, r)))
         return quadrature_coefficients(rows, 0, self.psi)
 
     def amplification(self, c) -> NDArray[np.float64]:

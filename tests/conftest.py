@@ -126,8 +126,8 @@ def gamma_grid(model, omegas):
 
 
 def causal_grid(model, omegas):
-    """The causal matrix at each of `omegas`: spectra.causal_transfer_matrices' stacks, joined."""
-    return np.concatenate(list(spectra.causal_transfer_matrices(model, omegas)))
+    """The causal matrix at each of `omegas`: spectra.transfer_matrices' causal stacks, joined."""
+    return np.concatenate(list(spectra.transfer_matrices(model, omegas, causal=True)))
 
 
 def with_phases(model, phases):

@@ -6,7 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import OMEGA_HIGH, OMEGA_LOW, make_chain, make_comparison_pair, make_du
+from conftest import (
+    OMEGA_HIGH, OMEGA_LOW, make_chain, make_comparison_pair, make_du, make_three,
+)
 from sasc import chain, cli, metrics, numerics, oracle, spectra
 from sasc.model import (
     BareDriveParams, ConfigError, CouplingParams, ModeParams, SystemModel, Topology,
@@ -99,6 +101,11 @@ CHECKS = {
         lambda: metrics.f_factor(metrics.ComparisonConfig(DU, ICS)), TWO_MODE_FMAP),
     "f_map.mode_count": (
         lambda: metrics.f_map(metrics.ComparisonConfig(DU, ICS), [0.0], [0.0]), TWO_MODE_FMAP),
+    "ComparisonConfig.readout": (
+        # Checked against the tunable model before f_factor gates its unstable cell.
+        lambda: metrics.f_factor(metrics.ComparisonConfig(
+            make_three(), make_chain(5), readout={"readout_port": 3}), delta_m=-0.5),
+        "readout_port 3 is out of range: the system has 3 modes"),
     "max_snr_over_omega.omega_range": (
         lambda: metrics.max_snr_over_omega(DU, (3.0, -3.0)), "must be increasing"),
     "search_snr.nothing_to_search": (

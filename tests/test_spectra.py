@@ -38,7 +38,8 @@ class TestTransferMatrix:
 #: Every public entry that solves a resolvent of a model, on the least other input.
 GATED_ENTRIES = {
     "transfer_matrices": lambda model: spectra.transfer_matrices(model, [0.0]),
-    "causal_transfer_matrices": lambda model: spectra.causal_transfer_matrices(model, [0.0]),
+    "transfer_matrices(causal=True)":
+        lambda model: spectra.transfer_matrices(model, [0.0], causal=True),
     "output_spectrum": lambda model: spectra.output_spectrum(model, [0.0], 0),
     "phase_grid": lambda model: spectra.phase_grid(model, 0.0, {0: [0.0]}),
     "snr_spectrum": lambda model: spectra.snr_spectrum(model, [0.0]),
@@ -141,11 +142,10 @@ class TestExactPathBits:
     THETAS = np.linspace(0.0, 2.0 * np.pi, 40)
 
     @staticmethod
-    def dense(model, omegas, drifts, rows):
-        lam = np.tile([-1.0, 1.0], model.n_modes)
+    def dense(model, omegas, drifts, rows, signature):
         ell = input_coupling_matrix(model)
         eye = np.eye(len(ell))
-        a = 1j * np.multiply.outer(omegas, lam)[:, :, None] * eye - drifts
+        a = 1j * np.multiply.outer(omegas, signature)[:, :, None] * eye - drifts
         return ell[rows] @ numerics.lu_solve(a, ell) - eye[rows]
 
     @staticmethod
@@ -154,18 +154,19 @@ class TestExactPathBits:
 
     @MODELS
     @BLOCKS
-    def test_single_drift_and_stack(self, monkeypatch, model, entries):
+    @pytest.mark.parametrize("causal", [False, True], ids=["lambda", "causal"])
+    def test_single_drift_and_stack(self, monkeypatch, model, entries, causal):
         monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", entries)
         ell = input_coupling_matrix(model)
-        diagonals = 1j * np.multiply.outer(self.OMEGAS, np.tile([-1.0, 1.0], model.n_modes))
+        signature = np.tile([-1.0, -1.0 if causal else 1.0], model.n_modes)
         single = build_drift_matrix(model)
         stack = np.array([build_drift_matrix(with_phases(model, {0: t})) for t in self.THETAS])
         for drift in (single, stack):
             for rows in (slice(None), self.readout(model)):
-                blocks = list(spectra._resolvent_blocks(drift, ell, diagonals, rows))
+                blocks = list(spectra._resolvent_blocks(drift, ell, self.OMEGAS, signature, rows))
                 assert entries or len(blocks) == 3
                 assert np.array_equal(np.concatenate(blocks),
-                                      self.dense(model, self.OMEGAS, drift, rows))
+                                      self.dense(model, self.OMEGAS, drift, rows, signature))
 
     @MODELS
     @BLOCKS
@@ -175,12 +176,13 @@ class TestExactPathBits:
         blocks = spectra._resolvent_blocks
         drifts = np.array([build_drift_matrix(with_phases(model, {0: t})) for t in self.THETAS])
         omegas = np.full(len(self.THETAS), omega)
+        lam = np.tile([-1.0, 1.0], model.n_modes)
         for rows in (slice(None), self.readout(model)):
             # phase_grid hands its own drift callable to the blocks, here asked for `rows`.
-            monkeypatch.setattr(spectra, "_resolvent_blocks", lambda drift, ell, diagonals, rows=rows:
-                                blocks(drift, ell, diagonals, rows))
+            monkeypatch.setattr(spectra, "_resolvent_blocks",
+                                lambda *args, rows=rows: blocks(*args, rows))
             gammas = np.concatenate(list(spectra.phase_grid(model, omega, {0: self.THETAS})))
-            assert np.array_equal(gammas, self.dense(model, omegas, drifts, rows))
+            assert np.array_equal(gammas, self.dense(model, omegas, drifts, rows, lam))
 
     @MODELS
     def test_mode_sum_matches_numpy(self, model):
