@@ -1,6 +1,6 @@
 """
-End-to-end quadrature gain of chain models and its exponential scaling with
-the number of modes. The chain task builds one model, its longest length
+Exponential scaling of a chain's end-to-end quadrature gain, spectra.snr_spectrum's
+S_AP, with the number of modes. The chain task builds one model, its longest length
 (`cli.build_system`); scaling_fit reads each length from that model's
 leading modes.
 """
@@ -14,18 +14,9 @@ import numpy as np
 
 from .model import InstabilityError, SystemModel, require_stable
 from .numerics import LineFit, NumericalError, fit_line
-from .spectra import SnrSolver, snr_spectrum
+from .spectra import SnrSolver
 
-__all__ = ["ScalingReport", "end_to_end_gain", "scaling_fit"]
-
-
-def end_to_end_gain(model: SystemModel, omega: float) -> float:
-    """
-    Squared first-port-input to last-port-output quadrature transfer
-    |C_{1,+} + C_{1,-}|^2, measured at the final mode's port: snr_spectrum's
-    S_AP at omega.
-    """
-    return float(snr_spectrum(model, [omega])[0][0])
+__all__ = ["ScalingReport", "scaling_fit"]
 
 
 @dataclass
@@ -42,8 +33,8 @@ class ScalingReport:
 def scaling_fit(model: SystemModel, n_values: Iterable[int], omega: float) -> ScalingReport:
     """
     Fit ln(gain) versus N over the given chain lengths, length n being the
-    model's first n modes (SnrSolver.leading): end_to_end_gain of the n-mode
-    chain, from the leading block of the model's one drift. Each length has
+    model's first n modes (SnrSolver.leading): the n-mode chain's S_AP at omega,
+    from the leading block of the model's one drift. Each length has
     its own stability gate; unstable lengths are excluded (and reported)
     rather than silently dropped. The fitted base is exp(slope). A gain below
     the smallest normal float, zero included, has lost its precision or

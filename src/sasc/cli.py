@@ -219,18 +219,10 @@ def _set_keys(block: dict, *keys: str) -> dict:
 
 def build_system(block: dict) -> SystemModel:
     """SystemModel from the config 'system' block (ω_b units)."""
-    modes = []
-    for i, entry in enumerate(block["modes"]):
-        params = {**_ROLE_DEFAULTS[i % 2], **entry}
-        if i % 2 and params["detuning"] != 1.0:
-            raise ConfigError(
-                f"modes.{i}.detuning: a low mode's detuning is its frequency, which"
-                f" is 1 in low-mode units (got {params['detuning']})"
-            )
-        modes.append(ModeParams(**params))
     return SystemModel(
         topology=Topology(block["topology"]),
-        modes=tuple(modes),
+        modes=tuple(ModeParams(**{**_ROLE_DEFAULTS[i % 2], **entry})
+                    for i, entry in enumerate(block["modes"])),
         couplings=tuple(CouplingParams(**c) for c in block["couplings"]),
         **_set_keys(block, "temperature"),
     )

@@ -266,9 +266,9 @@ def f_factor(
     recomputation of the baseline, which comes first. The value is f_map's one cell.
     """
     ics_max = _baseline_max(cfg, ics_max)
-    m, b, c = (mode.detuning for mode in cfg.cs_model.modes)
+    m, c = (mode.detuning for mode in cfg.cs_model.modes[::2])
     delta_m, delta_c = m if delta_m is None else delta_m, c if delta_c is None else delta_c
-    require_stable(build_drift_matrix(cfg.cs_model, (delta_m, b, delta_c)))
+    require_stable(build_drift_matrix(cfg.cs_model, (delta_m, delta_c)))
     return float(f_map(cfg, [delta_c], [delta_m], ics_max).values[0, 0])
 
 
@@ -311,8 +311,7 @@ def f_map(
     delta_m_grid = np.asarray(delta_m_grid, dtype=float)
     ics_max = _baseline_max(cfg, ics_max)
     cells = [(float(dc), float(dm)) for dm in delta_m_grid for dc in delta_c_grid]
-    low = cfg.cs_model.modes[1].detuning
-    drifts = build_drift_matrix(cfg.cs_model, detunings=[(dm, low, dc) for dc, dm in cells])
+    drifts = build_drift_matrix(cfg.cs_model, detunings=[(dm, dc) for dc, dm in cells])
     unstable = [cell for cell, stable in zip(cells, check_stability(drifts).stable) if not stable]
     solver = SnrSolver(cfg.cs_model, **cfg.readout)
     _, s_star, scan = _search_snr(solver, drifts, cfg.omega_range)

@@ -94,8 +94,8 @@ class ModeParams:
     One bosonic mode.
 
     For high-frequency (driven) modes `detuning` is the drive detuning; for
-    low-frequency modes it stores the mode frequency itself (1 in internal
-    units). `absolute_frequency` (rad/s) is used only for thermal occupation.
+    low-frequency modes it stores the mode frequency itself, 1 in internal units
+    (SystemModel enforces it). `absolute_frequency` (rad/s): thermal occupation only.
     """
 
     label: str
@@ -164,6 +164,10 @@ class SystemModel:
             raise ConfigError("chain topology requires at least 2 modes")
         if len({mode.label for mode in self.modes}) != n:
             raise ConfigError("mode labels must be unique: they name the output columns")
+        for i in range(1, n, 2):
+            if self.modes[i].detuning != 1.0:
+                raise ConfigError(f"modes.{i}.detuning: a low mode's detuning is its frequency,"
+                                  f" which is 1 in low-mode units (got {self.modes[i].detuning})")
         if len(self.couplings) != n - 1:
             raise ConfigError(
                 f"expected {n - 1} couplings for {n} modes, got {len(self.couplings)}"
@@ -213,18 +217,21 @@ def build_drift_matrix(
     High modes contribute -(i Delta + kappa/2) on their diagonal; each
     high-low coupling G adds the beam-splitter and parametric terms to both
     partners. Creation-channel rows follow from the conjugation symmetry
-    P M* P = M: M[2i+1, 2j+b] = M[2i, 2j+1-b]*. Per-point mode `detunings`
-    (..., n_modes) or coupling values G (..., n_modes - 1), of one leading
-    shape if both are given, replace the model's and give one M per point.
+    P M* P = M: M[2i+1, 2j+b] = M[2i, 2j+1-b]*. Per-point high-mode (even-index)
+    `detunings` (..., (n_modes + 1) // 2) or coupling values G (..., n_modes - 1),
+    of one leading shape if both are given, replace the model's and give one M per
+    point; a low mode's detuning stays its frequency, 1.
     """
     n = model.n_modes
     if detunings is None:
-        detunings = [mode.detuning for mode in model.modes]
+        detunings = [mode.detuning for mode in model.modes[::2]]
     if couplings is None:
         couplings = [coupling.value for coupling in model.couplings]
     g = np.asarray(couplings, dtype=complex)
     half_kappas = np.array([mode.kappa / 2.0 for mode in model.modes])
-    diagonal = -(1j * np.asarray(detunings, dtype=float) + half_kappas)
+    deltas = np.ones((*np.shape(detunings)[:-1], n))
+    deltas[..., ::2] = detunings
+    diagonal = -(1j * deltas + half_kappas)
     # + 0.0 turns -0.0 parts into 0.0, as adding the terms to a zero matrix does.
     entries = -1j * np.concatenate([g, g, g, np.conj(g)], axis=-1) + 0.0
     shape = diagonal.shape[:-1] or entries.shape[:-1]

@@ -149,7 +149,8 @@ def with_detunings(model, detunings):
 def pole_centred_range(model, detunings):
     """
     An omega_range whose middle point of 401 is a real frequency w* at which
-    i w Lambda - M is singular for the model at `detunings`: i w* is a purely
+    i w Lambda - M is singular for the model at high-mode `detunings` (one per
+    even index, as build_drift_matrix takes them): i w* is a purely
     imaginary eigenvalue of Lambda M, away from the low-mode resonances.
     """
     lam = np.tile([-1.0, 1.0], model.n_modes)

@@ -225,7 +225,7 @@ def test_criterion_6_oracle_equivalence(capsys):
 def test_criterion_7_chain_scaling(capsys):
     fit_report = chain.scaling_fit(make_chain(6), range(2, 7), omega=0.3)
     model3 = make_chain(3)
-    gain3 = chain.end_to_end_gain(model3, 0.3)
+    gain3 = spectra.snr_spectrum(model3, [0.3])[0][0]
     gamma = next(spectra.transfer_matrices(model3, [0.3]))[0]
     c = spectra.quadrature_coefficients(gamma, output_port=2)
     quadrature_gain = float(np.abs(c[0] + c[1]) ** 2)

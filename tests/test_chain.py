@@ -50,13 +50,13 @@ class TestConstruction:
 class TestGain:
     def test_three_mode_gain_equals_quadrature_transfer(self):
         model = make_chain(3)
-        gain = chain.end_to_end_gain(model, 0.3)
+        gain = spectra.snr_spectrum(model, [0.3])[0][0]
         gamma = gamma_grid(model, [0.3])[0]
         c = quadrature_coefficients(gamma, output_port=2)
         assert gain == pytest.approx(float(np.abs(c[0] + c[1]) ** 2), rel=1e-12)
 
     def test_gain_is_nonnegative(self):
-        assert chain.end_to_end_gain(make_chain(4), 0.3) >= 0.0
+        assert spectra.snr_spectrum(make_chain(4), [0.3])[0][0] >= 0.0
 
 
 class TestScalingFit:
@@ -112,11 +112,11 @@ def chain_tasks(draw):
 
 
 def per_length_fit(block, n_values, temperature, omega):
-    """scaling_fit's rule over one model per length, each gain end_to_end_gain's: the reference."""
+    """scaling_fit's rule over one model per length, each gain snr_spectrum's S_AP: the reference."""
     gains, excluded = {}, []
     for n in n_values:
         try:
-            gain = chain.end_to_end_gain(make_chain(n, temperature, **block), omega)
+            gain = spectra.snr_spectrum(make_chain(n, temperature, **block), [omega])[0][0]
         except InstabilityError:
             excluded.append(n)
             continue

@@ -509,7 +509,7 @@ class TestFmapOmegaRange:
         # where i w Lambda - M is singular.
         config = fmap_config(delta_min=0.7, delta_max=0.8, delta_points=2)
         model = cli.build_system(config["system"])
-        config["task"]["omega_range"] = list(pole_centred_range(model, (0.7, 1.0, 0.7)))
+        config["task"]["omega_range"] = list(pole_centred_range(model, (0.7, 0.7)))
         assert run_cli(tmp_path, "fmap", config) == cli.EXIT_NUMERICAL
         assert "singular" in caplog.text
         assert not list(tmp_path.glob("fmap*"))

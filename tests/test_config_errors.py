@@ -42,6 +42,11 @@ CHECKS = {
         lambda: SystemModel(Topology.CHAIN, DU.modes[:1], ()), "at least 2 modes"),
     "SystemModel.labels": (
         lambda: SystemModel(Topology.DU, DU.modes[:1] * 2, DU.couplings), "unique"),
+    "SystemModel.low_mode_detuning": (
+        lambda: SystemModel(Topology.DU, (HIGH, dataclasses.replace(LOW, detuning=1.3)),
+                            DU.couplings),
+        r"modes\.1\.detuning: a low mode's detuning is its frequency, which is 1 in low-mode"
+        r" units \(got 1\.3\)"),
     "SystemModel.couplings": (
         lambda: SystemModel(Topology.DU, DU.modes, ()), "expected 1 couplings"),
     "SystemModel.temperature": (

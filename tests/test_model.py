@@ -124,7 +124,7 @@ class TestDriftMatrix:
             values = data.draw(st.lists(st.floats(lo, hi), min_size=count, max_size=count))
             return np.array(values).reshape(*shape, -1)
 
-        detunings = draws(-3.0, 3.0, size * n) if swept != "couplings" else None
+        detunings = draws(-3.0, 3.0, size * ((n + 1) // 2)) if swept != "couplings" else None
         thetas = draws(0.0, 2.0 * np.pi, size * (n - 1)) if swept != "detunings" else None
         magnitudes = np.array([coupling.magnitude for coupling in model.couplings])
         couplings = None if thetas is None else magnitudes * np.exp(1j * thetas)
@@ -133,11 +133,17 @@ class TestDriftMatrix:
         for point in np.ndindex(shape):
             probe = model
             if detunings is not None:
-                probe = with_detunings(probe, dict(enumerate(detunings[point])))
+                probe = with_detunings(probe, dict(zip(range(0, n, 2), detunings[point])))
             if thetas is not None:
                 probe = with_phases(probe, dict(enumerate(thetas[point])))
             expected = build_drift_matrix(probe)
             assert np.array_equal(stack[point].view(np.uint64), expected.view(np.uint64))
+
+    def test_per_point_low_mode_column_is_refused(self):
+        # Per-point detunings have one column per high mode; a low mode's is fixed at 1.
+        for model, detunings in ((make_three(), [(0.0, 1.0, 0.0)]), (make_du(), [(0.0, 1.0)])):
+            with pytest.raises(ValueError):
+                build_drift_matrix(model, detunings=detunings)
 
     def test_input_coupling_is_sqrt_kappa_diagonal(self):
         model = make_du(kappa_a=0.81, kappa_b=0.04)
@@ -231,7 +237,7 @@ class TestQuadratureForm:
     def test_stack_matches_per_matrix_calls(self):
         deltas = np.linspace(-1.0, 1.0, 5)
         model = make_three(magnitude_m=0.4, phase_m=0.7, phase_c=2.1)
-        stack = build_drift_matrix(model, detunings=[(d, 1.0, -d) for d in deltas])
+        stack = build_drift_matrix(model, detunings=[(d, -d) for d in deltas])
         verdict = check_stability(stack)
         assert verdict.eigenvalues.shape == (5, 6)
         assert verdict.stable.shape == verdict.spectral_abscissa.shape == (5,)

@@ -13,7 +13,7 @@ from sasc.model import (
     build_drift_matrix,
     input_coupling_matrix,
 )
-from sasc import chain, metrics, numerics, spectra
+from sasc import metrics, numerics, spectra
 
 
 class TestTransferMatrix:
@@ -47,7 +47,6 @@ GATED_ENTRIES = {
     # The baseline comes first, so an unstable one stops f before the tunable scheme's search.
     "f_factor": lambda model: metrics.f_factor(
         metrics.ComparisonConfig(cs_model=make_three(), ics_model=model)),
-    "chain.end_to_end_gain": lambda model: chain.end_to_end_gain(model, 0.0),
 }
 
 
