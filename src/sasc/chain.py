@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import InstabilityError, SystemModel, require_stable
+from .model import STABILITY_MARGIN, SystemModel, check_stability, numerical_abscissa
 from .numerics import LineFit, NumericalError, fit_line
 from .spectra import SnrSolver
 
@@ -34,22 +34,25 @@ def scaling_fit(model: SystemModel, n_values: Iterable[int], omega: float) -> Sc
     """
     Fit ln(gain) versus N over the given chain lengths, length n being the
     model's first n modes (SnrSolver.leading): the n-mode chain's S_AP at omega,
-    from the leading block of the model's one drift. Each length has
-    its own stability gate; unstable lengths are excluded (and reported)
+    from the leading block of the model's one drift. One numerical_abscissa of that
+    drift below -STABILITY_MARGIN certifies every length as stable; otherwise each length
+    has its own check_stability gate, and unstable lengths are excluded (and reported)
     rather than silently dropped. The fitted base is exp(slope). A gain below
     the smallest normal float, zero included, has lost its precision or
     underflowed: NumericalError naming the length. A length past the model's
     modes: ConfigError.
     """
     solver = SnrSolver(model)
+    try:  # a bound that cannot be computed certifies nothing: each length is then checked
+        certified = numerical_abscissa(solver.drift) < -STABILITY_MARGIN
+    except NumericalError:
+        certified = False
     kept_n: list[int] = []
     gains: list[float] = []
     excluded: list[int] = []
     for n in n_values:
         view = solver.leading(n)
-        try:
-            require_stable(view.drift)
-        except InstabilityError:
+        if not certified and not check_stability(view.drift).stable:
             excluded.append(n)
             continue
         gain = float(view.amplification(view.coefficients([omega]))[0])

@@ -156,6 +156,15 @@ def _json_equal(a, b) -> bool:
     return not (isinstance(a, bool) or isinstance(b, bool)) and a == b
 
 
+def _unique(items: list) -> bool:
+    """No two items are equal JSON values (_json_equal): scalars in one set keyed on (is bool,
+    value), which holds 1 and 1.0 as one key but true and 1 as two; lists and dicts pairwise."""
+    scalars = [(isinstance(v, bool), v) for v in items if not isinstance(v, (list, dict))]
+    nested = [v for v in items if isinstance(v, (list, dict))]
+    return len(set(scalars)) == len(scalars) and not any(
+        _json_equal(a, b) for i, a in enumerate(nested) for b in nested[:i])
+
+
 def _errors(schema: dict, value, path: str, defs: dict):
     """(JSON path, message) for each rule of `schema` that `value` breaks, in schema order."""
     for key, arg in schema.items():
@@ -193,8 +202,7 @@ def _errors(schema: dict, value, path: str, defs: dict):
                 yield path, f"{value!r} is too short"
             elif key == "maxItems" and len(value) > arg:
                 yield path, f"{value!r} is too long"
-            elif key == "uniqueItems" and arg and any(
-                    _json_equal(a, b) for i, a in enumerate(value) for b in value[:i]):
+            elif key == "uniqueItems" and arg and not _unique(value):
                 yield path, f"{value!r} has non-unique elements"
 
 

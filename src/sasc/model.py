@@ -46,6 +46,7 @@ __all__ = [
     "solve_steady_state",
     "check_stability",
     "require_stable",
+    "numerical_abscissa",
 ]
 
 STABILITY_MARGIN = 1e-12
@@ -227,6 +228,9 @@ def build_drift_matrix(
         detunings = [mode.detuning for mode in model.modes[::2]]
     if couplings is None:
         couplings = [coupling.value for coupling in model.couplings]
+    if np.shape(detunings)[-1:] != ((n + 1) // 2,):
+        raise ValueError(f"per-point detunings need one column per high mode, {(n + 1) // 2},"
+                         f" got shape {np.shape(detunings)}")
     g = np.asarray(couplings, dtype=complex)
     half_kappas = np.array([mode.kappa / 2.0 for mode in model.modes])
     deltas = np.ones((*np.shape(detunings)[:-1], n))
@@ -399,3 +403,11 @@ def require_stable(m) -> StabilityVerdict:
     if not verdict.stable:
         raise InstabilityError(verdict.spectral_abscissa)
     return verdict
+
+
+def numerical_abscissa(m) -> float:
+    """lambda_max of the symmetric part of R = quadrature_form(m) (one eigvalsh) + 4 n^2 eps
+    max|R_ij|: a rounding-safe bound on the spectral abscissa of a drift and its leading blocks."""
+    r = quadrature_form(m)
+    slack = r.size * np.finfo(float).eps * np.abs(r).max()
+    return float(np.linalg.eigvalsh(r / 2.0 + r.T / 2.0)[-1] + slack)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import CHAIN_BLOCK, gamma_grid, make_chain, make_du, make_three
-from sasc.model import InstabilityError, Topology, build_drift_matrix
+from sasc.model import ConfigError, InstabilityError, Topology, build_drift_matrix
 from sasc import chain, cli, spectra
 from sasc.numerics import NumericalError
 from sasc.spectra import quadrature_coefficients
@@ -138,11 +138,19 @@ def outcome(call):
         return type(exc), str(exc)
 
 
+#: CHAIN_BLOCK with a coupling of 0.25: lengths 2 to 5 are stable and 6 to 12 are not, so no
+#: one bound certifies the longer chains and scaling_fit gates each length on its own.
+UNCERTIFIED_BLOCK = {**CHAIN_BLOCK, "coupling": {"magnitude": 0.25, "phase": 0.0}}
+
+
 class TestLeadingBlocks:
     @settings(max_examples=100, deadline=None, database=None)
     @given(chain_tasks())
     # The 168-mode chain's gain is subnormal (see test_config_errors).
     @example((CHAIN_BLOCK, [2, 3, 168], 0.0, 0.3))
+    # One certificate covers N = 2..40; each length of N = 2..10 has its own gate.
+    @example((CHAIN_BLOCK, list(range(2, 41)), 0.01, 0.3))
+    @example((UNCERTIFIED_BLOCK, list(range(2, 11)), 0.0, 0.3))
     def test_fit_equals_one_model_per_length(self, task):
         block, n_values, temperature, omega = task
 
@@ -172,3 +180,22 @@ class TestLeadingBlocks:
                             lambda model: built.append(model.n_modes) or build(model))
         chain.scaling_fit(make_chain(8), range(2, 9), 0.3)
         assert built == [8]
+
+    def test_only_an_uncertified_chain_checks_each_length(self, monkeypatch):
+        checked = []
+        check = chain.check_stability
+        monkeypatch.setattr(chain, "check_stability",
+                            lambda m: checked.append(len(m) // 2) or check(m))
+        # The criterion-7 chain over N = 2..40: one numerical_abscissa, no per-length check.
+        chain.scaling_fit(make_chain(40, 0.01), range(2, 41), 0.3)
+        assert checked == []
+        report = chain.scaling_fit(make_chain(10, **UNCERTIFIED_BLOCK), range(2, 11), 0.3)
+        assert checked == list(range(2, 11))
+        assert report.excluded_unstable == (6, 7, 8, 9, 10)
+
+    def test_a_bound_that_raises_leaves_each_length_its_own_gate(self):
+        # A coupling of 1e308 overflows the quadrature form, so numerical_abscissa raises; the
+        # lengths then run in order as before, and length 1 is refused before any is gated.
+        model = make_chain(4, coupling={"magnitude": 1e308, "phase": 0.0})
+        with pytest.raises(ConfigError, match="chain length 1 is out of range"):
+            chain.scaling_fit(model, (1, 2, 3), 0.3)

@@ -19,6 +19,7 @@ from sasc.model import (
     build_drift_matrix,
     check_stability,
     input_coupling_matrix,
+    numerical_abscissa,
     quadrature_form,
     require_stable,
     solve_steady_state,
@@ -140,9 +141,11 @@ class TestDriftMatrix:
             assert np.array_equal(stack[point].view(np.uint64), expected.view(np.uint64))
 
     def test_per_point_low_mode_column_is_refused(self):
-        # Per-point detunings have one column per high mode; a low mode's is fixed at 1.
-        for model, detunings in ((make_three(), [(0.0, 1.0, 0.0)]), (make_du(), [(0.0, 1.0)])):
-            with pytest.raises(ValueError):
+        # Per-point detunings have one column per high mode; a low mode's is fixed at 1. One
+        # column for the three-mode system would otherwise broadcast onto m and c alike.
+        for model, detunings in ((make_three(), [(0.0, 1.0, 0.0)]), (make_du(), [(0.0, 1.0)]),
+                                 (make_three(), [(0.5,)]), (make_three(), 0.5), (make_du(), [])):
+            with pytest.raises(ValueError, match="one column per high mode"):
                 build_drift_matrix(model, detunings=detunings)
 
     def test_input_coupling_is_sqrt_kappa_diagonal(self):
@@ -188,6 +191,19 @@ class TestStability:
     def test_verdict_carries_all_eigenvalues(self):
         verdict = check_stability(build_drift_matrix(make_du()))
         assert len(verdict.eigenvalues) == 4
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(model=drift_models())
+    def test_numerical_abscissa_bounds_every_leading_block(self, model):
+        # Stable and unstable draws alike (see test_draws_are_stable_and_unstable_...): by
+        # Cauchy interlacing the one bound covers each leading block's spectral abscissa.
+        m = build_drift_matrix(model)
+        bound = numerical_abscissa(m)
+        for k in range(1, model.n_modes + 1):
+            assert check_stability(m[: 2 * k, : 2 * k]).spectral_abscissa <= bound
+        # T is unitary, so the symmetric part of R shares its spectrum with M's Hermitian part.
+        top = np.linalg.eigvalsh((m + m.conj().T) / 2.0)[-1]
+        assert top <= bound <= top + 1e-12 * max(1.0, np.abs(m).max())
 
 
 class TestQuadratureForm:

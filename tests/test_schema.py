@@ -191,6 +191,10 @@ def test_explicit_cases(config, path):
     ([1, 1.0], False), ([0, -0.0], False), ([True, True], False), ([[1], [1.0]], False),
     ([{"a": 1}, {"a": 1.0}], False), ([None, None], False), ([True, 1], True),
     ([False, 0], True), ([[True], [1]], True), ([{"a": 1}, {"b": 1}], True), (["1", 1], True),
+    # Scalars go through one set, lists and dicts pairwise: mixed, and at 999 entries.
+    ([True, 1, 1.0], False), ([False, 0, -0.0], False), ([True, 1, False, 0, None], True),
+    ([1, [1], {"1": 1}, "1", 1.0], False), ([0, [0], [0.0]], False), ([1, [1], {"1": 1}], True),
+    ([2**53 + 1, 2.0**53], True), (list(range(999)), True), ([*range(999), 998.0], False),
 ])
 def test_unique_items_compare_json_values(items, unique):
     schema = {"uniqueItems": True}
