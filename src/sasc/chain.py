@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import STABILITY_MARGIN, SystemModel, check_stability, numerical_abscissa
-from .numerics import LineFit, NumericalError, fit_line
+from .numerics import NumericalError
 from .spectra import SnrSolver
 
 __all__ = ["ScalingReport", "scaling_fit"]
@@ -21,11 +21,13 @@ __all__ = ["ScalingReport", "scaling_fit"]
 
 @dataclass
 class ScalingReport:
-    """Exponential-scaling fit of ln(gain) against chain length."""
+    """Least-squares fit ln(gain) = slope N + intercept over chain lengths; base = exp(slope)."""
 
     n_values: tuple[int, ...]
     gains: tuple[float, ...]
-    fit: LineFit
+    slope: float
+    intercept: float
+    r_squared: float
     base: float
     excluded_unstable: tuple[int, ...] = field(default_factory=tuple)
 
@@ -63,13 +65,20 @@ def scaling_fit(model: SystemModel, n_values: Iterable[int], omega: float) -> Sc
             )
         gains.append(gain)
         kept_n.append(n)
-    if len(kept_n) < 3:
+    if len(set(kept_n)) < 3:
         raise NumericalError("scaling_fit needs at least 3 stable chain lengths")
-    fit = fit_line(kept_n, np.log(gains))
+    x, y = np.asarray(kept_n, dtype=float), np.log(gains)
+    x_mean, y_mean = x.mean(), y.mean()
+    slope = np.sum((x - x_mean) * (y - y_mean)) / np.sum((x - x_mean) ** 2)
+    intercept = y_mean - slope * x_mean
+    ss_tot = np.sum((y - y_mean) ** 2)
+    r_squared = 1.0 - float(np.sum((y - (slope * x + intercept)) ** 2) / ss_tot) if ss_tot else 1.0
     return ScalingReport(
         n_values=tuple(kept_n),
         gains=tuple(gains),
-        fit=fit,
-        base=float(np.exp(fit.slope)),
+        slope=float(slope),
+        intercept=float(intercept),
+        r_squared=r_squared,
+        base=float(np.exp(slope)),
         excluded_unstable=tuple(excluded),
     )

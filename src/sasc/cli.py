@@ -385,8 +385,7 @@ def run_fmap(config: dict, outdir: Path, fmt: str) -> None:
               result.scan["fallback_cells"], result.values.size, result.scan["max_eigvec_cond"])
     # Every cell, unstable ones included (listed under unstable_cells), holds
     # the algebraic ratio f; lg f is undefined where f <= 0 and written as null/nan.
-    with np.errstate(divide="ignore"):
-        lg = np.where(result.values > 0.0, np.log10(np.maximum(result.values, 1e-300)), np.nan)
+    lg = np.where(result.values > 0.0, np.log10(np.maximum(result.values, 1e-300)), np.nan)
     meta = _metadata(config, result.metadata)
     base = _basename(config, "fmap")
     if fmt == "csv":
@@ -420,7 +419,6 @@ def run_chain(config: dict, outdir: Path, fmt: str) -> None:
     meta = _metadata(config, {"omega": omega})
     base = _basename(config, "chain")
     fit = dataclasses.asdict(report)
-    fit.update(fit.pop("fit"))  # the line fit's slope, intercept and r_squared, flattened
     if fmt == "csv":
         _write_table(outdir, base, fmt, meta, {"n_modes": report.n_values, "gain": report.gains})
         _write_json(outdir / f"{base}_fit.json", meta, {"fit": fit})

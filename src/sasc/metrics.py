@@ -7,9 +7,8 @@ search. Every SNR search is one _search_snr call, which skips the fixed
 resonance bands. max_snr_over_omega and f_factor, the detuning map's one cell,
 gate their model; the map also evaluates unstable cells, and lists them. It
 builds all cells' drift matrices in one call and runs their SNR searches in
-lockstep. Each cell's coarse argmax is ranked from the poles of Lambda M (one
-stacked eig per block of cells, 2^16 entries of cells x 401 points x n: 27 three-mode cells,
-through one reused work buffer), or by the exact scan where a proven guard
+lockstep. Each cell's coarse argmax is ranked from the poles of Lambda M over
+401 points (SnrSolver.scan), or by the exact scan where its proven guard
 does not trust that; the value at the argmax and each golden-section step
 are one stacked exact solve over all cells, each bracket stopping on its own.
 """
@@ -123,68 +122,15 @@ def max_snr_over_omega(
     return float(w[0]), float(s[0])
 
 
-#: A cell's coarse scan is ranked from its poles only if cond_1 of its eigenvector
-#: matrix is below this bound, and the exact kernel's rcond provably exceeds
-#: _RCOND_MARGIN (ten times the solve's floor) at every grid point; otherwise it
-#: takes the exact scan, which raises SingularMatrixError where that floor refuses it.
-_EIGVEC_COND_LIMIT = 1e4
-_RCOND_MARGIN = 10.0 * numerics._RCOND_FLOOR
-#: Entries (cells x _SNR_SCAN_POINTS x n) per block of pole-residue coarse scans, 1 MB of
-#: complex: 27 cells of a three-mode system. Blocks are independent, so their size moves no bit.
-_SCAN_ENTRIES = 1 << 16
-
-
-def _pole_residue_snr(solver: SnrSolver, drifts, grid, work=None):
-    """
-    (SNR over `grid`, trusted, cond_1(V)) of each drift matrix M of a stack, from
-    the poles d and eigenvectors V of Lambda M. Lambda^2 = I, so
-    i w Lambda - M = Lambda (i w I - Lambda M), and the readout rows are
-    L_r V diag(1 / (i w - d)) V^-1 Lambda L - I_r: O(n^2) per frequency. Since
-    |(i w Lambda - M)^-1|_1 <= cond_1(V) / min_k |i w - d_k|, the exact kernel's
-    rcond at w is at least min_k |i w - d_k| / (max(|w| + |M|_1, 1) cond_1(V));
-    a matrix is trusted if that bound and cond_1(V) pass the guard above.
-    Nothing is trusted (cond_1 inf, SNR 0) if eig or inv fails. `work`, a complex
-    (2, >= cells, len(grid), n) buffer that the scan overwrites, spares a block's
-    large temporaries their allocation; one is made if it is not given.
-    """
-    cells = len(drifts)
-    if work is None:
-        work = np.empty((2, cells, len(grid), drifts.shape[-1]), dtype=complex)
-    try:
-        poles, v = np.linalg.eig(solver.lam[:, None] * drifts)
-        v_inv = np.linalg.inv(v)
-    except np.linalg.LinAlgError:
-        return np.zeros((cells, len(grid))), np.zeros(cells, dtype=bool), np.full(cells, np.inf)
-
-    cond = np.linalg.norm(v, 1, axis=(-2, -1)) * np.linalg.norm(v_inv, 1, axis=(-2, -1))
-    gaps = np.subtract(1j * grid[:, None], poles[:, None, :], out=work[0, :cells])
-    norm_m = np.linalg.norm(drifts, 1, axis=(-2, -1))
-    scale = np.maximum(np.abs(grid) + norm_m[:, None], 1.0) * cond[:, None]
-    # The nearest pole, taken pole by pole: numpy's reduction over a short last axis is slow.
-    nearest = np.abs(gaps[..., 0])
-    for k in range(1, gaps.shape[-1]):
-        np.minimum(nearest, np.abs(gaps[..., k]), out=nearest)
-    rcond_bound = nearest / scale
-    trusted = (cond < _EIGVEC_COND_LIMIT) & np.all(rcond_bound > _RCOND_MARGIN, axis=-1)
-    r = slice(2 * solver.readout_port, 2 * solver.readout_port + 2)
-    w = np.exp([-1j * solver.psi, 1j * solver.psi]) / np.sqrt(2.0)
-    left, right = w @ solver.ell[r] @ v, v_inv @ (solver.lam[:, None] * solver.ell)
-    with np.errstate(all="ignore"):  # only an untrusted matrix can overflow or meet a pole
-        c = np.matmul(np.divide(left[:, None, :], gaps, out=work[1, :cells]), right, out=gaps)
-        c -= w @ np.eye(len(solver.lam))[r]
-        return solver.from_coefficients(c)[1], trusted, cond
-
-
 def _search_snr(solver: SnrSolver, drifts, omega_range):
     """
     (omega*, S*, scan) of a stack of drift matrices, whose models differ from the
-    solver's only in M. Each cell's coarse argmax comes from _pole_residue_snr over
-    blocks of _SCAN_ENTRIES entries (cells x _SNR_SCAN_POINTS x n), or from the exact scan if
-    untrusted; its value is one stacked exact solve, as is each golden-section step
-    over the live brackets. SNR reads 0 in the resonance bands. `scan` holds the
-    number of exact-scan cells and the worst cond_1(V). ConfigError if omega_range
-    is not increasing, spans more than a float, is too narrow for the scan's
-    distinct points, or lies inside the bands.
+    solver's only in M. Each cell's coarse argmax over _SNR_SCAN_POINTS comes from
+    SnrSolver.scan, or from the exact scan where that is not trusted; its value is one
+    stacked exact solve, as is each golden-section step over the live brackets. SNR
+    reads 0 in the resonance bands. `scan` holds the number of exact-scan cells and
+    the worst cond_1(V). ConfigError if omega_range is not increasing, spans more than
+    a float, is too narrow for the scan's distinct points, or lies inside the bands.
     """
     grid = check_range("omega_range", *omega_range, _SNR_SCAN_POINTS)
     if excludes_whole_range(omega_range):
@@ -193,10 +139,7 @@ def _search_snr(solver: SnrSolver, drifts, omega_range):
                           f" {RESONANCE_EXCLUSION_WIDTH}): nothing to search")
     cells = len(drifts)
     best, trusted, cond = np.zeros(cells, dtype=int), np.zeros(cells, dtype=bool), np.zeros(cells)
-    step = max(1, _SCAN_ENTRIES // (len(grid) * drifts.shape[-1]))
-    work = np.empty((2, min(step, cells), len(grid), drifts.shape[-1]), dtype=complex)
-    for block in (slice(start, start + step) for start in range(0, cells, step)):
-        values, trusted[block], cond[block] = _pole_residue_snr(solver, drifts[block], grid, work)
+    for block, values, trusted[block], cond[block] in solver.scan(drifts, grid):
         for k in np.flatnonzero(~trusted[block]):
             values[k] = solver.solve(grid, drifts[block][k])[1]
         best[block] = np.argmax(np.where(_excluded(grid), 0.0, values), axis=-1)

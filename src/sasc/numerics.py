@@ -1,19 +1,17 @@
 """
-Dense linear-algebra and fitting kernel, and the numerical failure types.
+Dense linear-algebra and spectral-estimation kernel, and the numerical failure types.
 
 The checked inverse of one complex matrix or a stack of them (invert), and
 eigenvalues of a real or complex stack, are thin wrappers over LAPACK
 through numpy.linalg; invert refuses a matrix whose reciprocal condition
 is below a fixed floor with SingularMatrixError, a NumericalError, and a
-solve (lu_solve) is that inverse times the right-hand sides. Also:
-least-squares line fitting and a streaming Welch power-spectral-density
-estimate.
+solve (lu_solve) is that inverse times the right-hand sides. Also: a
+streaming Welch power-spectral-density estimate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -24,11 +22,9 @@ if TYPE_CHECKING:
 __all__ = [
     "NumericalError",
     "SingularMatrixError",
-    "LineFit",
     "lu_solve",
     "invert",
     "eigenvalues",
-    "fit_line",
     "hann_window",
     "WelchEstimate",
     "WelchAccumulator",
@@ -55,15 +51,6 @@ class SingularMatrixError(NumericalError):
     def __init__(self, rcond: float):
         self.rcond = rcond
         super().__init__(f"matrix singular to working precision (rcond {rcond:.1e})")
-
-
-@dataclass(frozen=True)
-class LineFit:
-    """Ordinary least-squares line y = slope*x + intercept with fit quality."""
-
-    slope: float
-    intercept: float
-    r_squared: float
 
 
 def _square_stack(a, dtype=complex) -> NDArray:
@@ -122,29 +109,6 @@ def eigenvalues(a) -> NDArray:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration did not converge: {exc}") from exc
-
-
-def fit_line(xs, ys) -> LineFit:
-    """Ordinary least-squares fit of y = slope*x + intercept."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.size < 2:
-        raise ValueError("fit_line requires at least 2 points")
-    if np.ptp(x) == 0.0:
-        raise ValueError("fit_line requires non-degenerate x values")
-    x_mean = x.mean()
-    y_mean = y.mean()
-    sxx = np.sum((x - x_mean) ** 2)
-    sxy = np.sum((x - x_mean) * (y - y_mean))
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
-    residual = y - (slope * x + intercept)
-    ss_tot = np.sum((y - y_mean) ** 2)
-    if ss_tot == 0.0:
-        r_squared = 1.0
-    else:
-        r_squared = 1.0 - float(np.sum(residual**2) / ss_tot)
-    return LineFit(slope=float(slope), intercept=float(intercept), r_squared=r_squared)
 
 
 def hann_window(n: int) -> NDArray[np.float64]:

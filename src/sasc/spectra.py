@@ -93,8 +93,17 @@ def transfer_matrices(
 
 #: Points per stacked inverse: as many as fit in this many matrix entries (256 KB of
 #: complex), but at least 16: 455 for a 6x6 three-mode system, 16 for an 80x80 chain.
-#: The f-map's pole-residue coarse scans block cells by their own budget (metrics._SCAN_ENTRIES).
+#: The f-map's pole-residue coarse scans block cells by their own budget (_SCAN_ENTRIES).
 _BLOCK_ENTRIES = 128 * 128
+#: SnrSolver.scan trusts a cell only if cond_1 of its eigenvector matrix is below this bound
+#: and the exact kernel's rcond provably exceeds _RCOND_MARGIN (ten times the solve's floor)
+#: at every grid point, so that no cell the floor refuses escapes the exact scan.
+_EIGVEC_COND_LIMIT = 1e4
+_RCOND_MARGIN = 10.0 * numerics._RCOND_FLOOR
+#: Entries (cells x grid points x n) per block of pole-residue coarse scans, 1 MB of
+#: complex: 27 cells of a three-mode system over 401 points. Blocks are independent,
+#: so their size moves no bit.
+_SCAN_ENTRIES = 1 << 16
 
 
 def _resolvent_blocks(
@@ -308,6 +317,7 @@ class SnrSolver:
     signal_port; the SNR divides it by the thermally weighted homodyne noise
     sum_j (|C_{j,+}|^2 + |C_{j,-}|^2)(n_j + 1/2). signal_port, readout_port (the
     last mode by default) and psi are the readout, which every SNR entry passes here.
+    scan ranks the SNR of a stack of drift matrices from the poles of Lambda M.
     """
 
     def __init__(
@@ -350,6 +360,51 @@ class SnrSolver:
         m = self.drift if drift is None else drift
         rows = np.concatenate(list(_resolvent_blocks(m, self.ell, omegas, self.lam, r)))
         return quadrature_coefficients(rows, 0, self.psi)
+
+    def scan(self, drifts, grid) -> Iterator[tuple]:
+        """
+        (block, SNR over `grid`, trusted, cond_1(V)) of each block of _SCAN_ENTRIES
+        entries of a stack of drift matrices M, from the poles d and eigenvectors V of
+        Lambda M. Lambda^2 = I, so i w Lambda - M = Lambda (i w I - Lambda M), and the
+        readout rows are L_r V diag(1 / (i w - d)) V^-1 Lambda L - I_r: O(n^2) per
+        frequency. Since |(i w Lambda - M)^-1|_1 <= cond_1(V) / min_k |i w - d_k|, the
+        exact kernel's rcond at w is at least min_k |i w - d_k| / (max(|w| + |M|_1, 1)
+        cond_1(V)); a matrix is trusted if cond_1(V) < _EIGVEC_COND_LIMIT and that bound
+        exceeds _RCOND_MARGIN on the whole grid. Nothing in a block is trusted (cond_1 inf,
+        SNR 0) if eig or inv fails. Blocks reuse one complex (2, cells, len(grid), n) buffer.
+        """
+        n = drifts.shape[-1]
+        step = max(1, _SCAN_ENTRIES // (len(grid) * n))
+        work = np.empty((2, min(step, len(drifts)), len(grid), n), dtype=complex)
+        r = slice(2 * self.readout_port, 2 * self.readout_port + 2)
+        eye_r = quadrature_coefficients(np.eye(n)[r], 0, self.psi)
+        for block in (slice(start, start + step) for start in range(0, len(drifts), step)):
+            m = drifts[block]
+            cells = len(m)
+            try:
+                poles, v = np.linalg.eig(self.lam[:, None] * m)
+                v_inv = np.linalg.inv(v)
+            except np.linalg.LinAlgError:
+                yield (block, np.zeros((cells, len(grid))), np.zeros(cells, dtype=bool),
+                       np.full(cells, np.inf))
+                continue
+            cond = np.linalg.norm(v, 1, axis=(-2, -1)) * np.linalg.norm(v_inv, 1, axis=(-2, -1))
+            gaps = np.subtract(1j * grid[:, None], poles[:, None, :], out=work[0, :cells])
+            norm_m = np.linalg.norm(m, 1, axis=(-2, -1))
+            scale = np.maximum(np.abs(grid) + norm_m[:, None], 1.0) * cond[:, None]
+            # The nearest pole, pole by pole: numpy's reduction over a short last axis is slow.
+            nearest = np.abs(gaps[..., 0])
+            for k in range(1, n):
+                np.minimum(nearest, np.abs(gaps[..., k]), out=nearest)
+            trusted = (cond < _EIGVEC_COND_LIMIT) & np.all(nearest / scale > _RCOND_MARGIN, axis=-1)
+            left = quadrature_coefficients(self.ell[r] @ v, 0, self.psi)
+            right = v_inv @ (self.lam[:, None] * self.ell)
+            with np.errstate(all="ignore"):  # only an untrusted matrix can overflow or meet a pole
+                quotients = np.divide(left[:, None, :], gaps, out=work[1, :cells])
+                c = np.matmul(quotients, right, out=gaps)
+                c -= eye_r
+                snr = self.from_coefficients(c)[1]
+            yield block, snr, trusted, cond
 
     def amplification(self, c) -> NDArray[np.float64]:
         """S_AP = |C_s + C_s*|^2 of homodyne coefficients C, input channels on the last axis."""

@@ -63,8 +63,8 @@ class TestScalingFit:
     def test_log_gain_is_linear_in_length(self):
         report = chain.scaling_fit(make_chain(6), range(2, 7), omega=0.3)
         assert report.n_values == (2, 3, 4, 5, 6)
-        assert report.fit.r_squared > 0.99
-        assert report.base == pytest.approx(np.exp(report.fit.slope), rel=1e-12)
+        assert report.r_squared > 0.99
+        assert report.base == pytest.approx(np.exp(report.slope), rel=1e-12)
         assert report.excluded_unstable == ()
 
     def test_unstable_lengths_are_excluded_and_reported(self):
@@ -78,8 +78,27 @@ class TestScalingFit:
         with pytest.raises(ValueError):
             chain.scaling_fit(make_chain(3), [2, 3], omega=0.3)
 
+    def test_line_fit_is_the_least_squares_line(self):
+        # The criterion-7 chain over N = 2..40: numpy's degree-1 polyfit, r^2 = 1 - SSR/SST.
+        report = chain.scaling_fit(make_chain(40, 0.01), range(2, 41), omega=0.3)
+        x, y = np.array(report.n_values, dtype=float), np.log(report.gains)
+        slope, intercept = np.polyfit(x, y, 1)
+        assert report.slope == pytest.approx(slope, rel=1e-12)
+        assert report.intercept == pytest.approx(intercept, rel=1e-12)
+        ssr = np.sum((y - (report.slope * x + report.intercept)) ** 2)
+        r_squared = 1.0 - ssr / np.sum((y - y.mean()) ** 2)
+        assert report.r_squared == pytest.approx(r_squared, rel=1e-12)
+        assert 0.0 < report.r_squared < 1.0
+        assert report.base == np.exp(report.slope)
+
+    def test_a_repeated_length_counts_once(self):
+        with pytest.raises(NumericalError, match="at least 3 stable chain lengths"):
+            chain.scaling_fit(make_chain(4), [3, 3, 3], omega=0.3)
+        report = chain.scaling_fit(make_chain(4), [2, 2, 3, 4], omega=0.3)
+        assert report.n_values == (2, 2, 3, 4) and report.gains[0] == report.gains[1]
+
     def test_report_serialization(self, tmp_path):
-        # The chain task writes the report's fields, with the line fit's flattened into them.
+        # The chain task writes the report's fields.
         report = chain.scaling_fit(make_chain(4), (2, 3, 4), omega=0.3)
         config = {"system": cli.chain_system(CHAIN_BLOCK, 4), "task": {
             "kind": "chain", "chain": {**CHAIN_BLOCK, "n_values": [2, 3, 4], "omega": 0.3}}}
@@ -89,8 +108,8 @@ class TestScalingFit:
         assert cli.main(args) == cli.EXIT_OK
         payload = json.loads((tmp_path / "chain.json").read_text())["fit"]
         assert payload == {
-            "n_values": [2, 3, 4], "gains": list(report.gains), "slope": report.fit.slope,
-            "intercept": report.fit.intercept, "r_squared": report.fit.r_squared,
+            "n_values": [2, 3, 4], "gains": list(report.gains), "slope": report.slope,
+            "intercept": report.intercept, "r_squared": report.r_squared,
             "base": report.base, "excluded_unstable": [],
         }
         assert payload["base"] > 0.0

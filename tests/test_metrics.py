@@ -316,7 +316,7 @@ class TestPoleResidueScan:
         cs, ics = make_comparison_pair()
         cfg = metrics.ComparisonConfig(cs_model=cs, ics_model=ics, omega_range=omega_range)
         ranked = metrics.f_map(cfg, deltas, deltas)
-        monkeypatch.setattr(metrics, "_EIGVEC_COND_LIMIT", 0.0)
+        monkeypatch.setattr(spectra, "_EIGVEC_COND_LIMIT", 0.0)
         exact = metrics.f_map(cfg, deltas, deltas)
         assert ranked.scan["fallback_cells"] == 0
         assert exact.scan["fallback_cells"] == len(deltas) ** 2
@@ -334,11 +334,11 @@ class TestPoleResidueScan:
         solver = spectra.SnrSolver(make_three())
         defective = solver.lam[:, None] * (basis @ jordan @ np.linalg.inv(basis))
         drifts = np.stack([solver.drift, defective])
-        _, trusted, cond = metrics._pole_residue_snr(solver, drifts, self.GRID)
+        _, trusted, cond = next(solver.scan(drifts, self.GRID))[1:]
         assert trusted.tolist() == [True, False] and cond[1] >= 1e4
         w, s, scan = metrics._search_snr(solver, drifts, (-3.0, 3.0))
         assert scan == {"fallback_cells": 1, "max_eigvec_cond": cond[1]}
-        monkeypatch.setattr(metrics, "_EIGVEC_COND_LIMIT", 0.0)
+        monkeypatch.setattr(spectra, "_EIGVEC_COND_LIMIT", 0.0)
         exact_w, exact_s, _ = metrics._search_snr(solver, drifts, (-3.0, 3.0))
         assert np.array_equal(w, exact_w) and np.array_equal(s, exact_s)
 
@@ -356,8 +356,8 @@ class TestPoleResidueScan:
         drift = build_drift_matrix(cs, (0.7, 0.7))
         poles = np.linalg.eigvals(solver.lam[:, None] * drift)
         assert np.min(np.abs(1j * grid[200] - poles)) < 1e-14
-        _, trusted, cond = metrics._pole_residue_snr(solver, drift[None], grid)
-        assert not trusted[0] and cond[0] < metrics._EIGVEC_COND_LIMIT
+        _, trusted, cond = next(solver.scan(drift[None], grid))[1:]
+        assert not trusted[0] and cond[0] < spectra._EIGVEC_COND_LIMIT
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -374,7 +374,7 @@ class TestPoleResidueScan:
                            magnitude_m=magnitudes[0], magnitude_c=magnitudes[1],
                            phase_m=phases[0], phase_c=phases[1])
         solver = spectra.SnrSolver(model)
-        values, trusted, _ = metrics._pole_residue_snr(solver, solver.drift[None], self.GRID)
+        values, trusted, _ = next(solver.scan(solver.drift[None], self.GRID))[1:]
         assume(trusted[0])
         exact = solver.solve(self.GRID)[1]
         tol = 1e-9 * exact.max()

@@ -199,27 +199,6 @@ class TestEigenvalues:
         assert np.max(np.abs(eigs.imag)) < 1e-9
 
 
-class TestFitLine:
-    def test_exact_line_recovered(self):
-        x = np.linspace(0.0, 5.0, 17)
-        fit = numerics.fit_line(x, 2.5 * x - 1.25)
-        assert fit.slope == pytest.approx(2.5, abs=1e-12)
-        assert fit.intercept == pytest.approx(-1.25, abs=1e-12)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-
-    def test_noise_lowers_r_squared(self):
-        rng = np.random.default_rng(17)
-        x = np.linspace(0.0, 1.0, 50)
-        fit = numerics.fit_line(x, x + 0.3 * rng.standard_normal(50))
-        assert 0.0 < fit.r_squared < 1.0
-
-    def test_degenerate_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            numerics.fit_line([1.0], [2.0])
-        with pytest.raises(ValueError):
-            numerics.fit_line([1.0, 1.0], [2.0, 3.0])
-
-
 class TestWelch:
     def test_white_noise_level(self):
         rng = np.random.default_rng(18)

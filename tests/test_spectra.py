@@ -202,8 +202,8 @@ class TestExactPathBits:
         cfg = metrics.ComparisonConfig(cs_model=cs, ics_model=ics)
         deltas = np.linspace(-0.8, 0.8, 9)
         maps = []
-        for entries in (1, metrics._SCAN_ENTRIES, 81 * metrics._SNR_SCAN_POINTS * 6):
-            monkeypatch.setattr(metrics, "_SCAN_ENTRIES", entries)  # one cell, default, all cells
+        for entries in (1, spectra._SCAN_ENTRIES, 81 * metrics._SNR_SCAN_POINTS * 6):
+            monkeypatch.setattr(spectra, "_SCAN_ENTRIES", entries)  # one cell, default, all cells
             maps.append(metrics.f_map(cfg, deltas, deltas))
         for result in maps[1:]:
             assert np.array_equal(result.values, maps[0].values)
@@ -369,6 +369,31 @@ class TestOutputSpectrum:
         assert np.all(values >= 0.0)
 
 
+@st.composite
+def readout_solvers(draw):
+    """SnrSolvers of random two-mode, three-mode and chain models, stable or not, at random
+    temperatures, with random signal and readout ports and homodyne angle."""
+    kappa, delta = st.floats(0.01, 2.0), st.floats(-2.0, 2.0)
+    magnitude, phase = st.floats(0.0, 0.6), st.floats(0.0, 2.0 * np.pi)
+    temperature = draw(st.just(0.0) | st.floats(1e-3, 2.0))
+    kind = draw(st.sampled_from(["du", "three", "chain"]))
+    if kind == "du":
+        model = make_du(kappa_a=draw(kappa), delta_a=draw(delta), magnitude=draw(magnitude),
+                        phase=draw(phase), temperature=temperature)
+    elif kind == "three":
+        model = make_three(kappa_m=draw(kappa), kappa_c=draw(kappa), delta_m=draw(delta),
+                           delta_c=draw(delta), magnitude_m=draw(magnitude),
+                           magnitude_c=draw(magnitude), phase_m=draw(phase),
+                           phase_c=draw(phase), temperature=temperature)
+    else:
+        model = make_chain(draw(st.integers(2, 8)), temperature,
+                           coupling={"magnitude": draw(magnitude), "phase": draw(phase)},
+                           detuning=draw(delta), detuning_alt=draw(delta),
+                           kappa_high=draw(kappa), kappa_low=draw(st.floats(1e-4, 0.5)))
+    ports = st.integers(0, model.n_modes - 1)
+    return spectra.SnrSolver(model, draw(ports), draw(ports), draw(phase))
+
+
 class TestSnrSpectra:
     def test_amplification_and_snr_are_finite_positive(self):
         model = make_three(kappa_c=0.1, magnitude_m=0.2,
@@ -393,6 +418,17 @@ class TestSnrSpectra:
         expected = s_ap, s_ap / noise
         for value, reference in zip(spectra.snr_spectrum(model, omegas, psi=psi), expected):
             np.testing.assert_allclose(value, reference, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(readout_solvers(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8))
+    def test_snr_is_below_the_signal_ports_ceiling(self, solver, omegas):
+        # |C_s+ + C_s-|^2 <= 2 (|C_s+|^2 + |C_s-|^2) by Cauchy-Schwarz, and the noise sum
+        # holds (|C_s+|^2 + |C_s-|^2)(n_s + 1/2), so SNR <= 2 / (n_s + 1/2) (Caves, Phys.
+        # Rev. D 26, 1817 (1982)): on the exact path and on the pole-residue scan.
+        ceiling = (1.0 + 1e-12) * 2.0 / solver.weights[solver.signal_port]
+        assert np.all(solver.solve(omegas)[1] <= ceiling)
+        _, snr, trusted, _ = next(solver.scan(solver.drift[None], np.linspace(-3.0, 3.0, 401)))
+        assert np.all(snr[trusted] <= ceiling)
 
     def test_homodyne_angle_changes_the_spectrum(self):
         model = make_three(kappa_c=0.1, magnitude_m=0.2, phase_m=np.pi / 3)
