@@ -230,8 +230,6 @@ class MapResult:
         self.delta_c = np.asarray(self.delta_c, dtype=float)
         self.delta_m = np.asarray(self.delta_m, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if np.any(np.diff(self.delta_c) <= 0) or np.any(np.diff(self.delta_m) <= 0):
-            raise ValueError("map grids must be strictly increasing")
         if self.values.shape != (len(self.delta_m), len(self.delta_c)):
             raise ValueError("values shape must be (len(delta_m), len(delta_c))")
         if not np.all(np.isfinite(self.values)):
@@ -248,10 +246,14 @@ def f_map(
     cells whose linearized drift matrix is unstable (there the value is the
     algebraic spectrum ratio, not a steady-state observable); those cells,
     by one check_stability of the stacked drift matrices, are listed as
-    (delta_c, delta_m) pairs under metadata["unstable_cells"].
+    (delta_c, delta_m) pairs under metadata["unstable_cells"]. ConfigError, before any
+    solve, unless both grids are non-empty, finite and strictly increasing.
     """
     delta_c_grid = np.asarray(delta_c_grid, dtype=float)
     delta_m_grid = np.asarray(delta_m_grid, dtype=float)
+    for grid in (delta_c_grid, delta_m_grid):
+        if not (grid.size and np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+            raise ConfigError("map grids must be non-empty, finite and strictly increasing")
     ics_max = _baseline_max(cfg, ics_max)
     cells = [(float(dc), float(dm)) for dm in delta_m_grid for dc in delta_c_grid]
     drifts = build_drift_matrix(cfg.cs_model, detunings=[(dm, dc) for dc, dm in cells])

@@ -20,19 +20,16 @@ is not a full quantum simulation.
 The integrator is the drift-implicit Euler-Maruyama step
 z_{k+1} = A z_k + B xi_k with A = (I - dt R)^{-1} and B = A L dt; the
 explicit variant is unstable over the long horizons required by the
-narrow low-mode linewidths used throughout. The same discrete map is
-advanced _BLOCK steps per block,
-
-    z_{k+j} = A^j z_k + sum_{i<j} A^{j-1-i} B xi_{k+i},
-
-so a chunk of steps costs one matrix product for every block's noise
-response, a doubling scan that carries the state across the blocks in
-log2(blocks + 1) products by P = A^_BLOCK, P^2, P^4, ..., and one more
-product for the carried states' share of the recorded port. The products
-write into buffers that each group allocates once and every chunk reuses;
-the carried states are stored time-major, (blocks + 1, group, 2N). Every
-chunk is a whole _CHUNK steps: those past burn_in + n_steps are drawn and
-advanced but never recorded.
+narrow low-mode linewidths used throughout. The block maps are that step
+run _BLOCK times on every input of a block at once, its start state and
+each step's draws, so a chunk of steps costs one matrix product for
+every block's noise response, a doubling scan that carries the state
+across the blocks in log2(blocks + 1) products by P = A^_BLOCK, P^2,
+P^4, ..., and one more product for the carried states' share of the
+recorded port. The products write into buffers that each group allocates
+once and every chunk reuses; the carried states are stored time-major,
+(blocks + 1, group, 2N). Every chunk is a whole _CHUNK steps: those past
+burn_in + n_steps are drawn and advanced but never recorded.
 """
 
 from __future__ import annotations
@@ -100,40 +97,48 @@ class OracleConfig:
 
 
 def _block_maps(
-    step_matrix: NDArray[np.float64],
-    noise_map: NDArray[np.float64],
-    port_noise: float,
-    gain: float,
-    port_row: int,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    model: SystemModel, drift: NDArray[np.complex128], dt: float, port: int
+) -> tuple[NDArray[np.float64], NDArray[np.float64], list[NDArray[np.float64]]]:
     """
     Linear maps of _BLOCK steps z <- A z + W d of the quadratures, for real draws d.
 
-    Returns (table, homogeneous, power). `table` takes a block's draws
-    d_0..d_{_BLOCK-1}, flattened, to the draws' share of its _BLOCK recorded
-    outputs gain * z[port] - port_noise * d[port], port = (x, p) rows
-    port_row and port_row + 1, each an interleaved (re, im) pair of
-    columns, followed by its end state. `homogeneous` (n2, 2 _BLOCK) and
-    `power` = (A^_BLOCK)^T take the row state at the block start to the
-    rest of the outputs and the end state.
+    Runs the step on every input of a block at once, as row states: the
+    block-start state (n2 rows), then each step's draws d_0..d_{_BLOCK-1}
+    (n2 rows per step). Returns (table, homogeneous, doublings). `table`
+    takes the draws, flattened, to their share of the block's _BLOCK
+    recorded outputs gain * z[port] - port_noise * d[port], the port's (x,
+    p) rows each an interleaved (re, im) pair of columns, followed by its
+    end state. `homogeneous` (n2, 2 _BLOCK) takes the block-start state to
+    the rest of the outputs and `doublings` holds its end state P =
+    (A^_BLOCK)^T, then P^2, P^4, ... up to the span that reaches across a
+    chunk's carries.
     """
-    n2 = len(step_matrix)
-    port = slice(port_row, port_row + 2)
-    powers = [np.eye(n2)]
-    for _ in range(_BLOCK):
-        powers.append(step_matrix @ powers[-1])
-    powers = np.array(powers)
-    response = powers[:_BLOCK] @ noise_map  # A^m W, m = 0 .. _BLOCK-1
-    table = np.zeros((_BLOCK, n2, 2 * _BLOCK + n2))
-    outputs = table[..., : 2 * _BLOCK].reshape(_BLOCK, n2, _BLOCK, 2)
+    n2 = 2 * model.n_modes
+    # Drift-implicit step of the quadratures, W = A L dt xi; L is the same on x
+    # and p, so the quadrature transform leaves it as is.
+    step = numerics.invert(np.eye(n2) - dt * quadrature_form(drift)).real
+    # Each step draws (x, p) per mode, d[2m] and d[2m + 1]. Circular noise of
+    # two-sided input PSD n + 1/2 per mode is xi = sqrt((n + 1/2) / dt) d on
+    # both quadratures; the port records a = (x + i p) / sqrt 2 and its noise.
+    noise = np.repeat(np.sqrt((occupations(model) + 0.5) / dt), 2)
+    noise_map = step @ input_coupling_matrix(model) * (dt * noise)
+    gain, port_noise = np.sqrt(model.modes[port].kappa / 2.0), noise[2 * port] / np.sqrt(2.0)
+    port_rows = slice(2 * port, 2 * port + 2)
+    z = np.eye(n2 * (_BLOCK + 1), n2)
+    outputs = []
     for i in range(_BLOCK):
-        # Step i's draws reach output j >= i through A^{j-i} W and the end state
-        # through A^{_BLOCK-1-i} W.
-        outputs[i, :, i:] = gain * response[: _BLOCK - i, port].transpose(2, 0, 1)
-        outputs[i, port, i] -= port_noise * np.eye(2)
-        table[i, :, 2 * _BLOCK :] = response[_BLOCK - 1 - i].T
-    homogeneous = gain * powers[1:, port].transpose(2, 0, 1).reshape(n2, 2 * _BLOCK)
-    return table.reshape(_BLOCK * n2, -1), homogeneous, powers[_BLOCK].T
+        # Rows past step i's draws are not reached yet and stay zero.
+        reached = n2 * (i + 1)
+        z[:reached] = z[:reached] @ step.T
+        z[reached : reached + n2] = noise_map.T
+        outputs.append(gain * z[:, port_rows])
+        # The port's output less its own input, sqrt(kappa) a - a_in.
+        outputs[-1][reached:][port_rows] -= port_noise * np.eye(2)
+    outputs = np.hstack(outputs)
+    doublings = [z[:n2]]
+    for _ in range(1, (_CHUNK // _BLOCK).bit_length()):
+        doublings.append(doublings[-1] @ doublings[-1])
+    return np.hstack([outputs[n2:], z[n2:]]), outputs[:n2], doublings
 
 
 def _advance(z, draws, maps, work):
@@ -209,25 +214,7 @@ def simulate(cfg: OracleConfig) -> WelchEstimate:
             f"dt={cfg.dt} too large for spectral radius {max_rate:.3g}"
             f" (needs dt <= {0.01 / max_rate:.3g})"
         )
-    n2 = 2 * model.n_modes
-    # Drift-implicit step of the quadratures, z <- A z + A L dt xi; L is the
-    # same on x and p, so it is unchanged by the quadrature transform.
-    step_matrix = numerics.invert(np.eye(n2) - cfg.dt * quadrature_form(drift)).real
-    # Each step draws (x, p) per mode, d[2m] and d[2m + 1]. Circular noise of
-    # two-sided input PSD n + 1/2 per mode is xi = sqrt((n + 1/2) / dt) d on
-    # both quadratures; the port records a = (x + i p) / sqrt 2 and its noise.
-    noise = np.repeat(np.sqrt((occupations(model) + 0.5) / cfg.dt), 2)
-    noise_map = step_matrix @ input_coupling_matrix(model) * (cfg.dt * noise)
-    port_row = 2 * cfg.port
-    gain = float(np.sqrt(model.modes[cfg.port].kappa / 2.0))
-    table, homogeneous, power = _block_maps(
-        step_matrix, noise_map, noise[port_row] / np.sqrt(2.0), gain, port_row)
-    # P, P^2, P^4, ... up to the span that reaches across a chunk's carries.
-    doublings = [power]
-    for _ in range(1, (_CHUNK // _BLOCK).bit_length()):
-        doublings.append(doublings[-1] @ doublings[-1])
-    maps = (table, homogeneous, doublings)
-
+    maps = _block_maps(model, drift, cfg.dt, cfg.port)
     # Groups of one Welch batch (16 members at segment 4096), so the working set
     # sits near L2 and is the same for any ensemble.
     group = max(1, numerics._WELCH_BATCH_ENTRIES // cfg.segment_length)

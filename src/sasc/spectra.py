@@ -251,13 +251,13 @@ _MAX_OCCUPATION = math.sqrt(sys.float_info.max)
 
 
 def thermal_occupation(absolute_frequency: float, temperature: float) -> float:
-    """Bose-Einstein occupation 1/(exp(hbar w / kB T) - 1), 0 at T=0; ConfigError if
-    unusable, or if n is infinite or above _MAX_OCCUPATION, so that n^2 is finite."""
+    """Bose-Einstein occupation 1/(exp(hbar w / kB T) - 1), 0 where kB T is 0 (T = 0 or subnormal);
+    ConfigError if unusable, or if n is infinite or above _MAX_OCCUPATION, so that n^2 is finite."""
     if absolute_frequency <= 0:
         raise ConfigError("absolute_frequency must be positive")
     if temperature < 0:
         raise ConfigError("temperature must be non-negative")
-    if temperature == 0.0:
+    if _K_B * temperature == 0.0:
         return 0.0
     x = _HBAR * absolute_frequency / (_K_B * temperature)
     if x > 700.0:

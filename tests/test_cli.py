@@ -610,6 +610,19 @@ class TestOtherTasks:
                       if l.startswith("omega"))
         assert header == "omega,S_AP,S_SNR"
 
+    def test_snr_at_a_subnormal_temperature_is_the_vacuum(self, tmp_path):
+        # k_B * 1e-320 underflows to 0: every occupation is the vacuum's, as at T = 0.
+        rows = {}
+        for temperature in (1e-320, 0.0):
+            config = {"system": {**du_system(), "temperature": temperature},
+                      "task": {"kind": "snr"}, "grid": {"min": -2.0, "max": 2.0, "points": 31}}
+            out = tmp_path / repr(temperature)
+            assert cli.main(["snr", "--config", write_config(tmp_path / "config.json", config),
+                             "--out", str(out)]) == cli.EXIT_OK
+            rows[temperature] = [line for line in (out / "snr.csv").read_text().splitlines()
+                                 if not line.startswith("#")]
+        assert rows[1e-320] == rows[0.0]
+
     def test_chain_task(self, tmp_path):
         config = {
             "system": du_system(),

@@ -202,19 +202,31 @@ class TestFFactor:
 
 
 class TestMapResult:
-    def test_shape_and_grid_validation(self):
+    def test_shape_and_finiteness_validation(self):
         with pytest.raises(ValueError):
             metrics.MapResult(delta_c=[0.0, 1.0], delta_m=[0.0, 1.0],
                               values=np.ones((3, 2)))
-        with pytest.raises(ValueError):
-            metrics.MapResult(delta_c=[1.0, 0.0], delta_m=[0.0, 1.0],
-                              values=np.ones((2, 2)))
         with pytest.raises(ValueError):
             metrics.MapResult(delta_c=[0.0, 1.0], delta_m=[0.0, 1.0],
                               values=np.array([[1.0, np.nan], [1.0, 1.0]]))
 
 
 class TestFMap:
+    @pytest.mark.parametrize("delta_c,delta_m", [
+        ([1.0, 0.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 0.0]), ([], [0.0]), ([0.0], []),
+        ([np.nan], [0.0]), ([0.0, np.inf], [0.0]),
+    ], ids=["reversed-delta_c", "repeated-delta_m", "empty-delta_c", "empty-delta_m",
+            "nan-delta_c", "inf-delta_c"])
+    def test_unmappable_grid_is_refused_before_any_solve(self, monkeypatch, delta_c, delta_m):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the map solved something before checking its grids")
+
+        monkeypatch.setattr(metrics, "_baseline_max", no_solve)
+        monkeypatch.setattr(metrics, "build_drift_matrix", no_solve)
+        cs, ics = make_comparison_pair()
+        with pytest.raises(ConfigError, match="non-empty, finite and strictly increasing"):
+            metrics.f_map(metrics.ComparisonConfig(cs_model=cs, ics_model=ics), delta_c, delta_m)
+
     def test_small_map_flags_unstable_cells(self):
         cs, ics = make_comparison_pair()
         cfg = metrics.ComparisonConfig(cs_model=cs, ics_model=ics)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_comparison_pair, make_du
+from conftest import make_chain, make_comparison_pair, make_du
 from sasc.model import InstabilityError, build_drift_matrix, input_coupling_matrix
 from sasc.spectra import occupations, output_spectrum
 from sasc import numerics, oracle
@@ -214,7 +214,8 @@ class TestSimulate:
 def quadrature_step(model, dt, port):
     """
     The one-step map (A, W) of the quadratures, z <- A z + W d, from the complex
-    implicit Euler step by T^-1 A T, and the block maps that simulate builds from it.
+    implicit Euler step by T^-1 A T, the port's gain and draw weight, and the block
+    maps that simulate builds: an independent reference for the maps.
     """
     n2 = 2 * model.n_modes
     t = np.kron(np.eye(model.n_modes), np.array([[1, 1j], [1, -1j]]) / np.sqrt(2.0))
@@ -222,9 +223,9 @@ def quadrature_step(model, dt, port):
     assert np.abs(a.imag).max() <= 1e-14
     noise = np.repeat(np.sqrt((occupations(model) + 0.5) / dt), 2)
     w = a.real @ input_coupling_matrix(model) * (dt * noise)
-    maps = oracle._block_maps(a.real, w, noise[2 * port] / np.sqrt(2.0),
-                              np.sqrt(model.modes[port].kappa / 2.0), 2 * port)
-    return a.real, w, maps
+    gain, port_noise = np.sqrt(model.modes[port].kappa / 2.0), noise[2 * port] / np.sqrt(2.0)
+    maps = oracle._block_maps(model, build_drift_matrix(model), dt, port)
+    return a.real, w, gain, port_noise, maps
 
 
 def discrete_stationary_covariance(a, q):
@@ -233,18 +234,45 @@ def discrete_stationary_covariance(a, q):
     return np.linalg.solve(np.eye(n * n) - np.kron(a, a), q.ravel()).reshape(n, n)
 
 
+BLOCK_MAP_CASES = [(make_du(), 0), (make_comparison_pair()[0], 2), (make_chain(6), 3)]
+BLOCK_MAP_IDS = ["du-port0", "three-port2", "chain6-port3"]
+
+
 class TestBlockMaps:
-    @pytest.mark.parametrize("model,port", [(make_du(), 0), (make_comparison_pair()[0], 2)],
-                             ids=["du", "three"])
+    @pytest.mark.parametrize("model,port", BLOCK_MAP_CASES, ids=BLOCK_MAP_IDS)
     def test_block_map_keeps_the_one_step_stationary_covariance(self, model, port):
         # No noise draws: the _BLOCK-step map z <- P z + G^T d of the end state
-        # (P = power^T, G the table's end-state columns) has the stationary
+        # (P = doublings[0]^T, G the table's end-state columns) has the stationary
         # covariance of the one-step map it composes.
-        a, w, (table, _, power) = quadrature_step(model, 0.002, port)
+        a, w, _, _, (table, _, doublings) = quadrature_step(model, 0.002, port)
         one_step = discrete_stationary_covariance(a, w @ w.T)
         end_state = table[:, 2 * oracle._BLOCK :]
-        block = discrete_stationary_covariance(power.T, end_state.T @ end_state)
+        block = discrete_stationary_covariance(doublings[0].T, end_state.T @ end_state)
         np.testing.assert_allclose(block, one_step, rtol=0, atol=1e-10 * np.abs(one_step).max())
+
+    @pytest.mark.parametrize("model,port", BLOCK_MAP_CASES, ids=BLOCK_MAP_IDS)
+    def test_one_block_matches_explicit_steps(self, model, port):
+        # One _advance block of random draws from a random start state against
+        # _BLOCK explicit steps z <- A z + W d, each recording
+        # gain * (x + i p) - port_noise * (d_x + i d_p) at the port after its step.
+        a, w, gain, port_noise, maps = quadrature_step(model, 0.002, port)
+        n2, group = len(a), 3
+        rng = np.random.default_rng(5)
+        z0 = rng.standard_normal((group, n2))
+        draws = rng.standard_normal((group, 1, oracle._BLOCK * n2))
+        work = (np.empty((group, maps[0].shape[1])), np.empty((2, group, n2)),
+                np.empty((group, 1, 2 * oracle._BLOCK)))
+        end, ports = oracle._advance(z0, draws, maps, work)
+
+        z, expected, row = z0.T, [], slice(2 * port, 2 * port + 2)
+        for d in draws[:, 0].reshape(group, oracle._BLOCK, n2).transpose(1, 2, 0):
+            z = a @ z + w @ d
+            x_p = gain * z[row] - port_noise * d[row]
+            expected.append(x_p[0] + 1j * x_p[1])
+        expected = np.array(expected).T
+        np.testing.assert_allclose(ports, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
+        np.testing.assert_allclose(end, z.T, rtol=0, atol=1e-12 * np.abs(z).max())
 
 
 class TestCompare:

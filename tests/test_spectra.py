@@ -322,6 +322,8 @@ class TestThermal:
     def test_high_frequency_modes_are_vacuum(self):
         assert spectra.thermal_occupation(OMEGA_HIGH, 0.01) < 1e-18
         assert spectra.thermal_occupation(OMEGA_LOW, 0.0) == 0.0
+        # k_B T underflows to 0 at T = 1e-320: the vacuum, not a division by zero.
+        assert spectra.thermal_occupation(OMEGA_HIGH, 1e-320) == 0.0
 
     def test_occupations_vector_ordering(self):
         occ = spectra.occupations(make_three())
@@ -372,10 +374,11 @@ class TestOutputSpectrum:
 @st.composite
 def readout_solvers(draw):
     """SnrSolvers of random two-mode, three-mode and chain models, stable or not, at random
-    temperatures, with random signal and readout ports and homodyne angle."""
+    temperatures (0 and a subnormal one among them), with random signal and readout ports and
+    homodyne angle."""
     kappa, delta = st.floats(0.01, 2.0), st.floats(-2.0, 2.0)
     magnitude, phase = st.floats(0.0, 0.6), st.floats(0.0, 2.0 * np.pi)
-    temperature = draw(st.just(0.0) | st.floats(1e-3, 2.0))
+    temperature = draw(st.sampled_from([0.0, 1e-320]) | st.floats(1e-3, 2.0))
     kind = draw(st.sampled_from(["du", "three", "chain"]))
     if kind == "du":
         model = make_du(kappa_a=draw(kappa), delta_a=draw(delta), magnitude=draw(magnitude),
