@@ -274,7 +274,7 @@ def _write_json(path: Path, metadata: dict, payload: dict) -> None:
 def _write_table(outdir: Path, base: str, fmt: str, metadata: dict, columns: dict) -> None:
     """Equal-length named columns as CSV rows, or as the "data" object of a JSON file."""
     if fmt == "json":
-        data = {name: [float(v) for v in values] for name, values in columns.items()}
+        data = {name: np.asarray(values, dtype=float).tolist() for name, values in columns.items()}
         _write_json(outdir / f"{base}.json", metadata, {"data": data})
         return
     path = outdir / f"{base}.csv"
@@ -299,15 +299,14 @@ def _basename(config: dict, fallback: str) -> str:
     return config.get("output", {}).get("basename", fallback)
 
 
-def _port_pair_columns(gamma_stacks, transmissions: dict, asymmetries: dict) -> dict:
-    """Transmission then asymmetry columns (see spectra.port_columns) of Gamma stacks."""
-    columns: dict = {name: [] for name in (*transmissions, *asymmetries)}
-    for gammas in gamma_stacks:
-        for name, leg in transmissions.items():
-            columns[name].extend(spectra.transmission(gammas, *leg).tolist())
-        for name, pair in asymmetries.items():
-            columns[name].extend(spectra.pair_asymmetry(gammas, pair).tolist())
-    return columns
+def _port_pair_columns(gamma_stacks, rows: int, legs: dict, pairs: dict) -> dict:
+    """Transmission then asymmetry float64 columns (see spectra.port_columns) of `rows` Gammas."""
+    columns, end = np.empty((len(legs) + len(pairs), rows)), 0
+    for g in gamma_stacks:
+        end += len(g)
+        columns[:, end - len(g):end] = [*(spectra.transmission(g, *leg) for leg in legs.values()),
+                                        *(spectra.pair_asymmetry(g, p) for p in pairs.values())]
+    return dict(zip([*legs, *pairs], columns))
 
 
 def run_spectrum(config: dict, outdir: Path, fmt: str) -> None:
@@ -319,8 +318,8 @@ def run_spectrum(config: dict, outdir: Path, fmt: str) -> None:
     if port is not None:  # output_spectrum checks the port before the label is read
         values = spectra.output_spectrum(model, omegas, port)
         output[f"S_out_{model.modes[port].label}"] = values
-    gammas = spectra.transfer_matrices(model, omegas)
-    columns = {"omega": omegas, **_port_pair_columns(gammas, *spectra.port_columns(model))}
+    columns = {"omega": omegas, **_port_pair_columns(
+        spectra.transfer_matrices(model, omegas), len(omegas), *spectra.port_columns(model))}
     columns.update(output)
     _write_table(outdir, _basename(config, "spectrum"), fmt, _metadata(config), columns)
 
@@ -334,7 +333,7 @@ def run_asymmetry(config: dict, outdir: Path, fmt: str) -> None:
     swept = coupling if isinstance(coupling, list) else [coupling]
     # Two couplings sweep grid.points^2 phase pairs; a table takes at most grid.points' cap.
     cap = _load_schema()["properties"]["grid"]["properties"]["points"]["maximum"]
-    if len(thetas) ** len(swept) > cap:
+    if (rows := len(thetas) ** len(swept)) > cap:
         raise ConfigError(f"coupling_index {coupling}: {len(thetas)}^2 phase pairs exceed"
                           f" the {cap} rows of a table")
     gammas = spectra.phase_grid(model, omega, dict.fromkeys(swept, thetas))
@@ -349,7 +348,7 @@ def run_asymmetry(config: dict, outdir: Path, fmt: str) -> None:
         columns = {f"theta_{label}": axis.ravel() for label, axis in zip(labels, axes)}
     else:
         columns = {"theta": thetas}
-    columns.update(_port_pair_columns(gammas, {}, spectra.port_columns(model)[1]))
+    columns.update(_port_pair_columns(gammas, rows, {}, spectra.port_columns(model)[1]))
     meta = _metadata(config, {"omega": omega})
     _write_table(outdir, _basename(config, "asymmetry"), fmt, meta, columns)
 

@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -573,6 +574,57 @@ class TestSpectrumRuns:
         payload = json.loads((tmp_path / "spectrum.json").read_text())
         assert payload["metadata"]["config_hash"] == cli.canonical_hash(config)
         assert len(payload["data"]["omega"]) == 5
+
+    @staticmethod
+    def table_columns(monkeypatch, run, config):
+        """The columns a runner hands to the table writer, which writes nothing."""
+        columns = {}
+        monkeypatch.setattr(cli, "_write_table", lambda *args: columns.update(args[-1]))
+        run(config, Path("unwritten"), "csv")
+        return columns
+
+    @pytest.mark.parametrize("system", [du_system(), fmap_config()["system"], chain_system(5)],
+                             ids=["du", "three", "chain5"])
+    def test_t_and_r_columns_are_float64_arrays_over_gamma_blocks(self, monkeypatch, system):
+        monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", 1)  # 16 points a Gamma block
+        model = cli.build_system(system)
+        legs, pairs = spectra.port_columns(model)
+        omegas = np.linspace(-2.0, 2.0, 101)
+        thetas = np.linspace(0.0, 2.0 * np.pi, 41)
+        for run, task, grid, stacks, column_set in (
+            (cli.run_spectrum, {}, omegas,
+             lambda: spectra.transfer_matrices(model, omegas), (legs, pairs)),
+            (cli.run_asymmetry, {"omega": 0.999999}, thetas,
+             lambda: spectra.phase_grid(model, 0.999999, {0: thetas}), ({}, pairs)),
+        ):
+            blocks = list(stacks())
+            assert len(blocks) > 1
+            expected = {
+                **{name: [spectra.transmission(g, *leg) for g in blocks]
+                   for name, leg in column_set[0].items()},
+                **{name: [spectra.pair_asymmetry(g, pair) for g in blocks]
+                   for name, pair in column_set[1].items()},
+            }
+            config = {"system": system, "task": task,
+                      "grid": {"min": grid[0], "max": grid[-1], "points": len(grid)}}
+            columns = self.table_columns(monkeypatch, run, config)
+            assert list(columns)[1:] == list(expected)
+            for name in expected:
+                assert isinstance(columns[name], np.ndarray), name
+                assert columns[name].dtype == np.float64 and columns[name].ndim == 1
+                assert np.array_equal(columns[name], np.concatenate(expected[name]))
+
+    def test_t_and_r_columns_take_under_28_bytes_a_value(self, monkeypatch):
+        # A float64 is 8 B; a Python list of floats holds at least 32 B a value.
+        config = {"system": du_system(), "grid": {"min": -3.0, "max": 3.0, "points": 100_000}}
+        tracemalloc.start()
+        try:
+            columns = self.table_columns(monkeypatch, cli.run_spectrum, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        values = 100_000 * (len(columns) - 1)  # every column but omega is a T or an R
+        assert peak / values < 28
 
 
 class TestOtherTasks:

@@ -354,6 +354,26 @@ class TestPoleResidueScan:
         exact_w, exact_s, _ = metrics._search_snr(solver, drifts, (-3.0, 3.0))
         assert np.array_equal(w, exact_w) and np.array_equal(s, exact_s)
 
+    def test_a_failed_eigendecomposition_takes_the_exact_scan(self, monkeypatch):
+        cs, ics = make_comparison_pair()
+        cfg = metrics.ComparisonConfig(cs_model=cs, ics_model=ics)
+        deltas = np.linspace(-0.8, 0.8, 7)
+        eig = np.linalg.eig
+
+        def failing_eig(a):
+            if a.ndim > 2 and len(a) > 1:  # a scan block of several cells
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", failing_eig)
+        failed = metrics.f_map(cfg, deltas, deltas)
+        monkeypatch.setattr(np.linalg, "eig", eig)
+        monkeypatch.setattr(spectra, "_EIGVEC_COND_LIMIT", 0.0)
+        exact = metrics.f_map(cfg, deltas, deltas)
+        assert failed.scan == {"fallback_cells": 49, "max_eigvec_cond": np.inf}
+        assert np.array_equal(failed.values, exact.values)
+        assert failed.metadata == exact.metadata
+
     def test_pole_on_a_grid_frequency_is_refused(self):
         cs, ics = make_comparison_pair()
         omega_range = pole_centred_range(cs, (0.7, 0.7))

@@ -23,6 +23,7 @@ from sasc.model import (
     quadrature_form,
     require_stable,
     solve_steady_state,
+    _cubic_roots,
 )
 
 
@@ -342,3 +343,7 @@ class TestSteadyState:
     def test_branch_index_out_of_range(self):
         with pytest.raises(ValueError):
             solve_steady_state(self.bare(0.2), (self.A, self.B), branch_index=2)
+
+    def test_a_triple_root_is_one_exact_root(self):
+        # np.roots splits (x - 1)^3 into 1.0000066 and a complex pair.
+        assert _cubic_roots(1.0, -3.0, 3.0, -1.0) == [1.0]

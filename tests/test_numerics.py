@@ -228,6 +228,8 @@ class TestWelch:
             numerics.welch_psd(np.zeros(32, dtype=complex), 0.1, 16, overlap=1.0)
         with pytest.raises(ValueError):
             numerics.WelchAccumulator(0.1, 1)
+        with pytest.raises(ValueError, match="n_samples"):
+            numerics.welch_psd(np.zeros((32, 2, 2), dtype=complex), 0.1, 16)
 
     @pytest.mark.parametrize("layout", ["1-D", "columns"])
     def test_bench_call_convention(self, layout):

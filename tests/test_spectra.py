@@ -299,6 +299,10 @@ class TestAsymmetry:
         with pytest.raises(numerics.NumericalError, match="0/0"):
             spectra.asymmetry(0.0, 0.0)
 
+    def test_negative_coefficients_are_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            spectra.asymmetry(-1.0, 1.0)
+
     def test_resonance_probe_offset(self):
         assert spectra.resonance_probe_frequency() == 1.0 - 1e-6
         assert spectra.RESONANCE_PROBE_OFFSET == 1e-6
