@@ -147,8 +147,6 @@ def _checked_schema(schema: dict) -> dict:
 
 def _json_equal(a, b) -> bool:
     """Equality of JSON values: 1 == 1.0 and 0 == -0.0, but true != 1."""
-    if a is b:
-        return True
     if isinstance(a, list) and isinstance(b, list):
         return len(a) == len(b) and all(map(_json_equal, a, b))
     if isinstance(a, dict) and isinstance(b, dict):

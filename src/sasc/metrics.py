@@ -226,15 +226,6 @@ class MapResult:
     metadata: dict = field(default_factory=dict)
     scan: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.delta_c = np.asarray(self.delta_c, dtype=float)
-        self.delta_m = np.asarray(self.delta_m, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (len(self.delta_m), len(self.delta_c)):
-            raise ValueError("values shape must be (len(delta_m), len(delta_c))")
-        if not np.all(np.isfinite(self.values)):
-            raise numerics.NumericalError("map contains non-finite values")
-
 
 def f_map(
     cfg: ComparisonConfig, delta_c_grid, delta_m_grid, ics_max: float | None = None
@@ -242,12 +233,12 @@ def f_map(
     """
     f over a detuning grid; the baseline maximum is computed once, unless given.
 
-    The frequency-domain formula is evaluated at every grid cell, including
-    cells whose linearized drift matrix is unstable (there the value is the
-    algebraic spectrum ratio, not a steady-state observable); those cells,
-    by one check_stability of the stacked drift matrices, are listed as
-    (delta_c, delta_m) pairs under metadata["unstable_cells"]. ConfigError, before any
-    solve, unless both grids are non-empty, finite and strictly increasing.
+    The frequency-domain formula is evaluated at every grid cell, including cells whose
+    linearized drift matrix is unstable (there the value is the algebraic spectrum ratio, not
+    a steady-state observable); those cells, by one check_stability of the stacked drift
+    matrices, are listed as (delta_c, delta_m) pairs under metadata["unstable_cells"].
+    ConfigError, before any solve, unless both grids are non-empty, finite and strictly
+    increasing; NumericalError if any f is not finite.
     """
     delta_c_grid = np.asarray(delta_c_grid, dtype=float)
     delta_m_grid = np.asarray(delta_m_grid, dtype=float)
@@ -260,7 +251,10 @@ def f_map(
     unstable = [cell for cell, stable in zip(cells, check_stability(drifts).stable) if not stable]
     solver = SnrSolver(cfg.cs_model, **cfg.readout)
     _, s_star, scan = _search_snr(solver, drifts, cfg.omega_range)
-    values = s_star.reshape(len(delta_m_grid), len(delta_c_grid)) / ics_max
+    with np.errstate(over="ignore"):  # an overflow shows as a non-finite f, refused below
+        values = s_star.reshape(len(delta_m_grid), len(delta_c_grid)) / ics_max
+    if not np.all(np.isfinite(values)):
+        raise numerics.NumericalError("map contains non-finite values")
     return MapResult(
         delta_c=delta_c_grid,
         delta_m=delta_m_grid,

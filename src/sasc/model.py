@@ -105,9 +105,9 @@ class ModeParams:
     detuning: float
 
     def __post_init__(self):
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ConfigError(f"mode {self.label!r}: kappa must be positive")
-        if self.absolute_frequency <= 0:
+        if not self.absolute_frequency > 0:
             raise ConfigError(f"mode {self.label!r}: absolute_frequency must be positive")
 
 
@@ -119,7 +119,7 @@ class CouplingParams:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.magnitude < 0:
+        if not self.magnitude >= 0:
             raise ConfigError("coupling magnitude must be non-negative")
 
     @property
@@ -136,7 +136,7 @@ class BareDriveParams:
     drive_frequency: float
 
     def __post_init__(self):
-        if self.drive_amplitude < 0:
+        if not self.drive_amplitude >= 0:
             raise ConfigError("drive_amplitude must be non-negative")
 
 
@@ -173,7 +173,7 @@ class SystemModel:
             raise ConfigError(
                 f"expected {n - 1} couplings for {n} modes, got {len(self.couplings)}"
             )
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise ConfigError("temperature must be non-negative")
 
     @property

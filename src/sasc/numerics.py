@@ -32,9 +32,6 @@ __all__ = [
 ]
 
 _RCOND_FLOOR = 1e-13
-#: Complex entries per windowed batch of series of a Welch segment (1 MB), or one series if
-#: larger; the oracle integrates its ensemble in groups of this many series.
-_WELCH_BATCH_ENTRIES = 1 << 16
 
 
 class NumericalError(ValueError):
@@ -136,8 +133,8 @@ class WelchAccumulator:
     segment_length samples of every series (slot = sample index %
     segment_length, allocated by the first add), so a chunk may be
     overwritten once `add` returns. When a segment's last sample lands, it
-    is Hann-windowed from the ring into one reused buffer, batched over
-    series, and transformed in place; each periodogram is folded into a
+    is Hann-windowed from the ring into one reused buffer, every series at
+    once, and transformed in place; each periodogram is folded into a
     per-bin mean and sum of squared deviations (Chan, Golub & LeVeque,
     Am. Stat. 37, 242 (1983)) and dropped. Segments fold the same way
     however the input is chunked, so the estimate is bit-identical too.
@@ -167,9 +164,8 @@ class WelchAccumulator:
         data = data.reshape(math.prod(data.shape[:-1]), n)
         if self._ring is None:
             self._ring = np.empty((len(data), length), dtype=complex)
-            rows = max(1, min(len(data), _WELCH_BATCH_ENTRIES // length))
-            self._work = np.empty((rows, length), dtype=complex)
-            self._power = np.empty((rows, length))
+            self._work = np.empty_like(self._ring)
+            self._power = np.empty(self._ring.shape)
         elif len(data) != len(self._ring):
             raise ValueError(f"expected {len(self._ring)} series, got {len(data)}")
         done = 0
@@ -186,21 +182,18 @@ class WelchAccumulator:
 
     def _fold(self) -> None:
         """Window the segment that just ended from the ring, its slots [first:] then [:first],
-        and fold in its periodograms, _WELCH_BATCH_ENTRIES entries (or one series) at a time."""
-        first, rows = self._next % self._length, len(self._work)
+        and fold in the periodograms of every series."""
+        ring, work, first = self._ring, self._work, self._next % self._length
         split = self._length - first
-        for s in range(0, len(self._ring), rows):
-            block = self._ring[s : s + rows]
-            work = self._work[: len(block)]
-            np.multiply(block[:, first:], self._window[:split], out=work[:, :split])
-            np.multiply(block[:, :first], self._window[split:], out=work[:, split:])
-            np.fft.fft(work, out=work)
-            power = np.abs(work, out=self._power[: len(block)])
-            power *= power
-            mean = power.mean(axis=0)
-            power -= mean
-            power *= power
-            self._merge(len(power), mean, power.sum(axis=0))
+        np.multiply(ring[:, first:], self._window[:split], out=work[:, :split])
+        np.multiply(ring[:, :first], self._window[split:], out=work[:, split:])
+        np.fft.fft(work, out=work)
+        power = np.abs(work, out=self._power)
+        power *= power
+        mean = power.mean(axis=0)
+        power -= mean
+        power *= power
+        self._merge(len(power), mean, power.sum(axis=0))
 
     def _merge(self, count: int, mean, m2) -> None:
         """Chan's update: fold in `count` periodograms of per-bin mean and squared deviations m2."""

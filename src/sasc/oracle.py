@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 _CHUNK = 512
+#: Welch ring entries of one member group (1 MB), or one member if a segment is longer.
+_GROUP_ENTRIES = 1 << 16
 #: Steps per block of the stepping recurrence; a chunk makes _CHUNK / _BLOCK state carries.
 _BLOCK = 16
 
@@ -77,7 +79,7 @@ class OracleConfig:
     burn_in: int | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ConfigError("dt must be positive")
         if self.ensemble < 1:
             raise ConfigError("ensemble must be at least 1")
@@ -215,9 +217,9 @@ def simulate(cfg: OracleConfig) -> WelchEstimate:
             f" (needs dt <= {0.01 / max_rate:.3g})"
         )
     maps = _block_maps(model, drift, cfg.dt, cfg.port)
-    # Groups of one Welch batch (16 members at segment 4096), so the working set
-    # sits near L2 and is the same for any ensemble.
-    group = max(1, numerics._WELCH_BATCH_ENTRIES // cfg.segment_length)
+    # Groups of 16 members at segment 4096, each windowed and transformed as one
+    # batch, so the working set sits near L2 and is the same for any ensemble.
+    group = max(1, _GROUP_ENTRIES // cfg.segment_length)
     welch = numerics.WelchAccumulator(cfg.dt, cfg.segment_length, cfg.overlap)
     # An overflow shows as a non-finite state or estimate, each checked, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):

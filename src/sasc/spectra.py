@@ -253,9 +253,9 @@ _MAX_OCCUPATION = math.sqrt(sys.float_info.max)
 def thermal_occupation(absolute_frequency: float, temperature: float) -> float:
     """Bose-Einstein occupation 1/(exp(hbar w / kB T) - 1), 0 where kB T is 0 (T = 0 or subnormal);
     ConfigError if unusable, or if n is infinite or above _MAX_OCCUPATION, so that n^2 is finite."""
-    if absolute_frequency <= 0:
+    if not absolute_frequency > 0:
         raise ConfigError("absolute_frequency must be positive")
-    if temperature < 0:
+    if not temperature >= 0:
         raise ConfigError("temperature must be non-negative")
     if _K_B * temperature == 0.0:
         return 0.0
@@ -284,7 +284,7 @@ def quadrature_coefficients(gamma, output_port: int, psi: float = 0.0) -> NDArra
     or of each Gamma of a (..., 2n, 2n) stack. A (..., 2, 2n) stack of one port's
     two rows is read as port 0.
     """
-    check_index("output_port", output_port, gamma.shape[-1] // 2, "modes")
+    check_index("output_port", output_port, gamma.shape[-2] // 2, "modes")
     row_a, row_c = gamma[..., 2 * output_port, :], gamma[..., 2 * output_port + 1, :]
     return (row_a * np.exp(-1j * psi) + row_c * np.exp(1j * psi)) / np.sqrt(2.0)
 

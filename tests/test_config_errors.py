@@ -31,11 +31,17 @@ def oracle_config(**kwargs):
 #: (call, message pattern) of each input check.
 CHECKS = {
     "ModeParams.kappa": (lambda: ModeParams("a", OMEGA_HIGH, 0.0, 0.0), "kappa"),
+    "ModeParams.kappa=nan": (lambda: ModeParams("a", OMEGA_HIGH, np.nan, 0.0), "kappa"),
     "ModeParams.absolute_frequency": (
         lambda: ModeParams("a", 0.0, 1.0, 0.0), "absolute_frequency"),
+    "ModeParams.absolute_frequency=nan": (
+        lambda: ModeParams("a", np.nan, 1.0, 0.0), "absolute_frequency"),
     "CouplingParams.magnitude": (lambda: CouplingParams(-0.1), "magnitude"),
+    "CouplingParams.magnitude=nan": (lambda: CouplingParams(np.nan), "magnitude"),
     "BareDriveParams.drive_amplitude": (
         lambda: BareDriveParams(1.0, -1.0, 1.0), "drive_amplitude"),
+    "BareDriveParams.drive_amplitude=nan": (
+        lambda: BareDriveParams(1.0, np.nan, 1.0), "drive_amplitude"),
     "SystemModel.mode_count": (
         lambda: SystemModel(Topology.THREE_MODE, DU.modes, DU.couplings), "requires 3 modes"),
     "SystemModel.chain_length": (
@@ -51,7 +57,10 @@ CHECKS = {
         lambda: SystemModel(Topology.DU, DU.modes, ()), "expected 1 couplings"),
     "SystemModel.temperature": (
         lambda: dataclasses.replace(DU, temperature=-1.0), "temperature"),
+    "SystemModel.temperature=nan": (
+        lambda: dataclasses.replace(DU, temperature=np.nan), "temperature"),
     "OracleConfig.dt": (lambda: oracle_config(dt=0.0), "dt"),
+    "OracleConfig.dt=nan": (lambda: oracle_config(dt=np.nan), "dt"),
     "OracleConfig.ensemble": (lambda: oracle_config(ensemble=0), "ensemble"),
     "OracleConfig.segment_length": (lambda: oracle_config(segment_length=1), "segment_length"),
     "OracleConfig.overlap": (lambda: oracle_config(overlap=1.0), "overlap"),
@@ -80,10 +89,18 @@ CHECKS = {
     "quadrature_coefficients.output_port": (
         lambda: spectra.quadrature_coefficients(next(spectra.transfer_matrices(DU, [0.1])), 2),
         "output_port 2 is out of range: the system has 2 modes"),
+    "quadrature_coefficients.two_rows": (
+        # A (..., 2, 2n) stack holds one port's rows, read as port 0.
+        lambda: spectra.quadrature_coefficients(np.zeros((3, 2, 4)), 1),
+        "output_port 1 is out of range: the system has 1 modes"),
     "thermal_occupation.absolute_frequency": (
         lambda: spectra.thermal_occupation(0.0, 1.0), "absolute_frequency must be positive"),
+    "thermal_occupation.absolute_frequency=nan": (
+        lambda: spectra.thermal_occupation(np.nan, 1.0), "absolute_frequency must be positive"),
     "thermal_occupation.temperature": (
         lambda: spectra.thermal_occupation(OMEGA_HIGH, -1.0), "temperature must be non-negative"),
+    "thermal_occupation.temperature=nan": (
+        lambda: spectra.thermal_occupation(OMEGA_HIGH, np.nan), "temperature must be non-negative"),
     "thermal_occupation.underflow": (
         lambda: spectra.thermal_occupation(1e-300, 1e300), "thermal occupation is not finite"),
     "thermal_occupation.overflow": (
@@ -152,8 +169,10 @@ FAILURES = {
     "f_factor.baseline_max": (
         lambda: metrics.f_factor(metrics.ComparisonConfig(CS, ICS), ics_max=0.0),
         "baseline maximum SNR is 0.0"),
-    "MapResult.values": (
-        lambda: metrics.MapResult([0.0], [0.0], [[np.nan]]), "map contains non-finite values"),
+    "f_map.values": (
+        # S* / 5e-324 overflows: f_map refuses the infinite f without a RuntimeWarning.
+        lambda: metrics.f_factor(metrics.ComparisonConfig(CS, ICS), ics_max=5e-324),
+        "map contains non-finite values"),
     "scaling_fit.gains": (
         lambda: chain_fit(coupling={"magnitude": 0.0}, detuning=0.0, detuning_alt=0.0,
                           kappa_high=1.0),

@@ -201,16 +201,6 @@ class TestFFactor:
         assert outcomes["equal"] > 0 and outcomes["unstable"] > 0
 
 
-class TestMapResult:
-    def test_shape_and_finiteness_validation(self):
-        with pytest.raises(ValueError):
-            metrics.MapResult(delta_c=[0.0, 1.0], delta_m=[0.0, 1.0],
-                              values=np.ones((3, 2)))
-        with pytest.raises(ValueError):
-            metrics.MapResult(delta_c=[0.0, 1.0], delta_m=[0.0, 1.0],
-                              values=np.array([[1.0, np.nan], [1.0, 1.0]]))
-
-
 class TestFMap:
     @pytest.mark.parametrize("delta_c,delta_m", [
         ([1.0, 0.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 0.0]), ([], [0.0]), ([0.0], []),

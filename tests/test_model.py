@@ -347,3 +347,10 @@ class TestSteadyState:
     def test_a_triple_root_is_one_exact_root(self):
         # np.roots splits (x - 1)^3 into 1.0000066 and a complex pair.
         assert _cubic_roots(1.0, -3.0, 3.0, -1.0) == [1.0]
+
+    def test_a_double_root_stops_its_polish_where_the_slope_is_zero(self, monkeypatch):
+        # x (x - 1)^2 has a double root at 1, where the slope is exactly 0, so the Newton
+        # step must stop there, not divide by it. np.roots is pinned to the exact roots,
+        # which LAPACK usually returns, so the test does not depend on its rounding.
+        monkeypatch.setattr(np, "roots", lambda coefficients: np.array([1.0, 1.0, 0.0]))
+        assert _cubic_roots(1.0, -2.0, 1.0, 0.0) == [0.0, 1.0]

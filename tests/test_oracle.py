@@ -123,10 +123,10 @@ class TestSimulate:
     @pytest.mark.parametrize("model,port", [(make_du(), 0), (make_comparison_pair()[0], 2)],
                              ids=["du-port0", "three-port2"])
     def test_group_boundary_matches_stepwise_reference(self, model, port):
-        # Members run in groups of one Welch batch; one group plus one member
-        # crosses a group boundary and ends on a partial group of one.
+        # Members run in groups of _GROUP_ENTRIES ring entries; one group plus one
+        # member crosses a group boundary and ends on a partial group of one.
         segment_length = 8192
-        group = max(1, numerics._WELCH_BATCH_ENTRIES // segment_length)
+        group = max(1, oracle._GROUP_ENTRIES // segment_length)
         cfg = short_config(model, port=port, ensemble=group + 1, segment_length=segment_length,
                            burn_in=37, n_steps=segment_length + 4196)
         run = oracle.simulate(cfg)
